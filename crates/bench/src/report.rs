@@ -3,7 +3,7 @@
 //! output.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dedup_obs::{sample_resources, TraceExport};
 use dedup_sim::SimTime;
@@ -53,6 +53,28 @@ pub fn opdump_dir() -> Option<PathBuf> {
         return Some(PathBuf::from(dir));
     }
     std::env::var_os("DEDUP_OPDUMP").map(|_| PathBuf::from("target/opdumps"))
+}
+
+/// The tail every sidecar writer shares: creates `dir`, writes `body` to
+/// `<dir>/<figure>.<ext>` and prints the path. IO errors are reported on
+/// stderr as `<kind> sidecar skipped (...)` but never fatal — a read-only
+/// checkout must not kill a figure run.
+fn write_sidecar(kind: &str, dir: &Path, figure: &str, ext: &str, body: String) -> Option<PathBuf> {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("{kind} sidecar skipped ({}: {e})", dir.display());
+        return None;
+    }
+    let path = dir.join(format!("{figure}.{ext}"));
+    match std::fs::write(&path, body) {
+        Ok(()) => {
+            println!("{kind} sidecar: {}", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("{kind} sidecar skipped ({}: {e})", path.display());
+            None
+        }
+    }
 }
 
 /// Accumulates labelled registry snapshots from the systems an experiment
@@ -111,23 +133,9 @@ impl MetricsSidecar {
     /// checkout must not kill a figure run.
     pub fn write(&self) -> Option<PathBuf> {
         let dir = metrics_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("metrics sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.metrics.jsonl", self.figure));
         let mut body = self.lines.join("\n");
         body.push('\n');
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("metrics sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("metrics sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
+        write_sidecar("metrics", &dir, &self.figure, "metrics.jsonl", body)
     }
 }
 
@@ -174,22 +182,8 @@ impl TraceSidecar {
         if self.exports.is_empty() {
             return None;
         }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("trace sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.trace.json", self.figure));
         let body = dedup_obs::render(&self.exports);
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("trace sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("trace sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
+        write_sidecar("trace", &dir, &self.figure, "trace.json", body)
     }
 }
 
@@ -242,23 +236,9 @@ impl EventSidecar {
         if self.lines.is_empty() {
             return None;
         }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("event sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.events.jsonl", self.figure));
         let mut body = self.lines.join("\n");
         body.push('\n');
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("event sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("event sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
+        write_sidecar("event", &dir, &self.figure, "events.jsonl", body)
     }
 }
 
@@ -310,22 +290,8 @@ impl OpDumpSidecar {
         if self.entries.is_empty() {
             return None;
         }
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("op-dump sidecar skipped ({}: {e})", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{}.ops.json", self.figure));
         let body = format!("[{}]\n", self.entries.join(","));
-        match std::fs::write(&path, body) {
-            Ok(()) => {
-                println!("op-dump sidecar: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("op-dump sidecar skipped ({}: {e})", path.display());
-                None
-            }
-        }
+        write_sidecar("op-dump", &dir, &self.figure, "ops.json", body)
     }
 }
 

@@ -119,11 +119,6 @@ impl OriginalSystem {
             ctx: IoCtx::new(pool),
         }
     }
-
-    /// The data pool's ioctx.
-    pub fn ctx(&self) -> IoCtx {
-        self.ctx.clone()
-    }
 }
 
 impl StorageSystem for OriginalSystem {

@@ -89,12 +89,13 @@ impl Default for HitSetConfig {
     }
 }
 
-/// Sizing of the memory-bounded tiered chunk index
-/// ([`crate::TieredIndex`]).
+/// Sizing of the hot/cold tiered chunk index ([`crate::TieredIndex`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TieredIndexConfig {
     /// Maximum candidate entries resident in the hot in-memory tier;
-    /// overflow is demoted into cold sorted runs.
+    /// overflow is demoted into cold sorted runs. `usize::MAX`
+    /// ([`TieredIndexConfig::unbounded`]) never demotes: the index is
+    /// then one flat in-memory map with no declared memory bound.
     pub hot_capacity: usize,
     /// Cold sorted runs tolerated before a merge compaction.
     pub max_runs: usize,
@@ -107,6 +108,7 @@ pub struct TieredIndexConfig {
 }
 
 impl Default for TieredIndexConfig {
+    /// The memory-bounded sizing: a 4096-candidate hot tier.
     fn default() -> Self {
         TieredIndexConfig {
             hot_capacity: 4096,
@@ -118,6 +120,17 @@ impl Default for TieredIndexConfig {
                 hit_count: 2,
                 bloom_bits: 1 << 14,
             },
+        }
+    }
+}
+
+impl TieredIndexConfig {
+    /// An unbounded hot tier — every candidate stays in the in-memory
+    /// map and no cold run is ever cut. [`DedupConfig`]'s default.
+    pub fn unbounded() -> Self {
+        TieredIndexConfig {
+            hot_capacity: usize::MAX,
+            ..Default::default()
         }
     }
 }
@@ -215,18 +228,6 @@ impl Default for CompressionConfig {
     }
 }
 
-/// Which [`crate::ChunkIndex`] implementation the engine builds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum ChunkIndexKind {
-    /// The historical flat in-memory state: Bloom gate plus an unbounded
-    /// candidate map. Default; byte-identical figures.
-    #[default]
-    Flat,
-    /// Memory-bounded hot/cold tiers: a small hot map driven by the
-    /// HitSet hotness signal over a cold tier of compact sorted runs.
-    Tiered(TieredIndexConfig),
-}
-
 /// Full configuration of the deduplication layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DedupConfig {
@@ -276,15 +277,10 @@ pub struct DedupConfig {
     /// without ever being fully hashed. Off by default; the default path
     /// is byte-identical to the classic engine.
     pub tiered_fingerprint: bool,
-    /// Chunk index implementation (flat default, or memory-bounded
-    /// hot/cold tiers).
-    pub chunk_index: ChunkIndexKind,
-    /// Reconstructs the pre-RwLock foreground plane for A/B
-    /// benchmarking: reads take their shard lock in *exclusive* mode, so
-    /// same-shard reads serialize exactly as with the historical
-    /// `Mutex` shards. Off by default (reads share). Wall-clock only —
-    /// virtual-time results are identical either way.
-    pub exclusive_shard_reads: bool,
+    /// Chunk index sizing. The default hot tier is unbounded (everything
+    /// in memory); a finite `hot_capacity` bounds resident memory by
+    /// demoting cold signatures into compact sorted runs.
+    pub chunk_index: TieredIndexConfig,
     /// Inline chunk-pool compression plane (off by default; the default
     /// path is byte-identical to the pre-compression engine).
     pub compression: CompressionConfig,
@@ -305,8 +301,7 @@ impl Default for DedupConfig {
             foreground_shards: 16,
             bloom: BloomConfig::default(),
             tiered_fingerprint: false,
-            chunk_index: ChunkIndexKind::Flat,
-            exclusive_shard_reads: false,
+            chunk_index: TieredIndexConfig::unbounded(),
             compression: CompressionConfig::default(),
         }
     }
@@ -380,14 +375,6 @@ impl DedupConfig {
         self
     }
 
-    /// Makes foreground reads take their shard lock exclusively (the
-    /// pre-RwLock baseline). Benchmarking knob; see
-    /// [`DedupConfig::exclusive_shard_reads`].
-    pub fn exclusive_shard_reads(mut self) -> Self {
-        self.exclusive_shard_reads = true;
-        self
-    }
-
     /// Overrides the Bloom filter sizing (bits are rounded up to a power
     /// of two, probes clamped to 1..=16 at construction).
     ///
@@ -408,9 +395,10 @@ impl DedupConfig {
         self
     }
 
-    /// Switches the chunk index to the memory-bounded hot/cold tiers.
+    /// Overrides the chunk index sizing (a finite `hot_capacity` bounds
+    /// its resident memory).
     pub fn tiered_index(mut self, index: TieredIndexConfig) -> Self {
-        self.chunk_index = ChunkIndexKind::Tiered(index);
+        self.chunk_index = index;
         self
     }
 
@@ -459,10 +447,31 @@ mod tests {
         assert_eq!(c.foreground_shards, 16, "default namespace striping");
         assert_eq!(c.bloom, BloomConfig::default(), "historical bloom sizing");
         assert!(!c.tiered_fingerprint, "tiered pipeline is opt-in");
-        assert_eq!(c.chunk_index, ChunkIndexKind::Flat, "flat index default");
+        assert_eq!(
+            c.chunk_index.hot_capacity,
+            usize::MAX,
+            "unbounded index default"
+        );
         assert!(!c.compression.enabled, "compression is opt-in");
         assert_eq!(c.compression.domain, FingerprintDomain::Raw);
         assert_eq!(c.compression.max_ratio_ppm, 900_000);
+        // Exhaustive on purpose: adding a knob must break this test.
+        let DedupConfig {
+            chunk_size: _,
+            mode: _,
+            cache_policy: _,
+            watermarks: _,
+            hitset: _,
+            fingerprint_cost: _,
+            lazy_dereference: _,
+            flush_parallelism: _,
+            flush_batch_size: _,
+            foreground_shards: _,
+            bloom: _,
+            tiered_fingerprint: _,
+            chunk_index: _,
+            compression: _,
+        } = c;
     }
 
     #[test]
@@ -494,10 +503,7 @@ mod tests {
         assert_eq!(c.bloom.bits, 1 << 16);
         assert_eq!(c.bloom.probes, 6);
         assert!(c.tiered_fingerprint);
-        match c.chunk_index {
-            ChunkIndexKind::Tiered(t) => assert_eq!(t.hot_capacity, 128),
-            ChunkIndexKind::Flat => panic!("expected tiered index"),
-        }
+        assert_eq!(c.chunk_index.hot_capacity, 128);
     }
 
     #[test]

@@ -165,18 +165,6 @@ pub fn shard_index(name: &ObjectName, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// A held foreground shard lock, in either sharing mode. Only the guard's
-/// lifetime matters to callers; the enum exists because the read path can
-/// be configured ([`DedupConfig::exclusive_shard_reads`]) to take the
-/// exclusive side for baseline benchmarking.
-#[allow(dead_code)]
-enum ShardGuard<'a> {
-    /// Shared (read) side: other readers of the shard proceed.
-    Read(RwLockReadGuard<'a, ()>),
-    /// Exclusive (write) side: the shard is single-threaded.
-    Write(RwLockWriteGuard<'a, ()>),
-}
-
 /// The deduplicating storage service layered on a [`Cluster`].
 ///
 /// # Locking model (see DESIGN.md §9)
@@ -204,8 +192,7 @@ pub struct DedupStore {
     chunker: FixedChunker,
     /// Foreground namespace stripes: shard `i` owns every object hashing
     /// to `i`. Reader-writer: mutations hold the write side, reads share
-    /// the read side (unless [`DedupConfig::exclusive_shard_reads`]
-    /// reconstructs the old exclusive behaviour for A/B benchmarking).
+    /// the read side.
     shards: Vec<RwLock<()>>,
     /// Chunk refcount stripes: serialize the get_xattr → omap → transact
     /// read-modify-write in [`DedupStore::store_chunk`] /
@@ -338,7 +325,7 @@ impl DedupStore {
     /// Acquires the foreground shard lock owning `name` in *write*
     /// (exclusive) mode, recording the per-shard op counters and the
     /// wall-clock wait under `mode=write`.
-    fn lock_shard_write(&self, name: &ObjectName) -> ShardGuard<'_> {
+    fn lock_shard_write(&self, name: &ObjectName) -> RwLockWriteGuard<'_, ()> {
         let idx = shard_index(name, self.shards.len());
         let start = Instant::now();
         let guard = self.shards[idx].write();
@@ -347,24 +334,16 @@ impl DedupStore {
             .record(start.elapsed().as_nanos() as u64);
         self.metrics.shard_ops[idx].inc();
         self.metrics.shard_write_ops[idx].inc();
-        ShardGuard::Write(guard)
+        guard
     }
 
     /// Acquires the foreground shard lock owning `name` in *read*
     /// (shared) mode, recording the per-shard op counters and the
-    /// wall-clock wait under `mode=read`. With
-    /// [`DedupConfig::exclusive_shard_reads`] set the guard is exclusive
-    /// instead — the pre-RwLock behaviour, kept reconstructible so the
-    /// open-loop bench can A/B the two under identical workloads — but
-    /// the op still counts as a read.
-    fn lock_shard_read(&self, name: &ObjectName) -> ShardGuard<'_> {
+    /// wall-clock wait under `mode=read`.
+    fn lock_shard_read(&self, name: &ObjectName) -> RwLockReadGuard<'_, ()> {
         let idx = shard_index(name, self.shards.len());
         let start = Instant::now();
-        let guard = if self.config.exclusive_shard_reads {
-            ShardGuard::Write(self.shards[idx].write())
-        } else {
-            ShardGuard::Read(self.shards[idx].read())
-        };
+        let guard = self.shards[idx].read();
         self.metrics
             .shard_lock_wait_read_ns
             .record(start.elapsed().as_nanos() as u64);
@@ -419,7 +398,7 @@ impl DedupStore {
     }
 
     /// The chunk index's declared memory bound at its current population
-    /// (`None` for the unbounded flat index).
+    /// (`None` when the hot tier is unbounded — the default).
     pub fn index_memory_bound(&self) -> Option<u64> {
         self.index.declared_memory_bound()
     }
@@ -2458,8 +2437,6 @@ impl DedupStore {
     pub fn rebuild_index(&mut self) -> Result<usize, DedupError> {
         self.index.clear();
         self.bloom_warned.store(false, Ordering::Relaxed);
-        let tiered = self.config.tiered_fingerprint
-            || !matches!(self.config.chunk_index, crate::config::ChunkIndexKind::Flat);
         // Signatures must be re-derived over the same bytes the live
         // pipeline signs: stored bytes under the compressed fingerprint
         // domain, logical (decompressed) bytes otherwise.
@@ -2472,7 +2449,7 @@ impl DedupStore {
             let Some(fp) = Fingerprint::from_object_name(chunk_name.as_str()) else {
                 continue;
             };
-            let sig = if tiered {
+            let sig = if self.config.tiered_fingerprint {
                 if compressed_domain {
                     let len = self
                         .cluster
@@ -3244,6 +3221,34 @@ mod tests {
         let f = s.flush_all(t(5)).expect("flush");
         let done = s.cluster_mut().execute_at(t(5), &f.cost);
         assert!(done > t(5));
+    }
+
+    #[test]
+    fn fingerprint_parallelism_changes_neither_report_nor_cost() {
+        // Duplicate and unique objects across several batches: the
+        // fingerprint pool width is wall-clock only, so the serial and the
+        // 4-wide flush must agree on what was done and what it cost.
+        let flush = |workers: usize| {
+            let mut s = store_with(
+                DedupConfig::with_chunk_size(CS)
+                    .cache_policy(CachePolicy::EvictAll)
+                    .flush_parallelism(workers)
+                    .flush_batch_size(4),
+            );
+            for i in 0..12u64 {
+                let data = patterned(3 * CS as usize, i % 5);
+                let name = ObjectName::new(format!("obj-{i}"));
+                let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
+            }
+            assert_eq!(s.fingerprint_parallelism(), workers);
+            let f = s.flush_all(t(10)).expect("flush");
+            (f.value, f.cost)
+        };
+        let (serial, parallel) = (flush(1), flush(4));
+        assert_eq!(serial.0.chunks_flushed, 36);
+        assert_eq!(serial.0.chunks_created, 15, "five distinct objects");
+        assert!(!serial.1.is_nop());
+        assert_eq!(serial, parallel);
     }
 }
 

@@ -82,8 +82,9 @@ impl HealthCheck for BloomHealth<'_> {
 }
 
 /// Chunk-index memory-bound probe. Only indexes that declare a bound
-/// ([`crate::ChunkIndex::declared_memory_bound`], i.e. the tiered index)
-/// are checked; the unbounded flat index is exempt by construction.
+/// ([`crate::ChunkIndex::declared_memory_bound`], i.e. a finite hot
+/// tier) are checked; the default unbounded index is exempt by
+/// construction.
 pub struct IndexHealth<'a> {
     store: &'a DedupStore,
 }

@@ -15,22 +15,20 @@
 //!    means no stored chunk can match. That proof is what lets the tiered
 //!    fingerprint pipeline skip the full hash for unique chunks entirely.
 //!
-//! Two implementations:
-//!
-//! * [`FlatChunkIndex`] — the historical flat state (default): the Bloom
-//!   gate plus an unbounded `HashMap` of candidate sets. Byte-identical
-//!   figures; unbounded resident memory at scale.
-//! * [`TieredIndex`] — memory-bounded hot/cold tiers. A small hot
-//!   `HashMap` holds recently touched signatures (bounded by
-//!   `hot_capacity` candidates); overflow is demoted — least recently
-//!   stamped first — into **cold sorted runs**: packed fixed-width
-//!   records in on-disk format (sorted by signature, binary-searched
-//!   through fence pointers), merged by compaction when runs pile up.
-//!   Cold hits that turn hot (per the same `HitSet` machinery the cache
-//!   manager uses) are promoted back. The key invariant: **a signature
-//!   present in the hot tier carries its complete live candidate set**
-//!   (inserts and promotions pull cold matches up first), so a probe
-//!   reads either one hot entry or the cold runs, never a merge of both.
+//! One implementation, [`TieredIndex`] — hot/cold tiers behind the Bloom
+//! gate. A hot `HashMap` holds recently touched signatures (bounded by
+//! `hot_capacity` candidates); overflow is demoted — least recently
+//! stamped first — into **cold sorted runs**: packed fixed-width records
+//! in on-disk format (sorted by signature, binary-searched through fence
+//! pointers), merged by compaction when runs pile up. Cold hits that turn
+//! hot (per the same `HitSet` machinery the cache manager uses) are
+//! promoted back. The key invariant: **a signature present in the hot
+//! tier carries its complete live candidate set** (inserts and promotions
+//! pull cold matches up first), so a probe reads either one hot entry or
+//! the cold runs, never a merge of both. With the default unbounded
+//! `hot_capacity` nothing is ever demoted and the index is one flat
+//! in-memory map (`tests/index_conformance.rs` holds it to a flat
+//! reference model under every op interleaving).
 //!
 //! Deletions are lazy, matching the Bloom filter's semantics: nothing is
 //! eagerly removed when a chunk dies; a stale candidate is detected when
@@ -66,9 +64,9 @@ pub struct CandidateRef {
 /// Counters describing an index's current shape and lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Candidate entries resident in the hot tier (flat: the whole map).
+    /// Candidate entries resident in the hot tier.
     pub hot_candidates: u64,
-    /// Records across all cold sorted runs (flat: always 0).
+    /// Records across all cold sorted runs.
     pub cold_records: u64,
     /// Cold sorted runs currently live.
     pub cold_runs: u64,
@@ -128,7 +126,7 @@ pub trait ChunkIndex: fmt::Debug + Send + Sync {
 
     /// The configuration's declared upper bound on
     /// [`ChunkIndex::resident_bytes`] at the current population, when the
-    /// implementation promises one (`None` for the unbounded flat index).
+    /// implementation promises one (`None` for an unbounded hot tier).
     /// Health checks compare the measured footprint against this.
     fn declared_memory_bound(&self) -> Option<u64> {
         None
@@ -148,29 +146,6 @@ const FENCE_BYTES: u64 = 24;
 /// Estimated bytes per tombstone in the hash set.
 const TOMBSTONE_BYTES: u64 = 56;
 
-// ---------------------------------------------------------------------
-// Flat implementation
-// ---------------------------------------------------------------------
-
-/// The historical flat chunk index: Bloom gate + unbounded candidate map.
-#[derive(Debug)]
-pub struct FlatChunkIndex {
-    bloom: BloomFilter,
-    candidates: Mutex<HashMap<ChunkSig, Vec<CandidateRef>>>,
-    hits: Mutex<(u64, u64)>,
-}
-
-impl FlatChunkIndex {
-    /// Builds the flat index with the given Bloom sizing.
-    pub fn new(bloom: BloomConfig) -> Self {
-        FlatChunkIndex {
-            bloom: BloomFilter::with_config(bloom),
-            candidates: Mutex::new(HashMap::new()),
-            hits: Mutex::new((0, 0)),
-        }
-    }
-}
-
 fn push_candidate(cands: &mut Vec<CandidateRef>, stored: Fingerprint) {
     if cands.iter().any(|c| c.stored == stored) {
         return;
@@ -180,77 +155,6 @@ fn push_candidate(cands: &mut Vec<CandidateRef>, stored: Fingerprint) {
     let full = (!stored.is_weak()).then_some(stored);
     cands.push(CandidateRef { stored, full });
 }
-
-impl ChunkIndex for FlatChunkIndex {
-    fn may_contain(&self, fp: &Fingerprint) -> bool {
-        self.bloom.may_contain(fp)
-    }
-
-    fn note_stored(&self, stored: Fingerprint, sig: Option<ChunkSig>) {
-        self.bloom.insert(&stored);
-        if let Some(sig) = sig {
-            push_candidate(self.candidates.lock().entry(sig).or_default(), stored);
-        }
-    }
-
-    fn candidates(&self, sig: &ChunkSig, _now: SimTime) -> Vec<CandidateRef> {
-        let out = self.candidates.lock().get(sig).cloned().unwrap_or_default();
-        if !out.is_empty() {
-            self.hits.lock().0 += 1;
-        }
-        out
-    }
-
-    fn memoize_full(&self, sig: &ChunkSig, stored: Fingerprint, full: Fingerprint) {
-        if let Some(cands) = self.candidates.lock().get_mut(sig) {
-            for c in cands.iter_mut().filter(|c| c.stored == stored) {
-                c.full = Some(full);
-            }
-        }
-    }
-
-    fn drop_candidate(&self, sig: &ChunkSig, stored: Fingerprint) {
-        let mut map = self.candidates.lock();
-        if let Some(cands) = map.get_mut(sig) {
-            cands.retain(|c| c.stored != stored);
-            if cands.is_empty() {
-                map.remove(sig);
-            }
-        }
-    }
-
-    fn clear(&self) {
-        self.bloom.clear();
-        self.candidates.lock().clear();
-        *self.hits.lock() = (0, 0);
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        let map = self.candidates.lock();
-        let cands: u64 = map.values().map(|v| v.len() as u64).sum();
-        self.bloom.resident_bytes()
-            + map.len() as u64 * HOT_ENTRY_BYTES
-            + cands * HOT_CANDIDATE_BYTES
-    }
-
-    fn bloom_fill_ratio(&self) -> f64 {
-        self.bloom.fill_ratio()
-    }
-
-    fn stats(&self) -> IndexStats {
-        let map = self.candidates.lock();
-        let hits = *self.hits.lock();
-        IndexStats {
-            hot_candidates: map.values().map(|v| v.len() as u64).sum(),
-            hot_hits: hits.0,
-            ..Default::default()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tiered implementation
-// ---------------------------------------------------------------------
 
 /// One hot-tier entry: the complete live candidate set for a signature,
 /// plus the LRU stamp demotion sorts by.
@@ -426,9 +330,12 @@ impl TieredIndex {
     /// a full hot tier, every candidate additionally cold-resident across
     /// `max_runs` un-compacted runs' worth of duplication headroom, plus
     /// fences, tombstone slack, the Bloom array, and the heat rings.
-    /// `bench_index` asserts the measured footprint stays under this.
+    /// `resident_memory_stays_under_bound_at_scale` asserts the measured
+    /// footprint stays under this. Saturates for an unbounded hot tier,
+    /// which declares no bound ([`ChunkIndex::declared_memory_bound`]).
     pub fn memory_bound(&self, total_candidates: u64) -> u64 {
-        let hot = self.config.hot_capacity as u64 * (HOT_CANDIDATE_BYTES + HOT_ENTRY_BYTES);
+        let hot =
+            (self.config.hot_capacity as u64).saturating_mul(HOT_CANDIDATE_BYTES + HOT_ENTRY_BYTES);
         // Worst case before compaction: each candidate duplicated once
         // across runs (a demoted re-promotion), plus one record each.
         let cold_records = total_candidates * 2 * RECORD_BYTES as u64;
@@ -439,7 +346,8 @@ impl TieredIndex {
         let tombstones = total_candidates * TOMBSTONE_BYTES / 4;
         let heat =
             (self.config.heat.bloom_bits as u64 / 8 + 64) * (self.config.heat.intervals as u64 + 1);
-        self.bloom.resident_bytes() + hot + cold_records + fences + tombstones + heat + 4096
+        (self.bloom.resident_bytes() + cold_records + fences + tombstones + heat + 4096)
+            .saturating_add(hot)
     }
 
     /// Demotes least-recently-stamped hot entries until the hot tier is
@@ -689,20 +597,17 @@ impl ChunkIndex for TieredIndex {
     }
 
     fn declared_memory_bound(&self) -> Option<u64> {
+        if self.config.hot_capacity == usize::MAX {
+            return None;
+        }
         let stats = self.stats();
         Some(self.memory_bound(stats.hot_candidates + stats.cold_records))
     }
 }
 
 /// Builds the index an engine configuration asks for.
-pub fn build_index(
-    bloom: BloomConfig,
-    kind: &crate::config::ChunkIndexKind,
-) -> Box<dyn ChunkIndex> {
-    match kind {
-        crate::config::ChunkIndexKind::Flat => Box::new(FlatChunkIndex::new(bloom)),
-        crate::config::ChunkIndexKind::Tiered(cfg) => Box::new(TieredIndex::new(bloom, *cfg)),
-    }
+pub fn build_index(bloom: BloomConfig, config: &TieredIndexConfig) -> Box<dyn ChunkIndex> {
+    Box::new(TieredIndex::new(bloom, *config))
 }
 
 #[cfg(test)]
@@ -746,7 +651,7 @@ mod tests {
 
     #[test]
     fn full_known_for_content_named_candidates() {
-        let idx = FlatChunkIndex::new(BloomConfig::default());
+        let idx = tiny_tiered(8);
         idx.note_stored(fp(9), Some(sig(9)));
         let c = idx.candidates(&sig(9), SimTime::ZERO);
         assert_eq!(
@@ -863,15 +768,32 @@ mod tests {
             resident <= bound,
             "resident {resident} exceeds bound {bound}"
         );
-        // And the compact cold format beats the flat map at equal load.
-        let flat = FlatChunkIndex::new(BloomConfig {
-            bits: 1 << 12,
-            probes: 4,
-        });
+        // And the compact cold format beats an all-hot map at equal load.
+        let flat = tiny_tiered(usize::MAX);
         for n in 0..total {
             flat.note_stored(fp(n), Some(sig(n)));
         }
         assert!(resident < flat.resident_bytes());
+    }
+
+    #[test]
+    fn only_a_finite_hot_tier_declares_a_bound() {
+        let bounded = tiny_tiered(64);
+        let unbounded = tiny_tiered(usize::MAX);
+        for n in 0..256 {
+            bounded.note_stored(fp(n), Some(sig(n)));
+            unbounded.note_stored(fp(n), Some(sig(n)));
+        }
+        assert_eq!(
+            bounded.declared_memory_bound(),
+            Some(bounded.memory_bound(256)),
+            "finite capacity keeps the population-scaled bound"
+        );
+        assert_eq!(unbounded.declared_memory_bound(), None);
+        // Nothing was demoted, and the bound arithmetic saturates
+        // instead of overflowing.
+        assert_eq!(unbounded.stats().cold_records, 0);
+        assert_eq!(unbounded.memory_bound(256), u64::MAX);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use baseline::{global_ratio, local_ratio, RatioAnalysis};
 pub use bloom::BloomConfig;
 pub use chunkmap::{ChunkMapEntry, CHUNK_MAP_ENTRY_BYTES};
 pub use config::{
-    CachePolicy, ChunkIndexKind, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode,
+    CachePolicy, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode,
     FingerprintDomain, HitSetConfig, TieredIndexConfig, Watermarks,
 };
 pub use crashpoint::{
@@ -85,7 +85,7 @@ pub use health::{
     BloomHealth, CompressionHealth, IndexHealth, QueueHealth, RateHealth, ShardHealth, StallState,
 };
 pub use hitset::{BloomFilter, HitSet};
-pub use index::{build_index, CandidateRef, ChunkIndex, FlatChunkIndex, IndexStats, TieredIndex};
+pub use index::{build_index, CandidateRef, ChunkIndex, IndexStats, TieredIndex};
 pub use pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
 pub use queue::{DirtyQueue, DirtyTicket};
 pub use ratecontrol::RateController;

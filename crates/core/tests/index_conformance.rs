@@ -2,29 +2,123 @@
 //!
 //! Two layers:
 //!
-//! 1. **Op-level**: drive a [`FlatChunkIndex`] and a [`TieredIndex`]
-//!    (with a tiny hot capacity so demotion, promotion, compaction, and
-//!    the Bloom interaction all fire constantly) through arbitrary
-//!    interleavings of `note_stored` / `candidates` / `memoize_full` /
-//!    `drop_candidate` / `clear`, asserting the answers are identical at
-//!    every step. The tiered index is free to *order* work differently
-//!    (hot vs cold) but must never answer differently.
+//! 1. **Op-level**: drive the reference model below ([`FlatChunkIndex`],
+//!    a Bloom gate plus one unbounded candidate map) and a
+//!    [`TieredIndex`] (with a tiny hot capacity so demotion, promotion,
+//!    compaction, and the Bloom interaction all fire constantly) through
+//!    arbitrary interleavings of `note_stored` / `candidates` /
+//!    `memoize_full` / `drop_candidate` / `clear`, asserting the answers
+//!    are identical at every step. The tiered index is free to *order*
+//!    work differently (hot vs cold) but must never answer differently.
 //! 2. **Store-level**: run the same random write / overwrite / delete /
-//!    flush / GC workload against a classic engine and a tiered-pipeline
-//!    engine over the memory-bounded index, and assert reads, space
-//!    accounting, and reference integrity agree — the tiered pipeline is
-//!    a pure work-avoidance optimisation, invisible in what is stored.
+//!    flush / GC workload against a classic engine over the default
+//!    unbounded index and a tiered-pipeline engine over a 4-candidate
+//!    hot tier, and assert reads, space accounting, and reference
+//!    integrity agree — the tiered pipeline is a pure work-avoidance
+//!    optimisation, invisible in what is stored.
+
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use dedup_core::bloom::BloomFilter;
 use dedup_core::{
-    BloomConfig, ChunkIndex, DedupConfig, DedupStore, FlatChunkIndex, HitSetConfig, TieredIndex,
-    TieredIndexConfig,
+    BloomConfig, CandidateRef, ChunkIndex, DedupConfig, DedupStore, HitSetConfig, IndexStats,
+    TieredIndex, TieredIndexConfig,
 };
 use dedup_fingerprint::{ChunkSig, Fingerprint};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
+
+// ---------------------------------------------------------------------
+// Reference model
+// ---------------------------------------------------------------------
+
+/// The oracle: the Bloom gate plus one unbounded signature → candidates
+/// map, with nothing to migrate, compact, or tombstone. Every
+/// [`ChunkIndex`] answer the production index gives must equal this
+/// one's.
+#[derive(Debug)]
+struct FlatChunkIndex {
+    bloom: BloomFilter,
+    candidates: Mutex<HashMap<ChunkSig, Vec<CandidateRef>>>,
+}
+
+impl FlatChunkIndex {
+    fn new(bloom: BloomConfig) -> Self {
+        FlatChunkIndex {
+            bloom: BloomFilter::with_config(bloom),
+            candidates: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn map(&self) -> MutexGuard<'_, HashMap<ChunkSig, Vec<CandidateRef>>> {
+        self.candidates.lock().expect("reference index lock")
+    }
+}
+
+impl ChunkIndex for FlatChunkIndex {
+    fn may_contain(&self, fp: &Fingerprint) -> bool {
+        self.bloom.may_contain(fp)
+    }
+
+    fn note_stored(&self, stored: Fingerprint, sig: Option<ChunkSig>) {
+        self.bloom.insert(&stored);
+        let Some(sig) = sig else { return };
+        let mut map = self.map();
+        let cands = map.entry(sig).or_default();
+        if cands.iter().all(|c| c.stored != stored) {
+            // A content-named chunk is its own full fingerprint.
+            let full = (!stored.is_weak()).then_some(stored);
+            cands.push(CandidateRef { stored, full });
+        }
+    }
+
+    fn candidates(&self, sig: &ChunkSig, _now: SimTime) -> Vec<CandidateRef> {
+        self.map().get(sig).cloned().unwrap_or_default()
+    }
+
+    fn memoize_full(&self, sig: &ChunkSig, stored: Fingerprint, full: Fingerprint) {
+        if let Some(cands) = self.map().get_mut(sig) {
+            for c in cands.iter_mut().filter(|c| c.stored == stored) {
+                c.full = Some(full);
+            }
+        }
+    }
+
+    fn drop_candidate(&self, sig: &ChunkSig, stored: Fingerprint) {
+        let mut map = self.map();
+        if let Some(cands) = map.get_mut(sig) {
+            cands.retain(|c| c.stored != stored);
+            if cands.is_empty() {
+                map.remove(sig);
+            }
+        }
+    }
+
+    fn clear(&self) {
+        self.bloom.clear();
+        self.map().clear();
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        let cands: usize = self.map().values().map(Vec::len).sum();
+        self.bloom.resident_bytes() + (cands * std::mem::size_of::<CandidateRef>()) as u64
+    }
+
+    fn bloom_fill_ratio(&self) -> f64 {
+        self.bloom.fill_ratio()
+    }
+
+    fn stats(&self) -> IndexStats {
+        IndexStats {
+            hot_candidates: self.map().values().map(|v| v.len() as u64).sum(),
+            ..IndexStats::default()
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Op-level conformance
@@ -69,14 +163,14 @@ fn chunk_name(op_weak: bool, s: u8, chunk: u8) -> Fingerprint {
     }
 }
 
-fn tiny_tiered() -> TieredIndex {
+fn tiny_tiered(hot_capacity: usize) -> TieredIndex {
     TieredIndex::new(
         BloomConfig {
             bits: 1 << 12,
             probes: 4,
         },
         TieredIndexConfig {
-            hot_capacity: 3,
+            hot_capacity,
             max_runs: 2,
             fence_every: 2,
             heat: HitSetConfig {
@@ -97,7 +191,7 @@ fn tiny_flat() -> FlatChunkIndex {
 }
 
 /// Sorts a candidate set into a comparable form.
-fn canon(mut cands: Vec<dedup_core::CandidateRef>) -> Vec<(Fingerprint, Option<Fingerprint>)> {
+fn canon(mut cands: Vec<CandidateRef>) -> Vec<(Fingerprint, Option<Fingerprint>)> {
     cands.sort_by_key(|c| c.stored);
     cands.into_iter().map(|c| (c.stored, c.full)).collect()
 }
@@ -119,62 +213,66 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The tiered index answers every operation exactly like the flat
-    /// one, under any interleaving — including mid-sequence migrations
-    /// between hot and cold tiers, run compactions, and tombstoned drops.
+    /// reference model, under any interleaving — with a 3-candidate hot
+    /// tier (mid-sequence migrations between hot and cold tiers, run
+    /// compactions, tombstoned drops) and with the unbounded hot tier the
+    /// engine defaults to.
     #[test]
     fn tiered_index_is_observationally_flat(ops in vec(arb_index_op(), 0..60)) {
-        let flat = tiny_flat();
-        let tiered = tiny_tiered();
-        // Track everything ever stored so the Bloom side can be compared
-        // for inserted keys (no false negatives in either impl).
-        let mut stored: Vec<Fingerprint> = Vec::new();
-        for (tick, op) in ops.iter().enumerate() {
-            let now = SimTime::from_secs(tick as u64);
-            match *op {
-                IndexOp::Store { sig: s, chunk, weak } => {
-                    let fp = chunk_name(weak, s, chunk);
-                    flat.note_stored(fp, Some(sig(s)));
-                    tiered.note_stored(fp, Some(sig(s)));
-                    stored.push(fp);
-                }
-                IndexOp::Probe { sig: s } => {
-                    let f = canon(flat.candidates(&sig(s), now));
-                    let t = canon(tiered.candidates(&sig(s), now));
-                    prop_assert_eq!(f, t, "probe diverged at tick {}", tick);
-                }
-                IndexOp::Memoize { sig: s, chunk } => {
-                    // Memoize against whichever stored name matches; the
-                    // call is a no-op for absent candidates in both impls.
-                    for name in [full_fp(chunk), weak_fp(s, chunk)] {
-                        flat.memoize_full(&sig(s), name, full_fp(chunk));
-                        tiered.memoize_full(&sig(s), name, full_fp(chunk));
+        for hot_capacity in [3, usize::MAX] {
+            let flat = tiny_flat();
+            let tiered = tiny_tiered(hot_capacity);
+            // Track everything ever stored so the Bloom side can be compared
+            // for inserted keys (no false negatives in either impl).
+            let mut stored: Vec<Fingerprint> = Vec::new();
+            for (tick, op) in ops.iter().enumerate() {
+                let now = SimTime::from_secs(tick as u64);
+                match *op {
+                    IndexOp::Store { sig: s, chunk, weak } => {
+                        let fp = chunk_name(weak, s, chunk);
+                        flat.note_stored(fp, Some(sig(s)));
+                        tiered.note_stored(fp, Some(sig(s)));
+                        stored.push(fp);
+                    }
+                    IndexOp::Probe { sig: s } => {
+                        let f = canon(flat.candidates(&sig(s), now));
+                        let t = canon(tiered.candidates(&sig(s), now));
+                        prop_assert_eq!(f, t, "probe diverged at tick {}", tick);
+                    }
+                    IndexOp::Memoize { sig: s, chunk } => {
+                        // Memoize against whichever stored name matches; the
+                        // call is a no-op for absent candidates in both impls.
+                        for name in [full_fp(chunk), weak_fp(s, chunk)] {
+                            flat.memoize_full(&sig(s), name, full_fp(chunk));
+                            tiered.memoize_full(&sig(s), name, full_fp(chunk));
+                        }
+                    }
+                    IndexOp::Drop { sig: s, chunk } => {
+                        for name in [full_fp(chunk), weak_fp(s, chunk)] {
+                            flat.drop_candidate(&sig(s), name);
+                            tiered.drop_candidate(&sig(s), name);
+                        }
+                    }
+                    IndexOp::Clear => {
+                        flat.clear();
+                        tiered.clear();
+                        stored.clear();
                     }
                 }
-                IndexOp::Drop { sig: s, chunk } => {
-                    for name in [full_fp(chunk), weak_fp(s, chunk)] {
-                        flat.drop_candidate(&sig(s), name);
-                        tiered.drop_candidate(&sig(s), name);
-                    }
-                }
-                IndexOp::Clear => {
-                    flat.clear();
-                    tiered.clear();
-                    stored.clear();
+                // Bloom interaction: both gates agree on every stored chunk
+                // (never a false negative), regardless of tier migration.
+                for fp in &stored {
+                    prop_assert!(flat.may_contain(fp));
+                    prop_assert!(tiered.may_contain(fp));
                 }
             }
-            // Bloom interaction: both gates agree on every stored chunk
-            // (never a false negative), regardless of tier migration.
-            for fp in &stored {
-                prop_assert!(flat.may_contain(fp));
-                prop_assert!(tiered.may_contain(fp));
+            // Final sweep: every signature answers identically.
+            let end = SimTime::from_secs(ops.len() as u64 + 10);
+            for s in 0u8..6 {
+                let f = canon(flat.candidates(&sig(s), end));
+                let t = canon(tiered.candidates(&sig(s), end));
+                prop_assert_eq!(f, t, "final probe diverged for sig {}", s);
             }
-        }
-        // Final sweep: every signature answers identically.
-        let end = SimTime::from_secs(ops.len() as u64 + 10);
-        for s in 0u8..6 {
-            let f = canon(flat.candidates(&sig(s), end));
-            let t = canon(tiered.candidates(&sig(s), end));
-            prop_assert_eq!(f, t, "final probe diverged for sig {}", s);
         }
     }
 }
@@ -257,9 +355,10 @@ fn apply(s: &mut DedupStore, op: StoreOp, now: SimTime) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tiered fingerprint pipeline over the memory-bounded index
+    /// The tiered fingerprint pipeline over a 4-candidate hot tier
     /// stores *exactly* the same logical data and achieves *exactly* the
-    /// same dedup outcome as the classic engine: same readable contents,
+    /// same dedup outcome as the classic engine over the default
+    /// unbounded index: same readable contents,
     /// same logical/chunk/cached byte accounting, same chunk-object
     /// count, clean references in both.
     #[test]

@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use global_dedup::core::{shard_index, DedupConfig, DedupService, DedupStore};
+use global_dedup::core::{shard_index, CachePolicy, DedupConfig, DedupService, DedupStore};
 use global_dedup::sim::SimTime;
 use global_dedup::store::{ClientId, ClusterBuilder, ObjectName};
 use proptest::prelude::*;
@@ -335,6 +335,70 @@ fn hot_object_readers_race_one_writer() {
         vec![(HOT_ROUNDS - 1) as u8 % 250 + 1; OBJECT_BYTES],
         "last write did not win"
     );
+}
+
+/// Sharding is a wall-clock device only: one op list — every object
+/// owned by one client, duplicates across owners — replayed from a single
+/// thread and from four concurrent threads must leave the same engine
+/// counters and the same stored space once flushed. Threads start on a
+/// barrier so the four-way run really overlaps.
+#[test]
+fn thread_count_changes_neither_stats_nor_space() {
+    const CLIENTS: usize = 4;
+    const OBJECTS_PER_CLIENT: usize = 6;
+    const PASSES: usize = 3;
+
+    // One client's ops, in order: write a block drawn from a small seed
+    // space (so chunks dedup across owners), read it back.
+    fn client_ops(svc: &DedupService, client: usize) {
+        for pass in 0..PASSES {
+            for obj in 0..OBJECTS_PER_CLIENT {
+                let name = ObjectName::new(format!("c{client}-o{obj}"));
+                let data = patterned(OBJECT_BYTES, ((client + obj + pass) % 5) as u64);
+                let id = ClientId(client as u32);
+                let _ = svc
+                    .write(id, &name, 0, &data, SimTime::ZERO)
+                    .expect("write");
+                let r = svc
+                    .read(id, &name, 0, OBJECT_BYTES as u64, SimTime::ZERO)
+                    .expect("read back");
+                assert_eq!(r.value, data);
+            }
+        }
+    }
+
+    let run = |threads: usize| {
+        let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
+        let config = DedupConfig::with_chunk_size(CS)
+            .cache_policy(CachePolicy::EvictAll)
+            .foreground_shards(SHARDS);
+        let svc = DedupService::start(DedupStore::with_default_pools(cluster, config));
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (svc, barrier) = (&svc, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for client in (t..CLIENTS).step_by(threads) {
+                        client_ops(svc, client);
+                    }
+                });
+            }
+        });
+        assert_eq!(svc.worker_errors(), 0);
+        let mut store = svc.shutdown();
+        let _ = store.flush_all(SimTime::from_secs(3600)).expect("flush");
+        assert!(store.verify_references().expect("scrub").is_empty());
+        (store.stats(), store.space_report().expect("space report"))
+    };
+
+    let (serial, parallel) = (run(1), run(CLIENTS));
+    assert_eq!(
+        serial.0.writes as usize,
+        CLIENTS * OBJECTS_PER_CLIENT * PASSES
+    );
+    assert!(serial.1.chunk_objects > 0 && serial.1.chunk_bytes < serial.1.logical_bytes);
+    assert_eq!(serial, parallel);
 }
 
 proptest! {

@@ -17,13 +17,10 @@ use global_dedup::store::{ClientId, ClusterBuilder, ObjectName};
 const CS: u32 = 8 * 1024;
 const SHARDS: usize = 4;
 
-fn store_with(config: DedupConfig) -> DedupStore {
-    let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
-    DedupStore::with_default_pools(cluster, config)
-}
-
 fn sharded_store() -> DedupStore {
-    store_with(
+    let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
+    DedupStore::with_default_pools(
+        cluster,
         DedupConfig::with_chunk_size(CS)
             .cache_policy(CachePolicy::EvictAll)
             .foreground_shards(SHARDS),
@@ -158,24 +155,6 @@ fn truncate_and_delete_count_as_shard_ops() {
         "truncate and delete are exclusive-mode mutations"
     );
     assert_ops_accounted(&s, 0, 3, "churn sequence");
-}
-
-#[test]
-fn exclusive_shard_reads_still_count_as_reads() {
-    // The bench's reconstructed baseline takes the exclusive lock side
-    // for reads, but the op-class accounting must not change: the A/B
-    // comparison relies on identical counters in both modes.
-    let s = store_with(
-        DedupConfig::with_chunk_size(CS)
-            .cache_policy(CachePolicy::EvictAll)
-            .foreground_shards(SHARDS)
-            .exclusive_shard_reads(),
-    );
-    fill(&s, "ab", 3, t(0));
-    let _ = s
-        .read(ClientId(0), &ObjectName::new("ab"), 0, CS as u64, t(1))
-        .expect("read");
-    assert_ops_accounted(&s, 1, 1, "exclusive-read baseline");
 }
 
 #[test]

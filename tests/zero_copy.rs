@@ -10,7 +10,7 @@
 //! allocation, and every EC shard must alias one striped encode buffer.
 
 use bytes::Bytes;
-use global_dedup::core::{DedupConfig, DedupStore};
+use global_dedup::core::{CachePolicy, DedupConfig, DedupStore};
 use global_dedup::sim::SimTime;
 use global_dedup::store::{
     ClientId, ClusterBuilder, IoCtx, ObjectName, Payload, PoolConfig, StoredObject,
@@ -84,6 +84,60 @@ fn foreground_read_hot_path_is_zero_copy() {
         copied.get(),
         before,
         "post-flush cached read performed a deep copy"
+    );
+}
+
+/// Over a whole write → cached read → flush → redirected read cycle the
+/// refcounted buffers must carry at least half of all payload byte
+/// movement: `bytes_shared / (bytes_shared + bytes_copied) >= 0.5`.
+#[test]
+fn data_plane_cycle_shares_at_least_half_its_bytes() {
+    let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
+    let config = DedupConfig::with_chunk_size(64 * 1024).cache_policy(CachePolicy::EvictAll);
+    let mut store = DedupStore::with_default_pools(cluster, config);
+    let copied = store.registry().counter("engine.bytes_copied");
+    let shared = store.registry().counter("engine.bytes_shared");
+
+    // Unique content per object so every chunk is actually stored.
+    let objects: Vec<(ObjectName, Bytes)> = (0..8)
+        .map(|i| {
+            let data = Bytes::from(patterned(4 * 64 * 1024, 10 + i));
+            (ObjectName::new(format!("cycle-{i}")), data)
+        })
+        .collect();
+    let read_all = |store: &DedupStore, at: u64| {
+        for (name, data) in &objects {
+            let r = store
+                .read(
+                    ClientId(0),
+                    name,
+                    0,
+                    data.len() as u64,
+                    SimTime::from_secs(at),
+                )
+                .expect("read");
+            assert_eq!(r.value, *data);
+        }
+    };
+
+    for (name, data) in &objects {
+        let _ = store
+            .write(ClientId(0), name, 0, data.clone(), SimTime::ZERO)
+            .expect("write");
+    }
+    read_all(&store, 1);
+    let _ = store.flush_all(SimTime::from_secs(3600)).expect("flush");
+    let redirected = store.stats().redirected_chunks;
+    read_all(&store, 7200);
+    assert!(
+        store.stats().redirected_chunks > redirected,
+        "post-flush reads must be served from the chunk pool"
+    );
+
+    let (shared, copied) = (shared.get(), copied.get());
+    assert!(
+        shared * 2 >= shared + copied,
+        "zero-copy plane moved {shared} B by refcount vs {copied} B by memcpy (< 50% shared)"
     );
 }
 
