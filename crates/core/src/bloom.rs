@@ -6,9 +6,9 @@
 //! *no* for every unique chunk the system has ever seen. The filter
 //! answers definite negatives from memory, so the common miss skips the
 //! probe entirely; a "maybe" falls through to the real lookup. Safe only
-//! because every chunk-object creation flows through
-//! [`DedupStore::store_chunk`](crate::DedupStore), which inserts into the
-//! filter before the chunk becomes visible: the filter can yield false
+//! because every chunk-object creation flows through the chunk pool's one
+//! `store` call (`chunkpool.rs`), which inserts into the filter before the
+//! chunk becomes visible: the filter can yield false
 //! positives (harmless — the probe runs and misses) but never false
 //! negatives.
 //!

@@ -228,6 +228,14 @@ impl Default for CompressionConfig {
     }
 }
 
+impl CompressionConfig {
+    /// Whether fingerprints and signatures cover the *stored* bytes: the
+    /// plane is on and set to [`FingerprintDomain::Compressed`].
+    pub(crate) fn compressed_domain(&self) -> bool {
+        self.enabled && self.domain == FingerprintDomain::Compressed
+    }
+}
+
 /// Full configuration of the deduplication layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DedupConfig {

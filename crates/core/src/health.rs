@@ -102,7 +102,7 @@ impl HealthCheck for IndexHealth<'_> {
     }
 
     fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let Some(bound) = self.store.index_memory_bound() else {
+        let Some(bound) = self.store.chunks().index().declared_memory_bound() else {
             return Vec::new();
         };
         let resident = self.store.index_resident_bytes();
@@ -147,7 +147,8 @@ impl HealthCheck for ShardHealth<'_> {
     }
 
     fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let counts = self.store.shard_op_counts();
+        let m = self.store.metrics();
+        let counts: Vec<u64> = m.shard_ops.iter().map(|c| c.get()).collect();
         if counts.len() < 2 {
             return Vec::new();
         }
@@ -165,12 +166,7 @@ impl HealthCheck for ShardHealth<'_> {
         if skew <= SHARD_SKEW_LIMIT {
             return Vec::new();
         }
-        let writes = self
-            .store
-            .shard_write_op_counts()
-            .get(hottest)
-            .copied()
-            .unwrap_or(0);
+        let writes = m.shard_write_ops.get(hottest).map_or(0, |c| c.get());
         let write_fraction = if max == 0 {
             0.0
         } else {
@@ -236,7 +232,7 @@ impl HealthCheck for QueueHealth<'_> {
 
     fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
         let depth = self.store.dirty_len() as u64;
-        let flushed = self.store.chunks_flushed_total();
+        let flushed = self.store.metrics().chunks_flushed.get();
         let mut st = self.store.stall_state().lock();
         let stalled =
             st.primed && depth > 0 && depth >= st.last_depth && flushed == st.last_flushed;
@@ -339,7 +335,7 @@ impl HealthCheck for RateHealth<'_> {
     }
 
     fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let band = self.store.rate_band();
+        let band = self.store.metrics().rate_band.get();
         if band < 2 {
             return Vec::new();
         }

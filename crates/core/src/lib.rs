@@ -64,6 +64,7 @@ pub mod refs;
 pub mod service;
 pub mod stats;
 
+mod chunkpool;
 mod error;
 mod metrics;
 

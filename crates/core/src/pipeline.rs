@@ -9,9 +9,9 @@
 //!    objects, read their dirty-chunk contents — including deferred
 //!    read-modify-write merges from the previous chunk objects — and
 //!    snapshot each object's [`DirtyTicket`].
-//! 2. **Fingerprint** (no engine state needed): hash every staged chunk,
-//!    optionally across a scoped worker pool
-//!    ([`Fingerprint::of_batch`]). [`DedupService`](crate::DedupService)
+//! 2. **Fingerprint** (no engine state needed): encode, sign and hash
+//!    every staged chunk, optionally across a scoped worker pool
+//!    ([`fingerprint_batch`]). [`DedupService`](crate::DedupService)
 //!    runs this with the engine lock *released*, so foreground I/O keeps
 //!    flowing while hashes crunch.
 //! 3. **Commit** (engine lock reacquired): dereference old chunks, store
@@ -26,15 +26,18 @@
 //! `CostExpr` sequence the serial implementation produced — only
 //! wall-clock time improves. Figure and table outputs are bit-identical.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint};
+use dedup_obs::{Histogram, Tracer};
 use dedup_sim::{CostExpr, SimTime};
 use dedup_store::ObjectName;
+use parking_lot::Mutex;
 
 use crate::chunkmap::ChunkMapEntry;
-use crate::config::{CompressionConfig, FingerprintDomain};
+use crate::chunkpool::{fingerprint_domain, full_fingerprint};
+use crate::config::CompressionConfig;
 use crate::queue::DirtyTicket;
 
 /// One dirty chunk staged for flushing: its chunk-map entry and fully
@@ -150,137 +153,106 @@ impl StagedBatch {
     }
 }
 
-/// Stage 2: encodes (when inline compression is on) and fingerprints
-/// every staged chunk in `batch`, working across a scoped pool of up to
-/// `parallelism` worker threads.
+/// Stage 2: encodes (when inline compression is on), signs and
+/// fingerprints every staged chunk in `batch` — one pass per chunk, across
+/// one scoped pool of up to `parallelism` worker threads.
 ///
 /// Needs no engine state, so callers holding a [`crate::DedupStore`]
 /// behind a lock can (and should) run it with the lock released. The
 /// virtual-time CPU cost of hashing and compressing is *not* recorded
 /// here — the commit stage charges it to the metadata node exactly as the
-/// serial engine did, so parallelism never perturbs simulated results.
+/// serial engine did, so parallelism never perturbs simulated results;
+/// each chunk's outcome depends on that chunk alone, so results are
+/// bit-identical at any parallelism.
 ///
-/// With compression enabled, every non-empty chunk is compressed here;
-/// the compressed form is kept only if it beats the configured ratio
-/// threshold, otherwise the chunk stays a zero-copy view of its original
-/// content ([`StagedChunk::stored`]). In the
-/// [`FingerprintDomain::Compressed`] domain, fingerprints (and tiered
-/// chunk signatures) are computed over the stored bytes, with
+/// With compression enabled, every non-empty chunk is compressed; the
+/// compressed form is kept only if
+/// `compressed_len * 1_000_000 <= raw_len * max_ratio_ppm`, otherwise the
+/// chunk stays a zero-copy view of its original content
+/// ([`StagedChunk::stored`]). In the
+/// [`FingerprintDomain::Compressed`](crate::FingerprintDomain) domain,
+/// fingerprints (and tiered chunk signatures, which stage 1 could not
+/// compute before the encode) cover the stored bytes, with
 /// compressed-stored chunks tagged into their own fingerprint namespace.
+/// Tiered mode leaves `fingerprint_wanted` false for chunks whose
+/// stage-time signature probe proved no stored chunk can match — those
+/// skip hashing entirely; commit re-probes under the lock.
 pub fn fingerprint_batch(
     batch: &mut StagedBatch,
     parallelism: usize,
     tiered: bool,
     compression: &CompressionConfig,
 ) {
-    if compression.enabled {
-        encode_batch(batch, parallelism, compression);
-    }
-    let compressed_domain =
-        compression.enabled && compression.domain == FingerprintDomain::Compressed;
-    if compressed_domain && tiered {
-        // Stage 1 could not sign these chunks (signatures cover stored
-        // bytes, unknown before encode); sign them now so commit can
-        // probe the index under the lock. Full fingerprints stay unpaid
-        // unless commit's probe finds a candidate collision.
-        for obj in &mut batch.objects {
-            for chunk in &mut obj.chunks {
-                if chunk.sig.is_none() {
-                    chunk.sig = Some(ChunkSig::of(chunk.stored()));
-                }
+    let process = |chunk: &mut StagedChunk| {
+        if compression.enabled && !chunk.content.is_empty() {
+            let enc = dedup_compress::compress(&chunk.content);
+            if enc.len() as u64 * 1_000_000
+                <= chunk.content.len() as u64 * compression.max_ratio_ppm
+            {
+                chunk.encoded = Some(Bytes::from(enc));
             }
         }
-    }
-    // Tiered mode leaves `fingerprint_wanted` false for chunks whose
-    // stage-time signature probe proved no stored chunk can match — those
-    // skip hashing entirely. Classic mode wants every chunk.
-    let contents: Vec<&[u8]> = batch
-        .objects
-        .iter()
-        .flat_map(|o| o.chunks.iter())
-        .filter(|c| c.fingerprint_wanted)
-        .map(|c| {
-            if compressed_domain {
-                &c.stored()[..]
-            } else {
-                &c.content[..]
-            }
-        })
-        .collect();
-    if contents.is_empty() {
-        return;
-    }
-    let fps = Fingerprint::of_batch(&contents, parallelism);
-    let mut it = fps.into_iter();
-    for obj in &mut batch.objects {
-        for chunk in obj.chunks.iter_mut().filter(|c| c.fingerprint_wanted) {
-            let fp = it.next().expect("one fingerprint per wanted chunk");
-            chunk.fingerprint = Some(if compressed_domain && chunk.encoded.is_some() {
-                fp.into_compressed_domain()
-            } else {
-                fp
-            });
-        }
-    }
-}
-
-/// The encode half of stage 2: compresses every non-empty staged chunk
-/// across a scoped worker pool and keeps each compressed form only when
-/// `compressed_len * 1_000_000 <= raw_len * max_ratio_ppm`. Results are
-/// deterministic at any parallelism.
-fn encode_batch(batch: &mut StagedBatch, parallelism: usize, compression: &CompressionConfig) {
-    let mut slots: Vec<&mut StagedChunk> = batch
+        let (bytes, tag) = fingerprint_domain(
+            compression,
+            &chunk.content,
+            chunk.stored(),
+            chunk.encoded.is_some(),
+        );
+        let sig = (tiered && chunk.sig.is_none()).then(|| ChunkSig::of(bytes));
+        let fingerprint = chunk
+            .fingerprint_wanted
+            .then(|| full_fingerprint(bytes, tag));
+        chunk.sig = chunk.sig.or(sig);
+        chunk.fingerprint = fingerprint.or(chunk.fingerprint);
+    };
+    // Chunks with nothing to do (compression off, already signed, hash
+    // unwanted) are left out, so a batch of them spawns no threads.
+    let chunks: Vec<&mut StagedChunk> = batch
         .objects
         .iter_mut()
         .flat_map(|o| o.chunks.iter_mut())
-        .filter(|c| !c.content.is_empty())
+        .filter(|c| compression.enabled || c.fingerprint_wanted || (tiered && c.sig.is_none()))
         .collect();
-    if slots.is_empty() {
+    let workers = parallelism.max(1).min(chunks.len());
+    if workers <= 1 {
+        chunks.into_iter().for_each(process);
         return;
     }
-    let contents: Vec<&[u8]> = slots.iter().map(|c| &c.content[..]).collect();
-    let workers = parallelism.max(1).min(contents.len());
-    let encoded: Vec<Vec<u8>> = if workers <= 1 {
-        contents
-            .iter()
-            .map(|d| dedup_compress::compress(d))
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = contents.get(i) else { break };
-                            out.push((i, dedup_compress::compress(item)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut result = vec![Vec::new(); contents.len()];
-            for h in handles {
-                for (i, enc) in h.join().expect("compression worker") {
-                    result[i] = enc;
-                }
-            }
-            result
-        })
-        .expect("compression pool")
-    };
-    for (slot, enc) in slots.iter_mut().zip(encoded) {
-        if enc.len() as u64 * 1_000_000 <= slot.content.len() as u64 * compression.max_ratio_ppm {
-            slot.encoded = Some(Bytes::from(enc));
+    // Workers pull chunks off a shared queue, so uneven chunk sizes still
+    // balance; `scope` joins them all and propagates a worker's panic.
+    let queue = Mutex::new(chunks.into_iter());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let next = queue.lock().next();
+                let Some(chunk) = next else { break };
+                process(chunk);
+            });
         }
+    });
+}
+
+/// Records one pipeline stage's wall-clock time since `start`: into its
+/// histogram, and as a span on the tracer's wall track when one is
+/// attached.
+pub(crate) fn record_stage_wall(
+    histogram: &Histogram,
+    tracer: &Option<Tracer>,
+    span: &str,
+    start: Instant,
+) {
+    let elapsed = start.elapsed().as_nanos() as u64;
+    histogram.record(elapsed);
+    if let Some(t) = tracer {
+        let end = t.wall_now_ns();
+        t.wall_span(span, end.saturating_sub(elapsed), end);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FingerprintDomain;
 
     fn staged(name: &str, contents: &[&[u8]]) -> StagedObject {
         StagedObject {

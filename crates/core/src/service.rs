@@ -67,7 +67,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::engine::DedupStore;
 use crate::error::DedupError;
-use crate::pipeline::fingerprint_batch;
 
 enum Command {
     /// Run background deduplication ticks at this virtual time until the
@@ -116,6 +115,7 @@ fn record_worker_error(
 /// all clones talk to the same store and worker, and the worker stops when
 /// the last handle is dropped (or [`DedupService::shutdown`] is called on
 /// it).
+#[derive(Clone)]
 pub struct DedupService {
     /// `None` only transiently during [`DedupService::shutdown`].
     store: Option<Arc<RwLock<DedupStore>>>,
@@ -139,7 +139,7 @@ impl DedupService {
         });
         // The worker publishes its progress into the stack's shared
         // registry, so snapshots show background activity too.
-        let (ticks, coalesced, flushes, errors, fingerprint_wall, parallelism, tracer, events) = {
+        let (ticks, coalesced, flushes, errors, stage2, tracer, events) = {
             let s = store.read();
             let r = s.registry();
             (
@@ -147,19 +147,11 @@ impl DedupService {
                 r.counter("service.worker.coalesced_ticks"),
                 r.counter("service.worker.flushes"),
                 r.counter("service.worker.errors"),
-                r.histogram("engine.flush.fingerprint_wall_ns"),
-                s.fingerprint_parallelism(),
+                // Captured once: config is immutable while the service
+                // owns the store.
+                s.fingerprint_stage(),
                 s.tracer().cloned(),
                 s.events().cloned(),
-            )
-        };
-        // Stage-2 knobs, captured once: config is immutable while the
-        // service owns the store.
-        let (tiered, compression) = {
-            let s = store.read();
-            (
-                s.config().tiered_fingerprint,
-                s.config().compression,
             )
         };
         let worker_store = Arc::clone(&store);
@@ -228,29 +220,20 @@ impl DedupService {
                             loop {
                                 let staged = {
                                     let mut s = worker_store.write();
-                                    s.stage_tick_batch(now)
+                                    let (max, policy) =
+                                        (s.config().flush_batch_size, s.config().cache_policy);
+                                    s.stage_batch(max, now, true, policy)
                                 };
                                 let mut batch = match staged {
-                                    Ok(Some(batch)) => batch,
-                                    Ok(None) => break,
+                                    Ok(batch) if batch.is_empty() => break,
+                                    Ok(batch) => batch,
                                     Err(e) => {
                                         record_worker_error(&worker_state, &errors, &events, e);
                                         break;
                                     }
                                 };
                                 let clean = batch.clean();
-                                let fp_start = std::time::Instant::now();
-                                fingerprint_batch(&mut batch, parallelism, tiered, &compression);
-                                let fp_ns = fp_start.elapsed().as_nanos() as u64;
-                                fingerprint_wall.record(fp_ns);
-                                if let Some(t) = &tracer {
-                                    let end = t.wall_now_ns();
-                                    t.wall_span(
-                                        "flush.fingerprint",
-                                        end.saturating_sub(fp_ns),
-                                        end,
-                                    );
-                                }
+                                stage2(&mut batch);
                                 let committed = {
                                     let mut s = worker_store.write();
                                     s.commit_batch(batch, None)
@@ -439,18 +422,6 @@ impl DedupService {
         let store = Arc::try_unwrap(arc)
             .unwrap_or_else(|_| panic!("other references to the store still alive"));
         store.into_inner()
-    }
-}
-
-impl Clone for DedupService {
-    fn clone(&self) -> Self {
-        DedupService {
-            store: self.store.clone(),
-            commands: self.commands.clone(),
-            worker: Arc::clone(&self.worker),
-            state: Arc::clone(&self.state),
-            lifecycle: self.lifecycle.clone(),
-        }
     }
 }
 

@@ -2,6 +2,8 @@
 //! overhead (the paper's Table 2 distinction between *ideal* and *actual*
 //! ratios).
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::engine::DedupStore;
@@ -96,9 +98,9 @@ impl DedupStore {
 
 /// Compression accounting across the chunk pool: how many chunk objects
 /// are stored compressed, and the logical-vs-physical byte split for
-/// them. Produced by [`DedupStore::compression_report`] from the
-/// [`crate::refs::COMPRESS_XATTR`] format markers, so it reflects what is
-/// actually on storage (GC'd chunks excluded), not lifetime counters.
+/// them. Produced by [`DedupStore::compression_report`] from the chunk
+/// objects' own format markers, so it reflects what is actually on
+/// storage (GC'd chunks excluded), not lifetime counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CompressionReport {
     /// Chunk objects stored in compressed form.
@@ -137,34 +139,12 @@ impl DedupStore {
     ///
     /// # Errors
     ///
-    /// Fails if the store does.
+    /// Fails if the store does, or on a chunk with torn or corrupt
+    /// reference metadata.
     pub fn compression_report(&self) -> Result<CompressionReport, DedupError> {
-        use crate::refs::{decode_raw_len, COMPRESS_XATTR};
-        use dedup_store::IoCtx;
-        let mut report = CompressionReport::default();
-        let chunk_pool = self.chunk_pool();
-        let cctx = IoCtx::new(chunk_pool);
-        for name in self.cluster().list_objects(chunk_pool)? {
-            let stored = self.cluster().stat(chunk_pool, &name)?.unwrap_or(0);
-            match self
-                .cluster()
-                .get_xattr(&cctx, &name, COMPRESS_XATTR)?
-                .value
-                .and_then(|v| decode_raw_len(&v))
-            {
-                Some(raw_len) => {
-                    report.compressed_chunks += 1;
-                    report.compressed_logical_bytes += raw_len;
-                    report.compressed_stored_bytes += stored;
-                }
-                None => report.raw_chunks += 1,
-            }
-        }
-        Ok(report)
+        Ok(self.chunks().census(self.cluster())?.1)
     }
-}
 
-impl DedupStore {
     /// Distribution of chunk reference counts: `count → number of chunk
     /// objects with that many referrers`. The shape of this histogram is
     /// the capacity story of a dedup system — mass at 1 means unique data,
@@ -173,23 +153,12 @@ impl DedupStore {
     ///
     /// # Errors
     ///
-    /// Fails if the store does.
-    pub fn refcount_histogram(&self) -> Result<std::collections::BTreeMap<u64, u64>, DedupError> {
-        use crate::refs::{decode_refcount, REFCOUNT_XATTR};
-        use dedup_store::IoCtx;
-        let mut hist = std::collections::BTreeMap::new();
-        let chunk_pool = self.chunk_pool();
-        let cctx = IoCtx::new(chunk_pool);
-        for name in self.cluster().list_objects(chunk_pool)? {
-            let count = self
-                .cluster()
-                .get_xattr(&cctx, &name, REFCOUNT_XATTR)?
-                .value
-                .and_then(|v| decode_refcount(&v))
-                .unwrap_or(0);
-            *hist.entry(count).or_insert(0) += 1;
-        }
-        Ok(hist)
+    /// Fails if the store does, or — typed, never counted as zero — on a
+    /// chunk whose refcount is missing
+    /// ([`DedupError::MissingRefcount`]) or undecodable
+    /// ([`DedupError::CorruptRefcount`]).
+    pub fn refcount_histogram(&self) -> Result<BTreeMap<u64, u64>, DedupError> {
+        Ok(self.chunks().census(self.cluster())?.0)
     }
 }
 
@@ -205,7 +174,7 @@ pub struct CapacitySample {
     /// The space snapshot ([`DedupStore::space_report`]).
     pub space: SpaceReport,
     /// Full refcount distribution: `refcount → chunk objects`.
-    pub refcounts: std::collections::BTreeMap<u64, u64>,
+    pub refcounts: BTreeMap<u64, u64>,
     /// Chunk objects with exactly one referrer (no sharing).
     pub unique_chunks: u64,
     /// Chunk objects with two or more referrers.
@@ -240,15 +209,15 @@ impl DedupStore {
     /// dedup-ratio series in ppm, refcount summary). Emits an `info`
     /// `capacity/sample` event when an event log is attached.
     ///
-    /// Costs one pool scan (the refcount histogram); intended for
-    /// per-segment sampling, not per-op.
+    /// Costs one pool scan (shared by the refcount histogram and the
+    /// compression report); intended for per-segment sampling, not per-op.
     ///
     /// # Errors
     ///
     /// Fails if the pools cannot be inspected.
     pub fn sample_capacity(&self, now: dedup_sim::SimTime) -> Result<CapacitySample, DedupError> {
         let space = self.space_report()?;
-        let refcounts = self.refcount_histogram()?;
+        let (refcounts, compression) = self.chunks().census(self.cluster())?;
         let unique_chunks = refcounts
             .iter()
             .filter(|(rc, _)| **rc <= 1)
@@ -287,7 +256,6 @@ impl DedupStore {
             .set(shared_chunks as i64);
         reg.gauge("capacity.max_refcount").set(max_refcount as i64);
 
-        let compression = self.compression_report()?;
         reg.gauge("capacity.compress.compressed_chunks")
             .set(compression.compressed_chunks as i64);
         reg.gauge("capacity.compress.raw_chunks")
@@ -422,5 +390,64 @@ mod tests {
         );
         let logical = s.registry().gauge("capacity.logical_bytes").get();
         assert_eq!(logical as u64, sample.space.logical_bytes);
+    }
+
+    #[test]
+    fn a_torn_or_corrupt_refcount_is_a_typed_error_not_a_zero() {
+        use crate::config::DedupConfig;
+        use crate::refs::REFCOUNT_XATTR;
+        use crate::DedupError;
+        use dedup_sim::SimTime;
+        use dedup_store::{ClientId, ClusterBuilder, IoCtx, ObjectName, TxOp};
+
+        let cluster = ClusterBuilder::new().build();
+        let mut s = crate::engine::DedupStore::with_default_pools(
+            cluster,
+            DedupConfig::with_chunk_size(8 * 1024),
+        );
+        let _ = s
+            .write(
+                ClientId(0),
+                &ObjectName::new("o"),
+                0,
+                vec![7u8; 8 * 1024],
+                SimTime::ZERO,
+            )
+            .expect("write");
+        let _ = s.flush_all(SimTime::from_secs(10)).expect("flush");
+        assert_eq!(s.refcount_histogram().expect("hist").get(&1), Some(&1));
+
+        let cctx = IoCtx::new(s.chunk_pool());
+        let chunk = s
+            .cluster()
+            .list_objects(s.chunk_pool())
+            .expect("list")
+            .remove(0);
+        let tamper = |s: &DedupStore, op: TxOp| {
+            let _ = s
+                .cluster()
+                .transact(&cctx, &chunk, vec![op])
+                .expect("tamper");
+        };
+        tamper(&s, TxOp::SetXattr(REFCOUNT_XATTR.into(), vec![9].into()));
+        let corrupt = DedupError::CorruptRefcount {
+            chunk: chunk.to_string(),
+        };
+        assert_eq!(s.refcount_histogram().unwrap_err(), corrupt);
+        assert_eq!(s.compression_report().unwrap_err(), corrupt);
+        assert_eq!(
+            s.sample_capacity(SimTime::from_secs(11)).unwrap_err(),
+            corrupt
+        );
+
+        tamper(&s, TxOp::RemoveXattr(REFCOUNT_XATTR.into()));
+        let missing = DedupError::MissingRefcount {
+            chunk: chunk.to_string(),
+        };
+        assert_eq!(s.refcount_histogram().unwrap_err(), missing);
+        assert_eq!(
+            s.sample_capacity(SimTime::from_secs(12)).unwrap_err(),
+            missing
+        );
     }
 }

@@ -13,11 +13,15 @@
 //! * **Dedup conformance** — `FingerprintDomain::Compressed` names
 //!   chunks by their compressed bytes, but identical plaintext still
 //!   dedups exactly as it does under `FingerprintDomain::Raw` (the
-//!   compressor is deterministic, so equal plaintext ⇒ equal stream).
+//!   compressor is deterministic, so equal plaintext ⇒ equal stream) —
+//!   while its full hashes never touch more bytes than the raw domain's.
+//! * **Capacity** — on VM images (a shared compressible OS region) the
+//!   plane stores at least 30 % fewer unique chunk-pool bytes.
 
 use dedup_core::{DedupConfig, DedupStore, FingerprintDomain};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
+use dedup_workloads::vm_images::VmImageSpec;
 
 const CS: u32 = 4096;
 
@@ -167,6 +171,7 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
 fn compressed_domain_dedups_identical_plaintext_like_raw() {
     let data = mixed_payload();
     let mut chunk_objects = Vec::new();
+    let mut full_hash_bytes = Vec::new();
     for domain in [FingerprintDomain::Raw, FingerprintDomain::Compressed] {
         let mut s = store_with(
             DedupConfig::with_chunk_size(CS)
@@ -188,10 +193,63 @@ fn compressed_domain_dedups_identical_plaintext_like_raw() {
             "{domain:?}: duplicate plaintext created new chunk objects"
         );
         chunk_objects.push(second);
+        full_hash_bytes.push(s.registry().counter("engine.fp.full_hash_bytes").get());
     }
     assert_eq!(
         chunk_objects[0], chunk_objects[1],
         "Raw and Compressed domains must agree on the dedup outcome"
+    );
+    assert!(
+        full_hash_bytes[1] <= full_hash_bytes[0],
+        "compressed-domain full hashing touched more bytes than raw-domain: {full_hash_bytes:?}"
+    );
+}
+
+/// VM images share a compressible OS region: with the plane on, the same
+/// images must occupy at least 30 % fewer unique chunk-pool bytes, and
+/// read back the same.
+#[test]
+fn vm_images_store_at_least_thirty_percent_fewer_chunk_bytes() {
+    let spec = VmImageSpec {
+        images: 3,
+        image_bytes: 1 << 20,
+        block_size: 64 * 1024,
+        ..Default::default()
+    };
+    let images = spec.all_images();
+    let run = |config: DedupConfig| {
+        let mut s = store_with(config);
+        for img in &images {
+            let _ = s
+                .write(
+                    ClientId(0),
+                    &ObjectName::new(&*img.name),
+                    0,
+                    img.data.clone(),
+                    t(0),
+                )
+                .expect("write image");
+        }
+        let _ = s.flush_all(t(3_600)).expect("flush");
+        for img in &images {
+            let r = s
+                .read(
+                    ClientId(0),
+                    &ObjectName::new(&*img.name),
+                    0,
+                    spec.image_bytes,
+                    t(7_200),
+                )
+                .expect("read image");
+            assert_eq!(r.value, img.data, "{} read back differently", img.name);
+        }
+        s.space_report().expect("space").chunk_bytes
+    };
+    let off = run(DedupConfig::with_chunk_size(spec.block_size));
+    let on = run(DedupConfig::with_chunk_size(spec.block_size).compress());
+    assert!(
+        on * 10 <= off * 7,
+        "VM images must save >= 30% unique chunk bytes with compression on: {off} -> {on}"
     );
 }
 

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dedup_placement::hash::xxh64;
 use serde::{Deserialize, Serialize};
@@ -131,44 +130,6 @@ impl Fingerprint {
         } else {
             None
         }
-    }
-
-    /// Fingerprints a batch of chunks, hashing across a scoped worker
-    /// pool of `parallelism` threads. Results are positionally matched to
-    /// `items`; `of_batch(items, 1)` is exactly `items.map(Fingerprint::of)`.
-    ///
-    /// Workers pull items off a shared atomic cursor, so uneven chunk
-    /// sizes still balance. This only changes wall-clock behaviour —
-    /// callers that model CPU cost keep charging it as if serial.
-    pub fn of_batch<T: AsRef<[u8]> + Sync>(items: &[T], parallelism: usize) -> Vec<Fingerprint> {
-        let workers = parallelism.max(1).min(items.len());
-        if workers <= 1 {
-            return items.iter().map(|d| Fingerprint::of(d.as_ref())).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let done = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|_| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            out.push((i, Fingerprint::of(item.as_ref())));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut result = vec![Fingerprint([0; 4]); items.len()];
-            for h in handles {
-                for (i, fp) in h.join().expect("fingerprint worker") {
-                    result[i] = fp;
-                }
-            }
-            result
-        });
-        done.expect("fingerprint pool")
     }
 
     /// Renders the chunk-pool object name for this fingerprint.
@@ -334,27 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_at_any_parallelism() {
-        let items: Vec<Vec<u8>> = (0..97u32)
-            .map(|i| i.to_le_bytes().repeat(1 + (i as usize % 7)))
-            .collect();
-        let serial: Vec<Fingerprint> = items.iter().map(|d| Fingerprint::of(d)).collect();
-        for parallelism in [1, 2, 3, 8, 200] {
-            assert_eq!(
-                Fingerprint::of_batch(&items, parallelism),
-                serial,
-                "parallelism {parallelism}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_slice_is_empty() {
-        let items: Vec<Vec<u8>> = Vec::new();
-        assert!(Fingerprint::of_batch(&items, 4).is_empty());
-    }
-
-    #[test]
     fn no_collisions_across_many_inputs() {
         let mut seen = std::collections::HashSet::new();
         for i in 0..100_000u32 {
@@ -387,19 +327,6 @@ mod tests {
                 Fingerprint::EMPTY.0[3]
             )
         );
-    }
-
-    #[test]
-    fn batch_short_circuits_empty_chunks() {
-        let items: Vec<&[u8]> = vec![b"a", b"", b"bc", b"", b""];
-        for parallelism in [1, 4] {
-            let fps = Fingerprint::of_batch(&items, parallelism);
-            assert_eq!(fps[1], Fingerprint::EMPTY);
-            assert_eq!(fps[3], Fingerprint::EMPTY);
-            assert_eq!(fps[4], Fingerprint::EMPTY);
-            assert_eq!(fps[0], Fingerprint::of(b"a"));
-            assert_eq!(fps[2], Fingerprint::of(b"bc"));
-        }
     }
 
     #[test]
