@@ -433,6 +433,37 @@ fn every_crash_point_recovers_compressed_domain_tiered() {
     audit_config_with(config, "compressed-domain-tiered", compress_workload());
 }
 
+/// The no-crash baseline of every audit above: a store that never died
+/// survives checkpoint → rebuild → replay with no replay errors, from both
+/// the checkpoint segments and the log tail written after them, and reads
+/// back byte-exact.
+#[test]
+fn uncrashed_store_replays_from_checkpoint_and_log_tail() {
+    let topology = CrashTopology::default();
+    let config = DedupConfig::with_chunk_size(CS);
+    let (mut s, backend) = wal_store(topology, config.clone());
+    let outcome = run_workload(&mut s, &mixed_workload(), "uncrashed");
+    assert!(!outcome.crashed);
+    s.cluster().wal_checkpoint().expect("checkpoint");
+    let tail = Op::Write {
+        obj: 3,
+        offset: 0,
+        len: CS as usize,
+        seed: 9,
+    };
+    apply_store(&mut s, tail, 900_000).expect("write after the checkpoint");
+    let mut committed = outcome.committed;
+    apply_model(&mut committed, tail);
+    drop(s);
+
+    let mut s2 = rebuilt_store(topology, config, backend);
+    let report = s2.cluster_mut().wal_recover().expect("replay");
+    assert_eq!(report.replay_errors, 0, "{report:?}");
+    assert!(report.checkpoint_records > 0, "{report:?}");
+    assert!(report.log_records_replayed > 0, "{report:?}");
+    assert!(model_matches(&s2, &committed));
+}
+
 /// Property-style sweep: pseudo-random op sequences (LCG-driven), crash
 /// at every enumerated point of each sequence, recover, verify. Smaller
 /// sequences than the deterministic audit, more shapes.

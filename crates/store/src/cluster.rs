@@ -18,7 +18,7 @@ use crate::object::{ObjectName, Payload, RangeSet, StoredObject, PER_OBJECT_OVER
 use crate::osd::Osd;
 use crate::perf::{ClientId, PerfConfig, PerfTopology};
 use crate::pool::{PoolConfig, PoolUsage, Redundancy};
-use crate::wal::{decode_records, WalBackend, WalManifest, WalRecord};
+use crate::wal::{decode_records, WalBackend, WalFrame, WalManifest, WalRecord};
 
 /// A value produced by a cluster operation together with the virtual-time
 /// cost of producing it. Callers execute the cost against the cluster's
@@ -456,16 +456,10 @@ impl Cluster {
             return Ok(());
         }
         let seq = w.next_seq.fetch_add(1, Ordering::Relaxed);
-        let record = WalRecord {
-            seq,
-            pool,
-            name: name.clone(),
-            ops: ops.to_vec(),
-        }
-        .encode();
-        w.backend.append(primary.0 as usize, &record)?;
+        let frame = WalFrame::new(seq, pool, name, ops);
+        w.backend.append(primary.0 as usize, &frame.io_slices())?;
         self.metrics.wal_appends.inc();
-        self.metrics.wal_append_bytes.add(record.len() as u64);
+        self.metrics.wal_append_bytes.add(frame.len() as u64);
         Ok(())
     }
 
@@ -502,13 +496,8 @@ impl Cluster {
                 let Some(logical) = self.load_logical(pool, &name)? else {
                     continue;
                 };
-                let rec = WalRecord {
-                    seq: 0,
-                    pool,
-                    name,
-                    ops: Self::checkpoint_ops(&logical),
-                };
-                seg.extend_from_slice(&rec.encode());
+                let ops = Self::checkpoint_ops(&logical);
+                WalFrame::new(0, pool, &name, &ops).append_to(&mut seg);
                 report.objects += 1;
             }
             let seg_name = format!("seg-{epoch:016x}-pool{}", pool.0);
@@ -584,7 +573,37 @@ impl Cluster {
         let Some(w) = &self.wal else {
             return Ok(WalRecoveryReport::default());
         };
+        // A replayed record must not be re-appended; logging resumes on
+        // every exit, or one failed recovery would leave each later
+        // transaction committing unlogged.
         w.logging.store(false, Ordering::Relaxed);
+        let replayed = self.wal_replay(w);
+        w.logging.store(true, Ordering::Relaxed);
+        let report = replayed?;
+        self.metrics
+            .wal_recovery_wall_ns
+            .record(start.elapsed().as_nanos() as u64);
+        if let Some(ev) = &self.events {
+            ev.emit(
+                Severity::Info,
+                "cluster.wal",
+                "recovered",
+                vec![
+                    ("checkpoint_records", report.checkpoint_records.to_string()),
+                    (
+                        "log_records_replayed",
+                        report.log_records_replayed.to_string(),
+                    ),
+                    ("replay_errors", report.replay_errors.to_string()),
+                    ("torn_tails_dropped", report.torn_tails_dropped.to_string()),
+                ],
+            );
+        }
+        Ok(report)
+    }
+
+    /// The body of [`Cluster::wal_recover`], run with logging suspended.
+    fn wal_replay(&self, w: &WalState) -> Result<WalRecoveryReport, StoreError> {
         let mut report = WalRecoveryReport::default();
         let mut epoch = 0;
         let mut last_seq = 1;
@@ -648,26 +667,6 @@ impl Cluster {
             .add(report.checkpoint_records + report.log_records_replayed);
         w.next_seq.store(max_seq + 1, Ordering::Relaxed);
         w.epoch.store(epoch, Ordering::Relaxed);
-        w.logging.store(true, Ordering::Relaxed);
-        self.metrics
-            .wal_recovery_wall_ns
-            .record(start.elapsed().as_nanos() as u64);
-        if let Some(ev) = &self.events {
-            ev.emit(
-                Severity::Info,
-                "cluster.wal",
-                "recovered",
-                vec![
-                    ("checkpoint_records", report.checkpoint_records.to_string()),
-                    (
-                        "log_records_replayed",
-                        report.log_records_replayed.to_string(),
-                    ),
-                    ("replay_errors", report.replay_errors.to_string()),
-                    ("torn_tails_dropped", report.torn_tails_dropped.to_string()),
-                ],
-            );
-        }
         Ok(report)
     }
 
@@ -1084,12 +1083,9 @@ impl Cluster {
                     let end = offset + data.len() as u64;
                     self.check_cap(end)?;
                     self.metrics.bytes_copied.add(data.len() as u64);
-                    logical.data.with_vec_mut(|buf| {
-                        if buf.len() < end as usize {
-                            buf.resize(end as usize, 0);
-                        }
-                        buf[offset as usize..end as usize].copy_from_slice(&data);
-                    });
+                    logical
+                        .data
+                        .with_vec_mut(|buf| write_into(buf, offset as usize, &data));
                     logical.holes.remove(offset, end);
                     data_bytes += data.len() as u64;
                 }
@@ -1370,12 +1366,8 @@ impl Cluster {
                 for op in ops {
                     match op {
                         TxOp::Write { offset, data: buf } => {
-                            let end = *offset + buf.len() as u64;
-                            if data.len() < end as usize {
-                                data.resize(end as usize, 0);
-                            }
-                            data[*offset as usize..end as usize].copy_from_slice(buf);
-                            holes.remove(*offset, end);
+                            write_into(data, *offset as usize, buf);
+                            holes.remove(*offset, *offset + buf.len() as u64);
                         }
                         TxOp::PunchHole { offset, len } => {
                             let end = (*offset + *len).min(data.len() as u64);
@@ -1826,6 +1818,21 @@ impl Cluster {
     }
 }
 
+/// Applies `TxOp::Write`: `data` lands at `offset`, any gap zero-filled. A
+/// write starting at the current end — every sequential PUT after an
+/// object's first — appends instead of zero-filling what it then overwrites.
+fn write_into(buf: &mut Vec<u8>, offset: usize, data: &[u8]) {
+    if offset == buf.len() {
+        buf.extend_from_slice(data);
+        return;
+    }
+    let end = offset + data.len();
+    if buf.len() < end {
+        buf.resize(end, 0);
+    }
+    buf[offset..end].copy_from_slice(data);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2191,6 +2198,36 @@ mod tests {
             c2.read_full(&ec2, &e).expect("read e").value,
             vec![9u8; 8192]
         );
+    }
+
+    #[test]
+    fn failed_recovery_leaves_the_wal_on() {
+        let (mut c, backend, rep, _ec) = wal_cluster();
+        let a = ObjectName::new("a");
+        let _ = c.write_full(&rep, &a, vec![1u8; 64]).expect("write a");
+        let _ = c.wal_checkpoint().expect("checkpoint");
+        backend.replace_manifest(b"garbage").expect("corrupt");
+        assert!(matches!(c.wal_recover(), Err(StoreError::Wal { .. })));
+
+        // The next transaction is still logged, on its primary's log.
+        let appends = c.metrics.wal_appends.get();
+        let _ = c.write_full(&rep, &a, vec![2u8; 64]).expect("rewrite a");
+        assert_eq!(c.metrics.wal_appends.get(), appends + 1);
+        let primary = c.acting(rep.pool, &a).expect("acting")[0];
+        let (records, torn) = decode_records(&backend.read_log(primary.0 as usize));
+        assert!(!torn);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].ops, vec![TxOp::WriteFull(vec![2u8; 64].into())]);
+    }
+
+    #[test]
+    fn write_into_appends_patches_and_zero_fills_gaps() {
+        let mut buf = vec![1u8; 4];
+        write_into(&mut buf, 4, &[2, 2]); // starts at the end: append
+        write_into(&mut buf, 1, &[3]); // inside
+        write_into(&mut buf, 5, &[4, 4]); // straddles the end
+        write_into(&mut buf, 9, &[5]); // past the end: the gap reads zero
+        assert_eq!(buf, [1, 3, 1, 1, 2, 4, 4, 0, 0, 5]);
     }
 
     #[test]

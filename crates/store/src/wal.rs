@@ -22,19 +22,26 @@
 //! payload  = seq u64 | pool u32 | name str | op count u32 | ops...
 //! ```
 //!
+//! A frame is produced once, by `WalFrame`, as ordered byte runs: small
+//! framing bytes it owns, interleaved with the transaction's own payload
+//! buffers, which it only borrows. The CRC is folded across the runs and
+//! the backend copies them straight into the log, so a logged byte is read
+//! once and copied once.
+//!
 //! The backend is a trait so the same data plane can later sit on a real
 //! filesystem; the in-tree [`MemWalBackend`] is deterministic and counts
 //! every durable write on a [`FsyncSequencer`], which is what lets the
 //! crash harness enumerate "kill the store at write point k" exhaustively.
 
 use std::collections::BTreeMap;
+use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use dedup_placement::PoolId;
 use dedup_sim::{FsyncRecord, FsyncSequencer};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::cluster::TxOp;
 use crate::error::StoreError;
@@ -49,9 +56,12 @@ pub const WAL_MANIFEST_VERSION: u8 = 1;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), hand-rolled: the workspace is offline, so no crc32fast.
+// Slice-by-16: table k maps a byte to its CRC contribution k bytes further
+// down the stream, so sixteen input bytes fold in one round of independent
+// lookups instead of sixteen dependent ones.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -64,21 +74,51 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// IEEE CRC-32 of `data` (the checksum framing every record and MANIFEST).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    crc32_update(0, data)
+}
+
+/// Continues a CRC-32: `crc32_update(crc32(a), b)` is `crc32` of `a`
+/// followed by `b`, so a checksum folds across non-contiguous runs.
+pub(crate) fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = !crc;
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        // The running CRC folds into the first four bytes; the other
+        // twelve index their tables directly.
+        let head = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ c;
+        c = t[15][(head & 0xFF) as usize]
+            ^ t[14][(head >> 8 & 0xFF) as usize]
+            ^ t[13][(head >> 16 & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize];
+        for (i, &byte) in b[4..].iter().enumerate() {
+            c ^= t[11 - i][byte as usize];
+        }
     }
-    c ^ 0xFFFF_FFFF
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -92,13 +132,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
 }
 
 struct Reader<'a> {
@@ -118,16 +154,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array — the checked conversion every
+    /// fixed-width read goes through.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let bytes = self.take(N)?.first_chunk().ok_or("record truncated")?;
+        Ok(*bytes)
+    }
+
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bytes(&mut self) -> Result<&'a [u8], String> {
@@ -147,51 +190,6 @@ impl<'a> Reader<'a> {
 
 // ---------------------------------------------------------------------------
 // TxOp codec.
-
-fn encode_ops(ops: &[TxOp], out: &mut Vec<u8>) {
-    put_u32(out, ops.len() as u32);
-    for op in ops {
-        match op {
-            TxOp::WriteFull(data) => {
-                out.push(0);
-                put_bytes(out, data);
-            }
-            TxOp::Write { offset, data } => {
-                out.push(1);
-                put_u64(out, *offset);
-                put_bytes(out, data);
-            }
-            TxOp::Truncate(len) => {
-                out.push(2);
-                put_u64(out, *len);
-            }
-            TxOp::SetXattr(k, v) => {
-                out.push(3);
-                put_str(out, k);
-                put_bytes(out, v);
-            }
-            TxOp::RemoveXattr(k) => {
-                out.push(4);
-                put_str(out, k);
-            }
-            TxOp::SetOmap(k, v) => {
-                out.push(5);
-                put_str(out, k);
-                put_bytes(out, v);
-            }
-            TxOp::RemoveOmap(k) => {
-                out.push(6);
-                put_str(out, k);
-            }
-            TxOp::PunchHole { offset, len } => {
-                out.push(7);
-                put_u64(out, *offset);
-                put_u64(out, *len);
-            }
-            TxOp::Remove => out.push(8),
-        }
-    }
-}
 
 fn decode_ops(r: &mut Reader<'_>) -> Result<Vec<TxOp>, String> {
     let count = r.u32()? as usize;
@@ -223,6 +221,134 @@ fn decode_ops(r: &mut Reader<'_>) -> Result<Vec<TxOp>, String> {
 // ---------------------------------------------------------------------------
 // Records.
 
+/// Payloads at least this long are borrowed into a frame instead of copied
+/// into its framing buffer; below it an extra run costs more than the copy.
+const BORROW_MIN: usize = 512;
+
+/// One framed record as ordered byte runs: the framing bytes it owns
+/// (length, version, header, op tags, short payloads, CRC) interleaved with
+/// the long payloads it borrows from the transaction. This is the only
+/// writer of the record layout; [`WalRecord::encode`] concatenates its runs.
+#[derive(Debug)]
+pub(crate) struct WalFrame<'a> {
+    framing: Vec<u8>,
+    /// Each borrowed payload with the offset in `framing` it follows.
+    borrowed: Vec<(usize, &'a [u8])>,
+    len: usize,
+}
+
+impl<'a> WalFrame<'a> {
+    /// Frames one transaction, checksumming every payload byte in place.
+    pub(crate) fn new(seq: u64, pool: PoolId, name: &ObjectName, ops: &'a [TxOp]) -> Self {
+        let mut out = Vec::with_capacity(128);
+        let mut borrowed: Vec<(usize, &'a [u8])> = Vec::new();
+        let mut put_payload = |out: &mut Vec<u8>, data: &'a [u8]| {
+            put_u32(out, data.len() as u32);
+            if data.len() < BORROW_MIN {
+                out.extend_from_slice(data);
+            } else {
+                borrowed.push((out.len(), data));
+            }
+        };
+        put_u32(&mut out, 0); // frame length, patched once it is known
+        out.push(WAL_RECORD_VERSION);
+        put_u64(&mut out, seq);
+        put_u32(&mut out, pool.0);
+        put_str(&mut out, name.as_str());
+        put_u32(&mut out, ops.len() as u32);
+        for op in ops {
+            match op {
+                TxOp::WriteFull(data) => {
+                    out.push(0);
+                    put_payload(&mut out, data);
+                }
+                TxOp::Write { offset, data } => {
+                    out.push(1);
+                    put_u64(&mut out, *offset);
+                    put_payload(&mut out, data);
+                }
+                TxOp::Truncate(len) => {
+                    out.push(2);
+                    put_u64(&mut out, *len);
+                }
+                TxOp::SetXattr(k, v) => {
+                    out.push(3);
+                    put_str(&mut out, k);
+                    put_payload(&mut out, v);
+                }
+                TxOp::RemoveXattr(k) => {
+                    out.push(4);
+                    put_str(&mut out, k);
+                }
+                TxOp::SetOmap(k, v) => {
+                    out.push(5);
+                    put_str(&mut out, k);
+                    put_payload(&mut out, v);
+                }
+                TxOp::RemoveOmap(k) => {
+                    out.push(6);
+                    put_str(&mut out, k);
+                }
+                TxOp::PunchHole { offset, len } => {
+                    out.push(7);
+                    put_u64(&mut out, *offset);
+                    put_u64(&mut out, *len);
+                }
+                TxOp::Remove => out.push(8),
+            }
+        }
+        let len = out.len() + borrowed.iter().map(|(_, b)| b.len()).sum::<usize>() + 4;
+        out[..4].copy_from_slice(&((len - 4) as u32).to_le_bytes());
+        let mut frame = WalFrame {
+            framing: out,
+            borrowed,
+            len,
+        };
+        // The CRC covers version through payload: every run, less the
+        // length header that opens the first one.
+        let mut crc = 0;
+        let mut skip = 4;
+        for run in frame.runs() {
+            crc = crc32_update(crc, &run[skip..]);
+            skip = 0;
+        }
+        put_u32(&mut frame.framing, crc);
+        frame
+    }
+
+    /// The frame's bytes in order: framing up to each borrowed payload,
+    /// the payload, and finally the framing tail that ends in the CRC.
+    fn runs(&self) -> impl Iterator<Item = &[u8]> {
+        let mut pos = 0;
+        let tail = self.borrowed.last().map_or(0, |&(at, _)| at);
+        self.borrowed
+            .iter()
+            .flat_map(move |&(at, payload)| {
+                let head = &self.framing[pos..at];
+                pos = at;
+                [head, payload]
+            })
+            .chain(std::iter::once(&self.framing[tail..]))
+    }
+
+    /// Total framed length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The runs in the shape [`WalBackend::append`] takes.
+    pub(crate) fn io_slices(&self) -> Vec<IoSlice<'_>> {
+        self.runs().map(IoSlice::new).collect()
+    }
+
+    /// Concatenates the runs onto `out` (checkpoint segments, `encode`).
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        for run in self.runs() {
+            out.extend_from_slice(run);
+        }
+    }
+}
+
 /// One logged transaction: everything needed to replay it verbatim
 /// through [`Cluster::transact`](crate::Cluster::transact).
 ///
@@ -243,20 +369,13 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// Encodes the record with its length/version/CRC framing.
+    /// Encodes the record with its length/version/CRC framing: the
+    /// concatenation of its `WalFrame`'s runs, so what checkpoints and
+    /// tests see cannot drift from what the foreground appends.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64);
-        put_u64(&mut payload, self.seq);
-        put_u32(&mut payload, self.pool.0);
-        put_str(&mut payload, self.name.as_str());
-        encode_ops(&self.ops, &mut payload);
-
-        let mut out = Vec::with_capacity(payload.len() + 9);
-        put_u32(&mut out, (1 + payload.len() + 4) as u32);
-        out.push(WAL_RECORD_VERSION);
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out[4..]);
-        put_u32(&mut out, crc);
+        let frame = WalFrame::new(self.seq, self.pool, &self.name, &self.ops);
+        let mut out = Vec::with_capacity(frame.len());
+        frame.append_to(&mut out);
         out
     }
 
@@ -286,19 +405,20 @@ pub fn decode_records(buf: &[u8]) -> (Vec<WalRecord>, bool) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        let Some(header) = buf.get(pos..pos + 4) else {
+        let Some(header) = buf[pos..].first_chunk::<4>() else {
             return (records, true);
         };
-        let len = u32::from_le_bytes(header.try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(*header) as usize;
         if len < 5 {
             return (records, true);
         }
-        let Some(frame) = buf.get(pos + 4..pos + 4 + len) else {
+        let Some((body, crc_bytes)) = buf
+            .get(pos + 4..pos + 4 + len)
+            .and_then(<[u8]>::split_last_chunk::<4>)
+        else {
             return (records, true);
         };
-        let (body, crc_bytes) = frame.split_at(len - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored || body[0] != WAL_RECORD_VERSION {
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) || body[0] != WAL_RECORD_VERSION {
             return (records, true);
         }
         match WalRecord::decode_payload(&body[1..]) {
@@ -358,12 +478,10 @@ impl WalManifest {
         let wal_err = |detail: &str| StoreError::Wal {
             detail: format!("manifest: {detail}"),
         };
-        if buf.len() < 4 {
+        let Some((body, crc_bytes)) = buf.split_last_chunk::<4>() else {
             return Err(wal_err("truncated"));
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != stored {
+        };
+        if crc32(body) != u32::from_le_bytes(*crc_bytes) {
             return Err(wal_err("crc mismatch"));
         }
         let mut r = Reader::new(body);
@@ -404,13 +522,15 @@ impl WalManifest {
 /// additionally atomic — after a crash the old or the new MANIFEST is
 /// read back, never a torn mix. Read methods are only used at recovery.
 pub trait WalBackend: std::fmt::Debug + Send + Sync {
-    /// Durably appends one framed record to OSD `osd`'s active log.
+    /// Durably appends one framed record — the concatenation of `record`'s
+    /// runs, the shape `File::write_vectored` takes — to OSD `osd`'s
+    /// active log.
     ///
     /// # Errors
     ///
     /// Fails when stable storage is gone (for the in-memory shim: the
     /// simulated crash point was reached).
-    fn append(&self, osd: usize, record: &[u8]) -> Result<(), StoreError>;
+    fn append(&self, osd: usize, record: &[IoSlice<'_>]) -> Result<(), StoreError>;
 
     /// Durably truncates OSD `osd`'s log (after a checkpoint covers it).
     ///
@@ -455,9 +575,9 @@ pub struct CrashPlan {
     pub torn: bool,
 }
 
+/// The checkpoint side of stable storage (the logs have their own locks).
 #[derive(Debug, Default)]
 struct MemWalFiles {
-    logs: Vec<Vec<u8>>,
     segments: BTreeMap<String, Vec<u8>>,
     manifest: Option<Vec<u8>>,
 }
@@ -477,6 +597,10 @@ enum DurableOutcome {
 /// harness drives.
 #[derive(Debug)]
 pub struct MemWalBackend {
+    /// One mutex per OSD log, so appends to different primaries never
+    /// meet; the outer lock is written only to grow the table the first
+    /// time an OSD index is seen.
+    logs: RwLock<Vec<Mutex<Vec<u8>>>>,
     files: Mutex<MemWalFiles>,
     sequencer: FsyncSequencer,
     plan: Mutex<Option<CrashPlan>>,
@@ -493,6 +617,7 @@ impl MemWalBackend {
     /// Creates an empty backend with no crash planned.
     pub fn new() -> Self {
         MemWalBackend {
+            logs: RwLock::new(Vec::new()),
             files: Mutex::new(MemWalFiles::default()),
             sequencer: FsyncSequencer::new(),
             plan: Mutex::new(None),
@@ -529,15 +654,6 @@ impl MemWalBackend {
         self.sequencer.journal()
     }
 
-    /// Total bytes currently on stable storage (logs + segments +
-    /// MANIFEST) — recovery-footprint accounting for the bench.
-    pub fn stable_bytes(&self) -> u64 {
-        let f = self.files.lock();
-        let logs: usize = f.logs.iter().map(Vec::len).sum();
-        let segs: usize = f.segments.values().map(Vec::len).sum();
-        (logs + segs + f.manifest.as_ref().map(Vec::len).unwrap_or(0)) as u64
-    }
-
     fn durable(&self, label: &'static str, arg: u64) -> DurableOutcome {
         if self.crashed.load(Ordering::Relaxed) {
             return DurableOutcome::CrashClean;
@@ -565,32 +681,38 @@ impl MemWalBackend {
 }
 
 impl WalBackend for MemWalBackend {
-    fn append(&self, osd: usize, record: &[u8]) -> Result<(), StoreError> {
-        let outcome = self.durable("wal.append", osd as u64);
-        let mut f = self.files.lock();
-        if f.logs.len() <= osd {
-            f.logs.resize(osd + 1, Vec::new());
+    fn append(&self, osd: usize, record: &[IoSlice<'_>]) -> Result<(), StoreError> {
+        let len: usize = record.iter().map(|run| run.len()).sum();
+        // How much of the record reaches the disk: all of it, or — torn —
+        // the half written before the power cut.
+        let (mut reached, result) = match self.durable("wal.append", osd as u64) {
+            DurableOutcome::Committed => (len, Ok(())),
+            DurableOutcome::CrashTorn => (len / 2, Err(Self::crash_error("wal.append"))),
+            DurableOutcome::CrashClean => return Err(Self::crash_error("wal.append")),
+        };
+        if self.logs.read().len() <= osd {
+            let mut logs = self.logs.write();
+            // `max`: a racing append may already have grown the table
+            // further, and `resize_with` would shrink it.
+            let grown = logs.len().max(osd + 1);
+            logs.resize_with(grown, Default::default);
         }
-        match outcome {
-            DurableOutcome::Committed => {
-                f.logs[osd].extend_from_slice(record);
-                Ok(())
-            }
-            DurableOutcome::CrashTorn => {
-                // Half the record reached the disk before the power cut.
-                f.logs[osd].extend_from_slice(&record[..record.len() / 2]);
-                Err(Self::crash_error("wal.append"))
-            }
-            DurableOutcome::CrashClean => Err(Self::crash_error("wal.append")),
+        let logs = self.logs.read();
+        let mut log = logs[osd].lock();
+        log.reserve(reached);
+        for run in record {
+            let n = run.len().min(reached);
+            log.extend_from_slice(&run[..n]);
+            reached -= n;
         }
+        result
     }
 
     fn truncate_log(&self, osd: usize) -> Result<(), StoreError> {
         match self.durable("wal.truncate_log", osd as u64) {
             DurableOutcome::Committed => {
-                let mut f = self.files.lock();
-                if f.logs.len() > osd {
-                    f.logs[osd].clear();
+                if let Some(log) = self.logs.read().get(osd) {
+                    log.lock().clear();
                 }
                 Ok(())
             }
@@ -638,7 +760,10 @@ impl WalBackend for MemWalBackend {
     }
 
     fn read_log(&self, osd: usize) -> Vec<u8> {
-        self.files.lock().logs.get(osd).cloned().unwrap_or_default()
+        let logs = self.logs.read();
+        logs.get(osd)
+            .map(|log| log.lock().clone())
+            .unwrap_or_default()
     }
 
     fn read_segment(&self, name: &str) -> Option<Vec<u8>> {
@@ -653,6 +778,9 @@ impl WalBackend for MemWalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_ops() -> Vec<TxOp> {
         vec![
@@ -680,10 +808,106 @@ mod tests {
         }
     }
 
+    /// One contiguous buffer through the scatter-gather seam.
+    fn append(be: &MemWalBackend, osd: usize, record: &[u8]) -> Result<(), StoreError> {
+        be.append(osd, &[IoSlice::new(record)])
+    }
+
+    /// The byte-at-a-time table walk the sliced `crc32` replaced.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        StdRng::seed_from_u64(seed).fill(&mut buf);
+        buf
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_short_length() {
+        let data = random_bytes(128 * 1024 + 37, 1);
+        for len in 0..=80 {
+            assert_eq!(crc32(&data[..len]), crc32_reference(&data[..len]), "{len}");
+            // Unaligned start: the block loop must not depend on alignment.
+            assert_eq!(crc32(&data[3..3 + len]), crc32_reference(&data[3..3 + len]));
+        }
+        assert_eq!(crc32(&data), crc32_reference(&data));
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_update_split_anywhere_equals_one_shot(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            cut in 0usize..300,
+        ) {
+            let (a, b) = data.split_at(cut.min(data.len()));
+            prop_assert_eq!(crc32_update(crc32(a), b), crc32(&data));
+        }
+    }
+
+    /// The record format is what somebody's log holds: these are the bytes
+    /// the pre-scatter-gather encoder produced for `sample_record(42)`.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        const GOLDEN: &str = "90000000012a0000000000000002000000050000006f626a2d61090000\
+            00000500000068656c6c6f010700000000000000020000007879022000000000000000030e0000\
+            0064656475702e726566636f756e7401000000010404000000676f6e6505070000006368756e6b\
+            2e30010000007606070000006368756e6b2e3107080000000000000008000000000000000\
+            8fd384037";
+        let framed = sample_record(42).encode();
+        assert_eq!(framed.len(), 148);
+        let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+    }
+
+    /// Payload lengths on both sides of `BORROW_MIN`, in every op that
+    /// carries one.
+    fn mixed_payload_record() -> WalRecord {
+        WalRecord {
+            seq: 9,
+            pool: PoolId(1),
+            name: ObjectName::new("mixed"),
+            ops: vec![
+                TxOp::WriteFull(Bytes::from(random_bytes(200_000, 2))),
+                TxOp::Write {
+                    offset: 5,
+                    data: Bytes::from(random_bytes(512, 3)),
+                },
+                TxOp::SetXattr("x".into(), Bytes::from(random_bytes(511, 4))),
+                TxOp::SetOmap("empty".into(), Bytes::new()),
+                TxOp::SetOmap("long".into(), Bytes::from(random_bytes(512, 5))),
+                TxOp::Write {
+                    offset: 0,
+                    data: Bytes::from(random_bytes(511, 6)),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn runs_concatenate_to_encode_and_decode_back() {
+        let rec = mixed_payload_record();
+        let frame = WalFrame::new(rec.seq, rec.pool, &rec.name, &rec.ops);
+        let runs = frame.io_slices();
+        // Three payloads reach BORROW_MIN: framing, payload, ... , tail.
+        assert_eq!(runs.len(), 7);
+        let joined: Vec<u8> = runs.iter().flat_map(|r| r.iter().copied()).collect();
+        assert_eq!(joined.len(), frame.len());
+        assert_eq!(joined, rec.encode());
+        let (decoded, torn) = decode_records(&joined);
+        assert!(!torn);
+        assert_eq!(decoded, vec![rec]);
     }
 
     #[test]
@@ -743,8 +967,8 @@ mod tests {
     fn mem_backend_appends_and_reads_back() {
         let be = MemWalBackend::new();
         let rec = sample_record(7).encode();
-        be.append(3, &rec).unwrap();
-        be.append(3, &rec).unwrap();
+        append(&be, 3, &rec).unwrap();
+        append(&be, 3, &rec).unwrap();
         assert_eq!(be.read_log(3).len(), rec.len() * 2);
         assert_eq!(be.read_log(0), Vec::<u8>::new());
         assert_eq!(be.durable_writes(), 2);
@@ -761,8 +985,8 @@ mod tests {
             after: 1,
             torn: false,
         }));
-        be.append(0, &rec).unwrap();
-        assert!(be.append(0, &rec).is_err());
+        append(&be, 0, &rec).unwrap();
+        assert!(append(&be, 0, &rec).is_err());
         assert!(be.crashed());
         assert!(be.write_segment("s", b"x").is_err());
         assert!(be.replace_manifest(b"m").is_err());
@@ -772,7 +996,7 @@ mod tests {
         assert_eq!(decoded.len(), 1);
         // Revive: writes flow again, stable bytes intact.
         be.set_crash_plan(None);
-        be.append(0, &rec).unwrap();
+        append(&be, 0, &rec).unwrap();
         let (decoded, _) = decode_records(&be.read_log(0));
         assert_eq!(decoded.len(), 2);
     }
@@ -781,17 +1005,72 @@ mod tests {
     fn torn_crash_leaves_a_half_record_recovery_drops() {
         let be = MemWalBackend::new();
         let rec = sample_record(1).encode();
-        be.append(0, &rec).unwrap();
+        append(&be, 0, &rec).unwrap();
         be.set_crash_plan(Some(CrashPlan {
             after: 1,
             torn: true,
         }));
-        assert!(be.append(0, &rec).is_err());
+        assert!(append(&be, 0, &rec).is_err());
         let log = be.read_log(0);
         assert_eq!(log.len(), rec.len() + rec.len() / 2);
         let (decoded, torn) = decode_records(&log);
         assert!(torn);
         assert_eq!(decoded.len(), 1);
+    }
+
+    #[test]
+    fn torn_crash_inside_a_borrowed_payload_leaves_half_the_frame() {
+        let be = MemWalBackend::new();
+        let rec = mixed_payload_record();
+        let frame = WalFrame::new(rec.seq, rec.pool, &rec.name, &rec.ops);
+        let runs = frame.io_slices();
+        // The midpoint falls inside the 200 000-byte run, not on a seam.
+        assert!(runs[0].len() < frame.len() / 2);
+        assert!(frame.len() / 2 < runs[0].len() + runs[1].len());
+        be.set_crash_plan(Some(CrashPlan {
+            after: 0,
+            torn: true,
+        }));
+        assert!(be.append(2, &runs).is_err());
+        let log = be.read_log(2);
+        assert_eq!(log, rec.encode()[..frame.len() / 2]);
+        let (decoded, torn) = decode_records(&log);
+        assert!(torn);
+        assert!(decoded.is_empty());
+    }
+
+    #[test]
+    fn concurrent_appends_keep_every_log_whole() {
+        const THREADS: u64 = 4;
+        const APPENDS: u64 = 500;
+        let be = MemWalBackend::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (be, start) = (&be, &start);
+                s.spawn(move || {
+                    let payload = Bytes::from(random_bytes(700, t));
+                    start.wait();
+                    for i in 0..APPENDS {
+                        // Even appends contend on OSD 0; odd ones go to a
+                        // log only this thread writes.
+                        let osd = if i % 2 == 0 { 0 } else { 1 + t as usize };
+                        let ops = [TxOp::WriteFull(payload.clone())];
+                        let name = ObjectName::new("o");
+                        let frame = WalFrame::new(1 + t * APPENDS + i, PoolId(1), &name, &ops);
+                        be.append(osd, &frame.io_slices()).unwrap();
+                    }
+                });
+            }
+        });
+        let mut seqs = Vec::new();
+        for osd in 0..=THREADS as usize {
+            let (records, torn) = decode_records(&be.read_log(osd));
+            assert!(!torn, "osd {osd}");
+            seqs.extend(records.iter().map(|r| r.seq));
+        }
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=THREADS * APPENDS).collect::<Vec<_>>());
     }
 
     #[test]
