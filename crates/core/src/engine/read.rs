@@ -47,7 +47,7 @@ impl DedupStore {
             .cluster
             .stat(self.metadata_pool, name)?
             .ok_or_else(|| StoreError::NoSuchObject(self.metadata_pool, name.clone()))?;
-        if offset + len > object_len {
+        if offset.checked_add(len).is_none_or(|end| end > object_len) {
             return Err(StoreError::ReadOutOfRange {
                 offset,
                 len,
@@ -345,6 +345,23 @@ mod tests {
         assert_eq!(r.value, data);
         assert!(s.stats().redirected_chunks == 0, "all cached before flush");
         assert_eq!(s.dirty_len(), 1);
+    }
+
+    /// `offset + len` used to wrap past the range check and return `Ok`.
+    #[test]
+    fn read_wrapping_past_u64_max_is_out_of_range() {
+        let s = store();
+        let name = ObjectName::new("obj");
+        let _ = s
+            .write(ClientId(0), &name, 0, vec![1u8; 64], t(0))
+            .expect("write");
+        let err = s
+            .read(ClientId(0), &name, u64::MAX, 2, t(1))
+            .expect_err("must fail");
+        assert!(
+            matches!(err, DedupError::Store(StoreError::ReadOutOfRange { .. })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl DedupStore {
         let ctx = self.meta_ctx(client);
         let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
-        let end = offset + data.len() as u64;
+        let end = self.cluster.check_extent(offset, data.len() as u64)?;
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -110,7 +110,7 @@ impl DedupStore {
     ) -> Result<Timed<()>, DedupError> {
         let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
-        let end = offset + data.len() as u64;
+        let end = self.cluster.check_extent(offset, data.len() as u64)?;
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -307,6 +307,7 @@ mod tests {
     use super::*;
     use crate::config::DedupConfig;
     use crate::engine::testutil::{patterned, store, store_with, t, CS};
+    use dedup_store::{ClusterBuilder, MemWalBackend, StoreError};
 
     #[test]
     fn inline_mode_dedups_without_flush() {
@@ -336,6 +337,35 @@ mod tests {
             )
             .expect("read");
         assert_eq!(r.value, data);
+    }
+
+    /// `offset + len` used to wrap: the chunk-map ops were built for a
+    /// nonsense range, the cluster logged them, and `write_into` panicked.
+    #[test]
+    fn write_wrapping_past_u64_max_is_refused_before_the_log() {
+        for config in [
+            DedupConfig::with_chunk_size(CS),
+            DedupConfig::with_chunk_size(CS).inline(),
+        ] {
+            let mut cluster = ClusterBuilder::new().build();
+            cluster.attach_wal(MemWalBackend::shared());
+            let s = DedupStore::with_default_pools(cluster, config);
+            let name = ObjectName::new("obj");
+            let _ = s
+                .write(ClientId(0), &name, 0, vec![1u8; 64], t(0))
+                .expect("write");
+            let appends = s.registry().counter("wal.appends").get();
+            let err = s
+                .write(ClientId(0), &name, u64::MAX - 10, vec![7u8; 100], t(1))
+                .expect_err("must fail");
+            let DedupError::Store(StoreError::ObjectTooLarge { requested, .. }) = err else {
+                panic!("{err}");
+            };
+            assert_eq!(requested, u64::MAX);
+            assert_eq!(s.registry().counter("wal.appends").get(), appends);
+            let r = s.read(ClientId(0), &name, 0, 64, t(2)).expect("read");
+            assert_eq!(r.value, vec![1u8; 64]);
+        }
     }
 
     #[test]

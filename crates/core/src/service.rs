@@ -507,6 +507,31 @@ mod tests {
         assert_eq!(store.stats().writes, 32);
     }
 
+    /// A client-supplied offset near `u64::MAX` is an error, not a panic
+    /// that poisons the shard and strands the worker.
+    #[test]
+    fn write_wrapping_past_u64_max_is_an_error_and_changes_nothing() {
+        let svc = service();
+        let name = ObjectName::new("obj");
+        let now = SimTime::from_secs(1);
+        let _ = svc
+            .write(ClientId(0), &name, 0, vec![1u8; 64], now)
+            .expect("write");
+        let err = svc
+            .write(ClientId(0), &name, u64::MAX - 10, vec![7u8; 100], now)
+            .expect_err("must fail");
+        assert!(
+            matches!(
+                err,
+                DedupError::Store(dedup_store::StoreError::ObjectTooLarge { .. })
+            ),
+            "{err}"
+        );
+        let r = svc.read(ClientId(0), &name, 0, 64, now).expect("read");
+        assert_eq!(r.value, vec![1u8; 64]);
+        assert!(svc.read(ClientId(0), &name, u64::MAX, 2, now).is_err());
+    }
+
     #[test]
     fn readers_and_flusher_interleave() {
         let svc = Arc::new(service());

@@ -127,14 +127,14 @@ impl RangeSet {
         let mut new_start = start;
         let mut new_end = end;
         // Absorb any range overlapping or adjacent to [start, end).
-        let overlapping: Vec<u64> = self
+        let overlapping: Vec<(u64, u64)> = self
             .ranges
             .range(..=end)
             .filter(|&(_, &e)| e >= start)
-            .map(|(&s, _)| s)
+            .map(|(&s, &e)| (s, e))
             .collect();
-        for s in overlapping {
-            let e = self.ranges.remove(&s).expect("key just found");
+        for (s, e) in overlapping {
+            self.ranges.remove(&s);
             new_start = new_start.min(s);
             new_end = new_end.max(e);
         }
@@ -224,6 +224,15 @@ pub struct StoredObject {
     pub stored_bytes: u64,
 }
 
+/// Total bytes of keys and values across an object's two metadata maps.
+pub(crate) fn metadata_bytes(
+    xattrs: &BTreeMap<String, Bytes>,
+    omap: &BTreeMap<String, Bytes>,
+) -> u64 {
+    let entries = xattrs.iter().chain(omap);
+    entries.map(|(k, v)| (k.len() + v.len()) as u64).sum()
+}
+
 impl StoredObject {
     /// Creates an object with the given payload and no metadata.
     pub fn new(payload: Payload) -> Self {
@@ -239,17 +248,7 @@ impl StoredObject {
 
     /// Total bytes of xattr and omap metadata (keys + values).
     pub fn metadata_bytes(&self) -> u64 {
-        let x: usize = self
-            .xattrs
-            .iter()
-            .map(|(k, v)| k.len() + v.len())
-            .sum::<usize>();
-        let o: usize = self
-            .omap
-            .iter()
-            .map(|(k, v)| k.len() + v.len())
-            .sum::<usize>();
-        (x + o) as u64
+        metadata_bytes(&self.xattrs, &self.omap)
     }
 
     /// Physical footprint of this replica: stored payload + metadata +

@@ -57,6 +57,18 @@ impl Osd {
         self.pools.get_mut(&pool)?.get_mut(name)
     }
 
+    /// Mutably borrows an object replica, storing `make()` first if the
+    /// device holds none.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        pool: PoolId,
+        name: &ObjectName,
+        make: impl FnOnce() -> StoredObject,
+    ) -> &mut StoredObject {
+        let objects = self.pools.entry(pool).or_default();
+        objects.entry(name.clone()).or_insert_with(make)
+    }
+
     /// Removes an object replica.
     pub fn remove(&mut self, pool: PoolId, name: &ObjectName) -> Option<StoredObject> {
         let objects = self.pools.get_mut(&pool)?;

@@ -5,12 +5,13 @@
 //! object automatically re-replicates its chunk map or reference counts.
 //! That is precisely the paper's argument for the design (§3.2, §6.4.2).
 
+use dedup_obs::Severity;
 use dedup_placement::{OsdId, PoolId};
 use dedup_sim::CostExpr;
 
-use crate::cluster::{Cluster, Timed};
+use crate::cluster::{Cluster, IoCtx, Timed};
 use crate::error::StoreError;
-use crate::object::{ObjectName, Payload};
+use crate::object::{metadata_bytes, ObjectName, Payload, StoredObject};
 use crate::pool::Redundancy;
 
 /// Outcome of a recovery / rebalance pass.
@@ -68,31 +69,23 @@ impl Cluster {
         self.metrics.recovery_examined.add(report.objects_examined);
         self.metrics.recovery_repaired.add(report.objects_repaired);
         self.metrics.recovery_bytes_moved.add(report.bytes_moved);
-        if let Some(ev) = self.events() {
-            if report.objects_repaired > 0 || report.strays_removed > 0 {
-                ev.emit(
-                    dedup_obs::Severity::Info,
-                    "cluster.recovery",
-                    "repairs",
-                    vec![
-                        ("objects_examined", report.objects_examined.to_string()),
-                        ("objects_repaired", report.objects_repaired.to_string()),
-                        ("bytes_moved", report.bytes_moved.to_string()),
-                        ("strays_removed", report.strays_removed.to_string()),
-                    ],
-                );
-            }
-            for (pool, name) in &report.lost {
-                ev.emit(
-                    dedup_obs::Severity::Error,
-                    "cluster.recovery",
-                    "object_lost",
-                    vec![
-                        ("pool", pool.0.to_string()),
-                        ("object", name.as_str().to_string()),
-                    ],
-                );
-            }
+        if report.objects_repaired > 0 || report.strays_removed > 0 {
+            self.emit(Severity::Info, "cluster.recovery", "repairs", || {
+                vec![
+                    ("objects_examined", report.objects_examined.to_string()),
+                    ("objects_repaired", report.objects_repaired.to_string()),
+                    ("bytes_moved", report.bytes_moved.to_string()),
+                    ("strays_removed", report.strays_removed.to_string()),
+                ]
+            });
+        }
+        for (pool, name) in &report.lost {
+            self.emit(Severity::Error, "cluster.recovery", "object_lost", || {
+                vec![
+                    ("pool", pool.0.to_string()),
+                    ("object", name.as_str().to_string()),
+                ]
+            });
         }
         // Recovery proceeds in parallel across placement groups (bounded
         // in real clusters by op queues, but bandwidth-bound either way):
@@ -144,32 +137,21 @@ impl Cluster {
             .filter(|h| !acting.contains(h))
             .collect();
 
-        // Load the logical object while strays may still be the only
-        // holders of live data (a rebalance can move an object entirely).
-        let logical = if misplaced.is_empty() {
-            None
-        } else {
-            match self.load_logical(pool, name)? {
-                Some(l) => Some(l),
-                None => {
-                    // Not enough shards anywhere: leave remaining pieces in
-                    // place for forensics and report the loss.
-                    report.lost.push((pool, name.clone()));
-                    return Ok(());
-                }
-            }
-        };
-
-        if let Some(logical) = logical {
+        if !misplaced.is_empty() {
+            // Load the logical object while strays may still be the only
+            // holders of live data (a rebalance can move an object entirely).
+            let Some(logical) = self.load_logical(pool, name, &holders)? else {
+                // Not enough shards anywhere: leave remaining pieces in
+                // place for forensics and report the loss.
+                report.lost.push((pool, name.clone()));
+                return Ok(());
+            };
             // Cost: read enough source replicas, send to each target, write.
             // Source selection spreads by name hash so one surviving OSD
             // does not serve every move.
-            if holders.is_empty() {
-                return Err(StoreError::NoSuchObject(pool, name.clone()));
-            }
             let src = holders
                 [(dedup_placement::hash::xxh64(name.as_bytes(), 0x5eed) as usize) % holders.len()];
-            let src_node = self.map.osd(src).node.0 as usize;
+            let src_node = self.node_of(src);
             // Only resident bytes move: punched holes (evicted cache) cost
             // nothing, which is exactly why deduplicated clusters recover
             // faster (paper Table 3). Metadata (chunk maps, refcounts)
@@ -177,16 +159,7 @@ impl Cluster {
             let resident = (logical.data.len() as u64)
                 .saturating_sub(logical.holes.total())
                 .max(1);
-            let meta_bytes: u64 = logical
-                .xattrs
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum::<u64>()
-                + logical
-                    .omap
-                    .iter()
-                    .map(|(k, v)| (k.len() + v.len()) as u64)
-                    .sum::<u64>();
+            let meta_bytes = metadata_bytes(&logical.xattrs, &logical.omap);
             let bytes = match redundancy {
                 Redundancy::Replicated(_) => resident + meta_bytes,
                 Redundancy::Erasure { k, .. } => resident.div_ceil(k as u64) + meta_bytes,
@@ -202,9 +175,8 @@ impl Cluster {
                 ),
             };
             let write_cost = CostExpr::par(misplaced.iter().map(|&t| {
-                let t_node = self.map.osd(t).node.0 as usize;
                 CostExpr::seq([
-                    self.perf.node_to_node(src_node, t_node, bytes),
+                    self.perf.node_to_node(src_node, self.node_of(t), bytes),
                     self.perf.disk_io(t.0 as usize, bytes),
                 ])
             }));
@@ -215,11 +187,11 @@ impl Cluster {
             report.objects_repaired += 1;
             report.bytes_moved += bytes * misplaced.len() as u64;
 
-            // Re-store across the acting set (idempotent for devices
-            // already holding the right content); the cost was charged
+            // Re-place on the current acting set through the transaction
+            // path (idempotent for devices already holding the right
+            // content); its cost is discarded because it was charged
             // explicitly above.
-            let ctx = crate::cluster::IoCtx::new(pool);
-            self.restore_logical(&ctx, name, logical)?;
+            let _ = self.transact(&IoCtx::new(pool), name, logical.into_rebuild_ops())?;
         }
 
         for s in strays {
@@ -237,32 +209,6 @@ impl Cluster {
         Ok(())
     }
 
-    fn restore_logical(
-        &mut self,
-        ctx: &crate::cluster::IoCtx,
-        name: &ObjectName,
-        logical: crate::cluster::LogicalObject,
-    ) -> Result<(), StoreError> {
-        use crate::cluster::TxOp;
-        let mut ops = vec![TxOp::WriteFull(logical.data)];
-        for (start, end) in logical.holes.iter() {
-            ops.push(TxOp::PunchHole {
-                offset: start,
-                len: end - start,
-            });
-        }
-        for (k, v) in logical.xattrs {
-            ops.push(TxOp::SetXattr(k, v));
-        }
-        for (k, v) in logical.omap {
-            ops.push(TxOp::SetOmap(k, v));
-        }
-        // The transaction path re-places the object on the current acting
-        // set; its cost is discarded because recovery charged explicitly.
-        let _ = self.transact(ctx, name, ops)?;
-        Ok(())
-    }
-
     /// Verifies replica consistency for one pool. A clean scrub returns an
     /// empty list.
     ///
@@ -270,75 +216,45 @@ impl Cluster {
     ///
     /// Fails for unknown pools.
     pub fn scrub(&self, pool: PoolId) -> Result<Vec<ScrubFinding>, StoreError> {
-        let st = self.state(pool)?;
-        let redundancy = st.config.redundancy;
+        let redundancy = self.state(pool)?.config.redundancy;
         let mut findings = Vec::new();
         for name in self.list_objects(pool)? {
-            let acting = match self.acting(pool, &name) {
-                Ok(a) => a,
-                Err(_) => {
-                    findings.push(ScrubFinding {
-                        pool,
-                        name: name.clone(),
-                        detail: "no acting set available".into(),
-                    });
-                    continue;
-                }
+            let mut report = |detail: String| {
+                findings.push(ScrubFinding {
+                    pool,
+                    name: name.clone(),
+                    detail,
+                })
             };
-            match redundancy {
-                Redundancy::Replicated(_) => {
-                    // Owned snapshot of the first replica: per-OSD locks are
-                    // taken one at a time, so a borrowed reference cannot
-                    // outlive its device guard.
-                    let mut reference: Option<crate::object::StoredObject> = None;
-                    for &osd in &acting {
-                        match self.osd_store(osd).get(pool, &name) {
-                            None => findings.push(ScrubFinding {
-                                pool,
-                                name: name.clone(),
-                                detail: format!("missing replica on {osd}"),
-                            }),
-                            Some(obj) => match &reference {
-                                None => reference = Some(obj.clone()),
-                                Some(r) if r != obj => findings.push(ScrubFinding {
-                                    pool,
-                                    name: name.clone(),
-                                    detail: format!("replica mismatch on {osd}"),
-                                }),
-                                Some(_) => {}
-                            },
-                        }
+            let Ok(acting) = self.acting(pool, &name) else {
+                report("no acting set available".into());
+                continue;
+            };
+            // Owned snapshot of the first replica: per-OSD locks are taken
+            // one at a time, so a borrowed reference cannot outlive its
+            // device guard.
+            let mut reference: Option<StoredObject> = None;
+            for (rank, &osd) in acting.iter().enumerate() {
+                let store = self.osd_store(osd);
+                match (store.get(pool, &name), redundancy) {
+                    (None, Redundancy::Replicated(_)) => {
+                        report(format!("missing replica on {osd}"))
                     }
-                }
-                Redundancy::Erasure { .. } => {
-                    for (rank, &osd) in acting.iter().enumerate() {
-                        match self.osd_store(osd).get(pool, &name) {
-                            None => findings.push(ScrubFinding {
-                                pool,
-                                name: name.clone(),
-                                detail: format!("missing shard {rank} on {osd}"),
-                            }),
-                            Some(obj) => {
-                                if let Payload::Shard { index, .. } = &obj.payload {
-                                    if *index as usize != rank {
-                                        findings.push(ScrubFinding {
-                                            pool,
-                                            name: name.clone(),
-                                            detail: format!(
-                                                "shard index {index} at rank {rank} on {osd}"
-                                            ),
-                                        });
-                                    }
-                                } else {
-                                    findings.push(ScrubFinding {
-                                        pool,
-                                        name: name.clone(),
-                                        detail: format!("full payload in EC pool on {osd}"),
-                                    });
-                                }
-                            }
-                        }
+                    (None, Redundancy::Erasure { .. }) => {
+                        report(format!("missing shard {rank} on {osd}"))
                     }
+                    (Some(obj), Redundancy::Replicated(_)) => match &reference {
+                        None => reference = Some(obj.clone()),
+                        Some(r) if r != obj => report(format!("replica mismatch on {osd}")),
+                        Some(_) => {}
+                    },
+                    (Some(obj), Redundancy::Erasure { .. }) => match &obj.payload {
+                        Payload::Shard { index, .. } if *index as usize != rank => {
+                            report(format!("shard index {index} at rank {rank} on {osd}"))
+                        }
+                        Payload::Shard { .. } => {}
+                        Payload::Full(_) => report(format!("full payload in EC pool on {osd}")),
+                    },
                 }
             }
         }
@@ -363,25 +279,13 @@ impl Cluster {
         // The shallow pass above already counted itself; record only the
         // extra content-level findings below.
         let shallow_findings = findings.len();
-        let st = self.state(pool)?;
-        let redundancy = st.config.redundancy;
-        if let Redundancy::Erasure { k, m } = redundancy {
-            let codec = dedup_erasure::ReedSolomon::new(k, m).expect("pool validated at creation");
+        if let Some(codec) = &self.state(pool)?.codec {
+            let k = codec.data_shards();
             for name in self.list_objects(pool)? {
                 let Ok(acting) = self.acting(pool, &name) else {
                     continue;
                 };
-                // Shard views are refcount bumps out of each OSD's guard.
-                let mut shards: Vec<Option<bytes::Bytes>> = vec![None; k + m];
-                for &osd in &acting {
-                    if let Some(obj) = self.osd_store(osd).get(pool, &name) {
-                        if let Payload::Shard { index, bytes, .. } = &obj.payload {
-                            if (*index as usize) < shards.len() {
-                                shards[*index as usize] = Some(bytes.clone());
-                            }
-                        }
-                    }
-                }
+                let (shards, _) = self.gather_shards(codec, pool, &name, &acting);
                 let data: Option<Vec<&[u8]>> = shards[..k].iter().map(|s| s.as_deref()).collect();
                 let Some(data) = data else { continue };
                 let Ok(parity) = codec.encode(&data) else {
@@ -430,47 +334,31 @@ impl Cluster {
         let mut costs: Vec<CostExpr> = Vec::new();
         match redundancy {
             Redundancy::Replicated(_) => {
-                // Majority vote over replica payloads; primary wins ties.
-                let mut votes: Vec<(usize, &OsdId)> = Vec::new();
-                for (i, osd) in acting.iter().enumerate() {
-                    if self.osd_store(*osd).get(pool, name).is_some() {
-                        votes.push((i, osd));
-                    }
-                }
-                if votes.is_empty() {
-                    return Err(StoreError::NoSuchObject(pool, name.clone()));
-                }
-                // Count identical replicas. The candidate is cloned out of
-                // its guard so at most one OSD lock is held at a time.
-                let mut best = votes[0].1;
-                let mut best_count = 0usize;
-                for &(_, cand) in &votes {
-                    let cand_obj: Option<crate::object::StoredObject> =
-                        self.osd_store(*cand).get(pool, name).cloned();
-                    let count = votes
+                // One owned snapshot per replica, in acting order, so at
+                // most one OSD lock is held at a time.
+                let replicas: Vec<(OsdId, StoredObject)> = acting
+                    .iter()
+                    .filter_map(|&osd| Some((osd, self.osd_store(osd).get(pool, name)?.clone())))
+                    .collect();
+                // Majority vote over replica contents; the primary wins ties
+                // (`max_by_key` keeps the last maximum, hence the `rev`).
+                let votes =
+                    |cand: &StoredObject| replicas.iter().filter(|(_, o)| o == cand).count();
+                let (source, reference) =
+                    replicas
                         .iter()
-                        .filter(|&&(_, o)| self.osd_store(*o).get(pool, name) == cand_obj.as_ref())
-                        .count();
-                    if count > best_count {
-                        best_count = count;
-                        best = cand;
-                    }
-                }
-                let source = *best;
-                let reference = self
-                    .osd_store(source)
-                    .get(pool, name)
-                    .expect("vote source exists")
-                    .clone();
+                        .rev()
+                        .max_by_key(|(_, obj)| votes(obj))
+                        .ok_or_else(|| StoreError::NoSuchObject(pool, name.clone()))?;
+                let source = *source;
                 let bytes = reference.stored_bytes.max(64);
                 for &osd in &acting {
-                    let differs = self.osd_store(osd).get(pool, name) != Some(&reference);
+                    let differs = self.osd_store(osd).get(pool, name) != Some(reference);
                     if differs {
-                        let src_node = self.map.osd(source).node.0 as usize;
-                        let dst_node = self.map.osd(osd).node.0 as usize;
                         costs.push(CostExpr::seq([
                             self.perf.disk_io(source.0 as usize, bytes),
-                            self.perf.node_to_node(src_node, dst_node, bytes),
+                            self.perf
+                                .node_to_node(self.node_of(source), self.node_of(osd), bytes),
                             self.perf.disk_io(osd.0 as usize, bytes),
                         ]));
                         self.osd_store_mut(osd)
@@ -481,16 +369,16 @@ impl Cluster {
             }
             Redundancy::Erasure { .. } => {
                 // Rebuild everything (incl. parity) from the decodable data.
+                let holders = self.holders(pool, name);
                 let logical = self
-                    .load_logical(pool, name)?
+                    .load_logical(pool, name, &holders)?
                     .ok_or_else(|| StoreError::NoSuchObject(pool, name.clone()))?;
                 let bytes = logical.data.len() as u64;
                 costs.push(CostExpr::par(acting.iter().map(|&osd| {
                     self.perf
                         .disk_io(osd.0 as usize, bytes.max(64) / acting.len() as u64)
                 })));
-                let ctx = crate::cluster::IoCtx::new(pool);
-                self.restore_logical(&ctx, name, logical)?;
+                let _ = self.transact(&IoCtx::new(pool), name, logical.into_rebuild_ops())?;
                 repaired = true;
             }
         }
@@ -501,7 +389,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterBuilder, IoCtx};
+    use crate::cluster::ClusterBuilder;
     use crate::pool::PoolConfig;
     use dedup_sim::SimTime;
 
@@ -738,25 +626,41 @@ mod tests {
     #[test]
     fn recovery_preserves_object_metadata() {
         use crate::cluster::TxOp;
-        let (mut c, ctx, _) = loaded_cluster(PoolConfig::replicated("r", 2));
-        let name = ObjectName::new("meta-obj");
-        let _ = c
-            .transact(
-                &ctx,
-                &name,
-                vec![
-                    TxOp::WriteFull(vec![9u8; 512].into()),
-                    TxOp::SetXattr("refcount".into(), vec![42].into()),
-                    TxOp::SetOmap("chunk.0".into(), b"entry".to_vec().into()),
-                ],
-            )
-            .expect("tx");
-        let holder = c.holders(ctx.pool, &name)[0];
-        c.fail_osd(holder);
-        let _ = c.recover().expect("recover");
-        let x = c.get_xattr(&ctx, &name, "refcount").expect("xattr");
-        assert_eq!(x.value.as_deref(), Some(&[42u8][..]));
-        let o = c.get_omap(&ctx, &name, "chunk.0").expect("omap");
-        assert_eq!(o.value.as_deref(), Some(b"entry".as_slice()));
+        for config in [
+            PoolConfig::replicated("r", 2),
+            PoolConfig::erasure("e", 2, 1),
+        ] {
+            let (mut c, ctx, _) = loaded_cluster(config);
+            let name = ObjectName::new("meta-obj");
+            let _ = c
+                .transact(
+                    &ctx,
+                    &name,
+                    vec![
+                        TxOp::WriteFull(vec![9u8; 512].into()),
+                        TxOp::PunchHole {
+                            offset: 128,
+                            len: 64,
+                        },
+                        TxOp::SetXattr("refcount".into(), vec![42].into()),
+                        TxOp::SetOmap("chunk.0".into(), b"entry".to_vec().into()),
+                    ],
+                )
+                .expect("tx");
+            let usage = c.usage(ctx.pool).expect("usage");
+            let holder = c.holders(ctx.pool, &name)[0];
+            c.fail_osd(holder);
+            let _ = c.recover().expect("recover");
+            let x = c.get_xattr(&ctx, &name, "refcount").expect("xattr");
+            assert_eq!(x.value.as_deref(), Some(&[42u8][..]));
+            let o = c.get_omap(&ctx, &name, "chunk.0").expect("omap");
+            assert_eq!(o.value.as_deref(), Some(b"entry".as_slice()));
+            // The hole comes back as a hole: same ranges, same capacity.
+            assert_eq!(
+                c.resident_ranges(ctx.pool, &name, 0, 512).expect("ranges"),
+                vec![(0, 128, true), (128, 192, false), (192, 512, true)]
+            );
+            assert_eq!(c.usage(ctx.pool).expect("usage"), usage);
+        }
     }
 }
