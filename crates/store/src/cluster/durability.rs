@@ -176,7 +176,7 @@ impl Cluster {
                 let Some(logical) = self.load_logical(pool, &name, &holders)? else {
                     continue;
                 };
-                WalFrame::new(0, pool, &name, &logical.into_rebuild_ops()).append_to(&mut seg);
+                WalFrame::new(0, pool, &name, &self.rebuild_ops(logical)).append_to(&mut seg);
                 report.objects += 1;
             }
             let seg_name = format!("seg-{epoch:016x}-pool{}", pool.0);

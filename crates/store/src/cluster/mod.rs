@@ -20,7 +20,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::StoreError;
 use crate::metrics::ClusterMetrics;
-use crate::object::{ObjectName, Payload, RangeSet, PER_OBJECT_OVERHEAD};
+use crate::object::{ExtentList, ObjectName, Payload, RangeSet, PER_OBJECT_OVERHEAD};
 use crate::osd::Osd;
 use crate::perf::{ClientId, PerfConfig, PerfTopology};
 use crate::pool::{PoolConfig, PoolUsage, Redundancy};
@@ -116,34 +116,15 @@ impl IoCtx {
 
 /// In-memory logical view of an object while a transaction is applied.
 ///
-/// `data` is a shared buffer: loading a replicated object is a refcount
-/// bump, and whole-payload writes adopt the caller's buffer. Mutating ops
-/// go through [`Bytes::with_vec_mut`], which detaches a private copy only
-/// while other views are still alive.
+/// `data` is the same piece list a replica holds: loading a replicated
+/// object is refcount bumps, and the data ops splice or drop pieces
+/// without copying payload bytes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LogicalObject {
-    pub data: Bytes,
+    pub data: ExtentList,
     pub xattrs: BTreeMap<String, Bytes>,
     pub omap: BTreeMap<String, Bytes>,
     pub holes: RangeSet,
-}
-
-impl LogicalObject {
-    /// The synthetic transaction that rebuilds this object from scratch
-    /// (checkpoint segments, recovery). Holes are re-punched explicitly:
-    /// materializing them as resident zeros would silently break dedup
-    /// redirection and space accounting after a recovery.
-    pub(crate) fn into_rebuild_ops(self) -> Vec<TxOp> {
-        let mut ops = Vec::with_capacity(1 + self.xattrs.len() + self.omap.len());
-        ops.push(TxOp::WriteFull(self.data));
-        ops.extend(self.holes.iter().map(|(start, end)| TxOp::PunchHole {
-            offset: start,
-            len: end - start,
-        }));
-        ops.extend(self.xattrs.into_iter().map(|(k, v)| TxOp::SetXattr(k, v)));
-        ops.extend(self.omap.into_iter().map(|(k, v)| TxOp::SetOmap(k, v)));
-        ops
-    }
 }
 
 pub(crate) struct PoolState {

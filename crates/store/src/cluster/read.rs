@@ -10,17 +10,17 @@ use dedup_sim::CostExpr;
 
 use super::{Cluster, IoCtx, LogicalObject, Timed};
 use crate::error::StoreError;
-use crate::object::{ObjectName, Payload, StoredObject};
+use crate::object::{ExtentList, ObjectName, Payload, StoredObject};
 use crate::pool::Redundancy;
 
-/// `data[offset .. offset + len]` as a shared view, or `ReadOutOfRange`.
-fn slice_range(data: &Bytes, offset: u64, len: u64) -> Result<Bytes, StoreError> {
+/// `data[offset .. offset + len]` and the bytes copied to read it, or `ReadOutOfRange`.
+fn read_range(data: &ExtentList, offset: u64, len: u64) -> Result<(Bytes, u64), StoreError> {
     match offset.checked_add(len) {
-        Some(end) if end <= data.len() as u64 => Ok(data.slice(offset as usize..end as usize)),
+        Some(end) if end <= data.len() => Ok(data.read(offset, len)),
         _ => Err(StoreError::ReadOutOfRange {
             offset,
             len,
-            object_size: data.len() as u64,
+            object_size: data.len(),
         }),
     }
 }
@@ -112,14 +112,15 @@ impl Cluster {
             (Some(codec), _) => {
                 let (shards, object_len) = self.gather_shards(codec, pool, name, holders);
                 let data = shards[..codec.data_shards()].iter().cloned();
+                self.metrics.bytes_copied.add(object_len as u64);
                 if let Some(data) = data.collect::<Option<Vec<_>>>() {
                     // Healthy: the systematic data shards are the object.
                     let mut out = data.concat();
                     out.truncate(object_len);
-                    Bytes::from(out)
+                    ExtentList::from(out)
                 } else {
                     let owned = shards.into_iter().map(|s| s.map(|b| b.to_vec()));
-                    Bytes::from(codec.decode_object(owned.collect(), object_len)?)
+                    ExtentList::from(codec.decode_object(owned.collect(), object_len)?)
                 }
             }
         };
@@ -161,8 +162,9 @@ impl Cluster {
 
     /// Reads `len` bytes at `offset`.
     ///
-    /// The returned buffer is a zero-copy view of the stored replica on
-    /// replicated pools; EC reads materialise the gathered range.
+    /// On replicated pools the returned buffer is a zero-copy view of the
+    /// stored replica unless the range spans pieces of unrelated parents
+    /// or gaps; EC reads materialise the gathered object.
     ///
     /// # Errors
     ///
@@ -176,21 +178,22 @@ impl Cluster {
     ) -> Result<Timed<Bytes>, StoreError> {
         let st = self.state(ctx.pool)?;
         let no_object = || StoreError::NoSuchObject(ctx.pool, name.clone());
-        // Replicated pools slice one replica without reconstructing the
+        // Replicated pools read one replica without reconstructing the
         // logical object.
         let direct = match st.config.redundancy {
             Redundancy::Replicated(_) => self
                 .with_replica(ctx.pool, name, |obj| match &obj.payload {
-                    Payload::Full(data) => Some(slice_range(data, offset, len)),
+                    Payload::Full(data) => Some(read_range(data, offset, len)),
                     Payload::Shard { .. } => None,
                 })?
                 .ok_or_else(no_object)?,
             Redundancy::Erasure { .. } => None,
         };
         let slice = match direct {
-            Some(slice) => {
-                let slice = slice?;
-                self.metrics.bytes_shared.add(len);
+            Some(read) => {
+                let (slice, copied) = read?;
+                self.metrics.bytes_copied.add(copied);
+                self.metrics.bytes_shared.add(len - copied);
                 slice
             }
             None => {
@@ -198,9 +201,8 @@ impl Cluster {
                 let logical = self
                     .load_logical(ctx.pool, name, &holders)?
                     .ok_or_else(no_object)?;
-                let slice = slice_range(&logical.data, offset, len)?;
-                self.metrics.bytes_copied.add(len);
-                slice
+                // One piece: a view of what `load_logical` gathered.
+                read_range(&logical.data, offset, len)?.0
             }
         };
 

@@ -12,7 +12,7 @@ use dedup_sim::CostExpr;
 
 use super::{Cluster, IoCtx, Located, LogicalObject, PoolState, Timed};
 use crate::error::StoreError;
-use crate::object::{ObjectName, Payload, RangeSet, StoredObject};
+use crate::object::{ExtentList, ObjectName, Payload, RangeSet, StoredObject};
 use crate::pool::Redundancy;
 
 /// One operation inside an object transaction (applied atomically).
@@ -71,31 +71,15 @@ fn punch_end(offset: u64, len: u64, object_len: u64) -> u64 {
     offset.saturating_add(len).min(object_len)
 }
 
-/// Applies `TxOp::Write`: `data` lands at `offset`, any gap zero-filled. A
-/// write starting at the current end — every sequential PUT after an
-/// object's first — appends instead of zero-filling what it then overwrites.
-fn write_into(buf: &mut Vec<u8>, offset: usize, data: &[u8]) {
-    if offset == buf.len() {
-        buf.extend_from_slice(data);
-        return;
-    }
-    let end = offset + data.len();
-    if buf.len() < end {
-        buf.resize(end, 0);
-    }
-    buf[offset..end].copy_from_slice(data);
-}
-
 /// Executes `ops`, already sized by [`Cluster::summarise`], against one
 /// copy of an object — a replica where it lies or a private logical copy —
-/// and returns the payload bytes it memcpy'd. `WriteFull` adopts the
-/// caller's buffer; the other data ops detach a private copy only while
-/// another view is alive ([`Bytes::with_vec_mut`]), so steady-state
-/// read-modify-write never copies the whole object again. `Remove` is the
-/// commit's business: it drops every copy.
+/// and returns the payload bytes it memcpy'd. Data ops work on pieces
+/// ([`ExtentList`]): `WriteFull` and `Write` adopt the caller's buffer, a
+/// punch or truncate drops what it covers, so only a compaction copies.
+/// `Remove` is the commit's business: it drops every copy.
 fn apply_ops(
     ops: &[TxOp],
-    data: &mut Bytes,
+    data: &mut ExtentList,
     xattrs: &mut BTreeMap<String, Bytes>,
     omap: &mut BTreeMap<String, Bytes>,
     holes: &mut RangeSet,
@@ -105,16 +89,15 @@ fn apply_ops(
         match op {
             TxOp::WriteFull(buf) => {
                 holes.clear();
-                *data = buf.clone();
+                *data = buf.clone().into();
             }
             TxOp::Write { offset, data: buf } => {
-                data.with_vec_mut(|v| write_into(v, *offset as usize, buf));
+                copied += data.write(*offset, buf.clone());
                 holes.remove(*offset, *offset + buf.len() as u64);
-                copied += buf.len() as u64;
             }
             TxOp::Truncate(len) => {
-                let old = data.len() as u64;
-                data.with_vec_mut(|v| v.resize(*len as usize, 0));
+                let old = data.len();
+                data.truncate(*len);
                 holes.truncate(*len);
                 if *len > old {
                     // Zero-extension is sparse.
@@ -122,9 +105,9 @@ fn apply_ops(
                 }
             }
             TxOp::PunchHole { offset, len } => {
-                let end = punch_end(*offset, *len, data.len() as u64);
+                let end = punch_end(*offset, *len, data.len());
                 if *offset < end {
-                    data.with_vec_mut(|v| v[*offset as usize..end as usize].fill(0));
+                    copied += data.punch(*offset, end);
                     holes.insert(*offset, end);
                 }
             }
@@ -255,7 +238,7 @@ impl Cluster {
             let l = &mut logical;
             let copied = apply_ops(ops, &mut l.data, &mut l.xattrs, &mut l.omap, &mut l.holes);
             self.metrics.bytes_copied.add(copied);
-            debug_assert_eq!(logical.data.len() as u64, sum.len);
+            debug_assert_eq!(logical.data.len(), sum.len);
             self.encode_replicas(st, &logical, acting.len())?
         };
         let cost = self.tx_cost(ctx, st, &acting, &sum, &at);
@@ -280,7 +263,7 @@ impl Cluster {
             for &osd in &acting {
                 let mut store = self.osd_store_mut(osd);
                 let obj = store.get_or_insert_with(pool, name, || {
-                    StoredObject::new(Payload::Full(Bytes::new()))
+                    StoredObject::new(Payload::Full(ExtentList::new()))
                 });
                 // Checked above; only a caller racing two transactions on
                 // one object can make it differ, and scrub reports that.
@@ -288,7 +271,7 @@ impl Cluster {
                     continue;
                 };
                 let copied = apply_ops(ops, data, &mut obj.xattrs, &mut obj.omap, &mut obj.holes);
-                let len = data.len() as u64;
+                let len = data.len();
                 obj.stored_bytes = len - obj.holes.total().min(len);
                 self.metrics.bytes_copied.add(copied);
             }
@@ -307,25 +290,53 @@ impl Cluster {
         Ok(Timed::new((), cost))
     }
 
+    /// `data` as contiguous bytes, for the consumers that need them so: the
+    /// EC encoder, at-rest compression and [`Cluster::rebuild_ops`]. A
+    /// gather of more than one piece is counted as copied.
+    fn flatten(&self, data: &ExtentList) -> Bytes {
+        let (flat, copied) = data.flatten();
+        self.metrics.bytes_copied.add(copied);
+        flat
+    }
+
+    /// The synthetic transaction that rebuilds `logical` from scratch
+    /// (checkpoint segments, recovery, repair). Holes are re-punched
+    /// explicitly: materializing them as resident zeros would silently
+    /// break dedup redirection and space accounting after a recovery.
+    pub(crate) fn rebuild_ops(&self, logical: LogicalObject) -> Vec<TxOp> {
+        let (xattrs, omap) = (logical.xattrs.into_iter(), logical.omap.into_iter());
+        let mut ops = vec![TxOp::WriteFull(self.flatten(&logical.data))];
+        ops.extend(logical.holes.iter().map(|(start, end)| TxOp::PunchHole {
+            offset: start,
+            len: end - start,
+        }));
+        ops.extend(xattrs.map(|(k, v)| TxOp::SetXattr(k, v)));
+        ops.extend(omap.map(|(k, v)| TxOp::SetOmap(k, v)));
+        ops
+    }
+
     /// The replicas or shards holding `logical`, in acting order.
     ///
-    /// Zero-copy fan-out: replicated pools store a refcounted view of one
-    /// parent buffer per OSD, and EC pools slice all `k + m` shards out of
-    /// one contiguous stripe buffer, so no replica or shard owns a private
-    /// payload allocation.
+    /// Zero-copy fan-out: replicated pools store one clone of the piece
+    /// list per OSD (refcount bumps), and EC pools slice all `k + m` shards
+    /// out of one contiguous stripe buffer, so no replica or shard owns a
+    /// private payload allocation.
     fn encode_replicas(
         &self,
         st: &PoolState,
         logical: &LogicalObject,
         width: usize,
     ) -> Result<Vec<StoredObject>, StoreError> {
-        let len = logical.data.len() as u64;
+        let len = logical.data.len();
         let hole_bytes = logical.holes.total().min(len);
         let replica = |payload: Payload, resident: u64| {
             let stored_bytes = match (&payload, st.config.compression) {
                 (_, false) => resident,
-                (Payload::Full(b) | Payload::Shard { bytes: b, .. }, true) => {
-                    dedup_compress::compress(b).len() as u64
+                (Payload::Full(data), true) => {
+                    dedup_compress::compress(&self.flatten(data)).len() as u64
+                }
+                (Payload::Shard { bytes, .. }, true) => {
+                    dedup_compress::compress(bytes).len() as u64
                 }
             };
             StoredObject {
@@ -339,7 +350,8 @@ impl Cluster {
         Ok(match &st.codec {
             None => vec![replica(Payload::Full(logical.data.clone()), len - hole_bytes); width],
             Some(codec) => {
-                let (stripe, shard_len) = codec.encode_object_striped(&logical.data)?;
+                let (stripe, shard_len) =
+                    codec.encode_object_striped(&self.flatten(&logical.data))?;
                 let stripe = Bytes::from(stripe);
                 let hole_share = hole_bytes / codec.data_shards() as u64;
                 let resident = (shard_len as u64).saturating_sub(hole_share);
@@ -640,14 +652,37 @@ mod tests {
         );
     }
 
+    /// Every payload memcpy in the store reaches `engine.bytes_copied`, and
+    /// nothing else does: in-place writes adopt the callers' buffers, while
+    /// a read gather, an EC gather, a flatten of several pieces and a
+    /// compaction each count what they copy.
     #[test]
-    fn write_into_appends_patches_and_zero_fills_gaps() {
-        let mut buf = vec![1u8; 4];
-        write_into(&mut buf, 4, &[2, 2]); // starts at the end: append
-        write_into(&mut buf, 1, &[3]); // inside
-        write_into(&mut buf, 5, &[4, 4]); // straddles the end
-        write_into(&mut buf, 9, &[5]); // past the end: the gap reads zero
-        assert_eq!(buf, [1, 3, 1, 1, 2, 4, 4, 0, 0, 5]);
+    fn every_store_copy_is_counted() {
+        let mut c = cluster();
+        let (rep, ec) = (rep_pool(&mut c), ec_pool(&mut c));
+        let copied = c.registry().counter("engine.bytes_copied");
+        let name = ObjectName::new("obj");
+        let _ = c.write_at(&rep, &name, 0, vec![1u8; 100]).expect("write");
+        let _ = c.write_at(&rep, &name, 100, vec![2u8; 100]).expect("write");
+        let _ = c.read_at(&rep, &name, 10, 20).expect("read");
+        assert_eq!(copied.get(), 0, "in-place writes and a one-piece read");
+        let _ = c.read_at(&rep, &name, 90, 20).expect("read");
+        assert_eq!(copied.get(), 20, "read gather across two buffers");
+
+        // EC partial write: gather the object (100), flatten its three
+        // pieces for the encoder (100).
+        let _ = c.write_full(&ec, &name, vec![3u8; 100]).expect("write");
+        assert_eq!(copied.get(), 20, "a whole write is one piece");
+        let _ = c.write_at(&ec, &name, 50, vec![4u8; 10]).expect("write");
+        assert_eq!(copied.get(), 220);
+
+        // One piece past the bound: each of the two replicas compacts its
+        // 65 one-byte pieces.
+        let frag = ObjectName::new("fragmented");
+        for i in 0..=crate::object::MAX_PIECES as u64 {
+            let _ = c.write_at(&rep, &frag, 2 * i, vec![9u8]).expect("write");
+        }
+        assert_eq!(copied.get(), 220 + 2 * 65);
     }
 
     /// A WAL-attached cluster: "nothing was logged" is `wal.appends`.
@@ -665,7 +700,7 @@ mod tests {
     }
 
     /// `offset + len` used to wrap past the cap check, reach the log, and
-    /// panic in `write_into` with the first replica already resized.
+    /// panic in the interpreter with the first replica already resized.
     #[test]
     fn write_wrapping_past_u64_max_is_refused_before_the_log() {
         let mut c = logged_cluster();

@@ -40,7 +40,7 @@ pub use cluster::{
 };
 pub use error::StoreError;
 pub use health::{OsdHealth, WalHealth};
-pub use object::{ObjectName, Payload, RangeSet, StoredObject, PER_OBJECT_OVERHEAD};
+pub use object::{ExtentList, ObjectName, Payload, RangeSet, StoredObject, PER_OBJECT_OVERHEAD};
 pub use osd::{Osd, OsdStats};
 pub use perf::{ClientId, PerfConfig, PerfTopology};
 pub use pool::{PoolConfig, PoolUsage, Redundancy};

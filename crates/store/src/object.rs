@@ -60,16 +60,197 @@ impl From<String> for ObjectName {
     }
 }
 
+/// Most pieces an [`ExtentList`] keeps: a mutation that would leave more
+/// compacts it into one buffer, bounding splice work and pinned parents.
+pub(crate) const MAX_PIECES: usize = 64;
+
+/// A whole object's bytes: sorted, non-overlapping, non-empty
+/// `(offset, Bytes)` pieces plus a logical length; bytes no piece covers
+/// read as zero. A write adopts the caller's buffer as a piece, splitting
+/// what it overlaps by `slice`; a punch or a shrinking truncate drops or
+/// splits pieces, freeing the range once no other view holds its parent.
+/// The one copy is compaction past 64 pieces; until then a piece pins its
+/// whole parent allocation.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct ExtentList {
+    pieces: Vec<(u64, Bytes)>,
+    len: u64,
+}
+
+impl ExtentList {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Logical length in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the logical length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pieces in offset order.
+    pub fn pieces(&self) -> impl Iterator<Item = (u64, &Bytes)> + '_ {
+        self.pieces.iter().map(|(offset, b)| (*offset, b))
+    }
+
+    /// Writes `data` at `offset`, growing the length to its end; returns
+    /// the bytes compaction copied.
+    pub fn write(&mut self, offset: u64, data: Bytes) -> u64 {
+        let end = offset + data.len() as u64;
+        self.len = self.len.max(end);
+        if data.is_empty() {
+            return 0;
+        }
+        self.splice(offset, end, Some(data))
+    }
+
+    /// Drops `[start, end)`, within the length, so it reads as zero;
+    /// returns the bytes compaction copied.
+    pub fn punch(&mut self, start: u64, end: u64) -> u64 {
+        if start >= end {
+            return 0;
+        }
+        self.splice(start, end, None)
+    }
+
+    /// Sets the length: shrinking drops what lies beyond (never a copy),
+    /// growing adds zeros that occupy no piece.
+    pub fn truncate(&mut self, len: u64) {
+        if len < self.len {
+            self.splice(len, self.len, None);
+        }
+        self.len = len;
+    }
+
+    /// `[offset, offset + len)`, within the length, and the bytes memcpy'd
+    /// to produce it: a range inside one piece, or across adjacent views of
+    /// one parent, is a view; anything else is gathered, gaps zero.
+    pub fn read(&self, offset: u64, len: u64) -> (Bytes, u64) {
+        let end = offset + len;
+        debug_assert!(end <= self.len, "read {offset}+{len} past {}", self.len);
+        let views = self.pieces[self.overlapping(offset, end)]
+            .iter()
+            .map(|p @ (at, b)| {
+                let (s, e) = (offset.max(*at), end.min(piece_end(p)));
+                (s, b.slice((s - at) as usize..(e - at) as usize))
+            });
+        let mut joined = Some(Bytes::new());
+        for (s, view) in views.clone() {
+            let next = |j: Bytes| j.try_join(&view).filter(|_| offset + j.len() as u64 == s);
+            joined = joined.and_then(next);
+        }
+        if let Some(view) = joined.filter(|j| j.len() as u64 == len) {
+            return (view, 0);
+        }
+        let (mut out, mut copied) = (vec![0u8; len as usize], 0);
+        for (s, view) in views {
+            let at = (s - offset) as usize;
+            out[at..at + view.len()].copy_from_slice(&view);
+            copied += view.len() as u64;
+        }
+        (out.into(), copied)
+    }
+
+    /// The whole object as contiguous bytes and the bytes memcpy'd to
+    /// produce it (none for one piece spanning it).
+    pub fn flatten(&self) -> (Bytes, u64) {
+        self.read(0, self.len)
+    }
+
+    /// Index range of the pieces overlapping `[start, end)`.
+    fn overlapping(&self, start: u64, end: u64) -> std::ops::Range<usize> {
+        let first = self.pieces.partition_point(|p| piece_end(p) <= start);
+        first..self.pieces.partition_point(|(at, _)| *at < end)
+    }
+
+    /// Replaces `[start, end)` with `with` (or a gap), keeping what the
+    /// overlapped pieces hold outside it; returns what compaction copied.
+    fn splice(&mut self, start: u64, end: u64, with: Option<Bytes>) -> u64 {
+        let range = self.overlapping(start, end);
+        let overlapped = &self.pieces[range.clone()];
+        let head = (overlapped.first())
+            .filter(|(at, _)| *at < start)
+            .map(|(at, b)| (*at, b.slice(..(start - at) as usize)));
+        let tail = (overlapped.last())
+            .filter(|p| piece_end(p) > end)
+            .map(|(at, b)| (end, b.slice((end - at) as usize..)));
+        let mid = range.start + usize::from(head.is_some());
+        let added = with.is_some();
+        let new = [head, with.map(|b| (start, b)), tail];
+        self.pieces.splice(range, new.into_iter().flatten());
+        if added {
+            self.join(mid + 1);
+            self.join(mid);
+        }
+        if self.pieces.len() <= MAX_PIECES {
+            return 0;
+        }
+        let first = self.pieces[0].0;
+        let end = self.pieces.last().map_or(first, piece_end);
+        let (buf, copied) = self.read(first, end - first);
+        self.pieces = vec![(first, buf)];
+        copied
+    }
+
+    /// Merges pieces `i - 1` and `i` if they are adjacent views of one
+    /// parent.
+    fn join(&mut self, i: usize) {
+        let Some([prev, (at, next)]) = i.checked_sub(1).and_then(|p| self.pieces.get(p..=i)) else {
+            return;
+        };
+        if let Some(joined) = prev.1.try_join(next).filter(|_| piece_end(prev) == *at) {
+            self.pieces[i - 1].1 = joined;
+            self.pieces.remove(i);
+        }
+    }
+}
+
+/// Where a piece ends.
+fn piece_end((at, b): &(u64, Bytes)) -> u64 {
+    at + b.len() as u64
+}
+
+impl PartialEq for ExtentList {
+    /// Same bytes, whatever the piece boundaries. Only scrub, repair and
+    /// tests compare payloads, so gathering several pieces is fine.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.flatten().0 == other.flatten().0
+    }
+}
+
+impl Eq for ExtentList {}
+
+impl From<Bytes> for ExtentList {
+    /// One piece spanning the object: adopts the buffer.
+    fn from(data: Bytes) -> Self {
+        let len = data.len() as u64;
+        let pieces = Some((0, data)).filter(|(_, b)| !b.is_empty());
+        let pieces = pieces.into_iter().collect();
+        ExtentList { pieces, len }
+    }
+}
+
+impl From<Vec<u8>> for ExtentList {
+    fn from(data: Vec<u8>) -> Self {
+        Bytes::from(data).into()
+    }
+}
+
 /// What one OSD physically holds for an object: a full copy (replicated
 /// pools) or one erasure-coded shard.
 ///
-/// Payload bytes are [`Bytes`]: replicas and shards produced by one write
-/// fan-out all share the writer's parent allocation, and reads hand back
-/// refcounted sub-views instead of fresh vectors.
+/// Payload bytes are [`Bytes`]: a full copy's pieces are the writers'
+/// buffers, one write's EC shards slice one stripe buffer, and reads hand
+/// back refcounted sub-views instead of fresh vectors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Payload {
     /// Entire object data.
-    Full(Bytes),
+    Full(ExtentList),
     /// One Reed–Solomon shard of the object.
     Shard {
         /// Shard index in `[0, k + m)`.
@@ -85,7 +266,7 @@ impl Payload {
     /// Bytes physically occupied by this payload before compression.
     pub fn stored_len(&self) -> u64 {
         match self {
-            Payload::Full(b) => b.len() as u64,
+            Payload::Full(data) => data.len(),
             Payload::Shard { bytes, .. } => bytes.len() as u64,
         }
     }
@@ -93,7 +274,7 @@ impl Payload {
     /// Logical object length this payload implies.
     pub fn object_len(&self) -> u64 {
         match self {
-            Payload::Full(b) => b.len() as u64,
+            Payload::Full(data) => data.len(),
             Payload::Shard { object_len, .. } => *object_len,
         }
     }
@@ -333,6 +514,119 @@ mod tests {
         assert_eq!(o.footprint(), 100 + PER_OBJECT_OVERHEAD);
     }
 
+    /// `(offset, len, pointer)` of every piece.
+    fn layout(e: &ExtentList) -> Vec<(u64, usize, *const u8)> {
+        e.pieces()
+            .map(|(at, b)| (at, b.len(), b.as_ptr()))
+            .collect()
+    }
+
+    #[test]
+    fn writes_adopt_buffers_and_rejoin_adjacent_views() {
+        let parent = Bytes::from(vec![7u8; 300]);
+        let mut e = ExtentList::from(parent.slice(..100));
+        // Adjacent views of one parent merge into one piece.
+        assert_eq!(e.write(100, parent.slice(100..200)), 0);
+        assert_eq!(layout(&e), vec![(0, 200, parent.as_ptr())]);
+        // Another parent splits what it overlaps, by slicing.
+        let other = Bytes::from(vec![9u8; 50]);
+        assert_eq!(e.write(75, other.clone()), 0);
+        let ptr = parent.as_ptr();
+        assert_eq!(
+            layout(&e),
+            vec![
+                (0, 75, ptr),
+                (75, 50, other.as_ptr()),
+                (125, 75, ptr.wrapping_add(125))
+            ]
+        );
+        // Past the end: the gap is no piece, and reads zero.
+        assert_eq!(e.write(250, other.slice(..10)), 0);
+        assert_eq!((e.len(), e.pieces().count()), (260, 4));
+        assert_eq!(e.read(200, 50), (Bytes::from(vec![0u8; 50]), 0));
+    }
+
+    #[test]
+    fn punch_and_truncate_drop_pieces() {
+        let mut e = ExtentList::from(vec![1u8; 100]);
+        assert_eq!(e.punch(20, 40), 0);
+        assert_eq!(
+            e.pieces().map(|(at, b)| (at, b.len())).collect::<Vec<_>>(),
+            [(0, 20), (40, 60)]
+        );
+        e.truncate(30);
+        assert_eq!(
+            e.pieces().map(|(at, b)| (at, b.len())).collect::<Vec<_>>(),
+            [(0, 20)]
+        );
+        e.truncate(1000); // zero-extension stays sparse
+        assert_eq!((e.len(), e.pieces().count()), (1000, 1));
+        e.truncate(0);
+        assert!(e.is_empty() && e.pieces().next().is_none());
+    }
+
+    #[test]
+    fn equality_compares_bytes_not_layout() {
+        let whole = ExtentList::from(vec![0, 0, 5, 6, 0]);
+        let mut pieces = ExtentList::new();
+        let _ = pieces.write(3, vec![6].into());
+        let _ = pieces.write(2, vec![5].into());
+        pieces.truncate(5);
+        assert_eq!(whole, pieces, "resident zeros equal a gap");
+        let _ = pieces.write(4, vec![1].into());
+        assert_ne!(whole, pieces);
+        assert_ne!(ExtentList::from(vec![0; 4]), ExtentList::from(vec![0; 5]));
+    }
+
+    /// Every memcpy an extent list makes is returned to the caller, which
+    /// counts it in `engine.bytes_copied`.
+    #[test]
+    fn copies_are_reported() {
+        let parent = Bytes::from((0..=255).collect::<Vec<u8>>());
+        let mut e = ExtentList::from(parent.slice(..64));
+        let _ = e.write(64, Bytes::from(vec![1u8; 64]));
+        // A read inside one piece, or a flatten of one piece, is a view.
+        let (view, copied) = e.read(8, 16);
+        assert_eq!(
+            (copied, view.as_ptr()),
+            (0, parent.as_ptr().wrapping_add(8))
+        );
+        let single = ExtentList::from(parent.clone());
+        assert_eq!(single.flatten().1, 0);
+        assert_eq!(single.flatten().0.as_ptr(), parent.as_ptr());
+        // Adjacent views of one parent join; unrelated parents gather.
+        let mut joined = ExtentList::new();
+        let _ = joined.write(0, parent.slice(..10));
+        let _ = joined.punch(5, 10);
+        let _ = joined.write(5, parent.slice(5..10));
+        assert_eq!(joined.read(0, 10).1, 0);
+        assert_eq!(e.read(60, 8).1, 8, "read gather across parents");
+        assert_eq!(e.flatten().1, 128, "flatten of more than one piece");
+        // Gaps are zero-filled, not copied.
+        e.truncate(200);
+        assert_eq!(e.read(100, 100).1, 28);
+    }
+
+    #[test]
+    fn compaction_bounds_the_piece_count() {
+        let mut e = ExtentList::new();
+        for i in 0..MAX_PIECES as u64 {
+            assert_eq!(e.write(2 * i, vec![i as u8 + 1].into()), 0);
+        }
+        assert_eq!(e.pieces().count(), MAX_PIECES);
+        // One piece more compacts: one buffer, every resident byte copied.
+        let before = e.clone();
+        assert_eq!(e.write(1000, vec![9].into()), MAX_PIECES as u64 + 1);
+        assert_eq!(layout(&e).len(), 1);
+        assert_eq!(
+            e.pieces().next().map(|(at, b)| (at, b.len())),
+            Some((0, 1001))
+        );
+        let mut expect = before;
+        let _ = expect.write(1000, vec![9].into());
+        assert_eq!(e, expect);
+    }
+
     #[test]
     fn rangeset_insert_merges() {
         let mut r = RangeSet::new();
@@ -376,6 +670,129 @@ mod tests {
         assert!(r.is_empty());
         r.remove(1, 1);
         assert!(r.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod extent_list_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `len` bytes at `offset`: a view of the shared parent at `src`
+        /// (adjacent writes can rejoin) or a fresh buffer.
+        Write {
+            offset: u64,
+            src: usize,
+            len: usize,
+            fresh: bool,
+        },
+        Punch(u64, u64),
+        Truncate(u64),
+        Read(u64, u64),
+    }
+
+    /// Short writes and punches over a few hundred bytes, so lists often
+    /// fragment past [`MAX_PIECES`].
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            10 => (0u64..512, 0usize..504, 0usize..8, any::<bool>())
+                .prop_map(|(offset, src, len, fresh)| Op::Write { offset, src, len, fresh }),
+            2 => (0u64..512, 0u64..24).prop_map(|(a, w)| Op::Punch(a, a + w)),
+            1 => (0u64..520).prop_map(Op::Truncate),
+            2 => (0u64..520, 0u64..520).prop_map(|(a, b)| Op::Read(a.min(b), a.max(b))),
+        ]
+    }
+
+    /// Piece `(offset, len)` pairs.
+    fn spans(e: &ExtentList) -> Vec<(u64, u64)> {
+        e.pieces().map(|(at, b)| (at, b.len() as u64)).collect()
+    }
+
+    proptest! {
+        /// An extent list agrees with a byte vector plus a hole bitmap
+        /// through any sequence of writes (also past the end), punches,
+        /// truncates both ways, reads and flattens; it keeps its pieces
+        /// sorted, disjoint, non-empty and within [`MAX_PIECES`]; a punch
+        /// that did not compact leaves no piece over the punched range;
+        /// and it equals a one-piece list of the same bytes.
+        #[test]
+        fn matches_vec_and_hole_bitmap_model(
+            seed in any::<u8>(),
+            ops in proptest::collection::vec(op_strategy(), 1..400),
+        ) {
+            let parent: Bytes = (0..512u32).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            let mut e = ExtentList::new();
+            let (mut bytes, mut hole) = (Vec::<u8>::new(), Vec::<bool>::new());
+            for op in ops {
+                let mut copied = 0;
+                match op {
+                    Op::Write { offset, src, len, fresh } => {
+                        let data = match fresh {
+                            true => Bytes::from(parent[src..src + len].to_vec()),
+                            false => parent.slice(src..src + len),
+                        };
+                        let (at, end) = (offset as usize, offset as usize + len);
+                        // A gap before `at` is a hole.
+                        bytes.resize(bytes.len().max(end), 0);
+                        hole.resize(bytes.len(), true);
+                        bytes[at..end].copy_from_slice(&data);
+                        hole[at..end].fill(false);
+                        copied = e.write(offset, data);
+                    }
+                    Op::Punch(a, b) => {
+                        let b = b.min(e.len());
+                        if a < b {
+                            bytes[a as usize..b as usize].fill(0);
+                            hole[a as usize..b as usize].fill(true);
+                        }
+                        copied = e.punch(a, b);
+                        if copied == 0 && a < b {
+                            let over = spans(&e).into_iter().any(|(at, n)| at < b && at + n > a);
+                            prop_assert!(!over, "punched [{}, {}) still held", a, b);
+                        }
+                    }
+                    Op::Truncate(n) => {
+                        bytes.resize(n as usize, 0);
+                        hole.resize(n as usize, true);
+                        e.truncate(n);
+                    }
+                    Op::Read(a, b) => {
+                        let (a, b) = (a.min(e.len()), b.min(e.len()));
+                        let (read, gathered) = e.read(a, b - a);
+                        prop_assert_eq!(&read[..], &bytes[a as usize..b as usize]);
+                        prop_assert!(gathered <= b - a);
+                    }
+                }
+                // A compaction leaves one buffer.
+                if copied > 0 {
+                    prop_assert_eq!(e.pieces().count(), 1);
+                }
+                prop_assert_eq!(e.len(), bytes.len() as u64);
+                let spans = spans(&e);
+                prop_assert!(spans.len() <= MAX_PIECES);
+                prop_assert!(spans.iter().all(|&(at, n)| n > 0 && at + n <= e.len()));
+                prop_assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+                // Every written byte is held by a piece; holes read zero.
+                let held = |i: u64| spans.iter().any(|&(at, n)| at <= i && i < at + n);
+                for (i, &h) in hole.iter().enumerate() {
+                    prop_assert!(h || held(i as u64), "written byte {} not held", i);
+                    prop_assert!(!h || bytes[i] == 0);
+                }
+                let (flat, _) = e.flatten();
+                prop_assert_eq!(&flat[..], &bytes[..]);
+                // Content equality ignores layout.
+                let twin = ExtentList::from(flat.to_vec());
+                prop_assert_eq!(&twin, &e);
+                prop_assert_eq!(&e, &twin);
+                if let Some(&last) = bytes.last() {
+                    let mut other = twin;
+                    let _ = other.write(e.len() - 1, vec![last ^ 1].into());
+                    prop_assert_ne!(&other, &e);
+                }
+            }
+        }
     }
 }
 

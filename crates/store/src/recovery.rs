@@ -156,9 +156,8 @@ impl Cluster {
             // nothing, which is exactly why deduplicated clusters recover
             // faster (paper Table 3). Metadata (chunk maps, refcounts)
             // moves with the object.
-            let resident = (logical.data.len() as u64)
-                .saturating_sub(logical.holes.total())
-                .max(1);
+            let len = logical.data.len();
+            let resident = len.saturating_sub(logical.holes.total()).max(1);
             let meta_bytes = metadata_bytes(&logical.xattrs, &logical.omap);
             let bytes = match redundancy {
                 Redundancy::Replicated(_) => resident + meta_bytes,
@@ -191,7 +190,7 @@ impl Cluster {
             // path (idempotent for devices already holding the right
             // content); its cost is discarded because it was charged
             // explicitly above.
-            let _ = self.transact(&IoCtx::new(pool), name, logical.into_rebuild_ops())?;
+            let _ = self.transact(&IoCtx::new(pool), name, self.rebuild_ops(logical))?;
         }
 
         for s in strays {
@@ -373,12 +372,12 @@ impl Cluster {
                 let logical = self
                     .load_logical(pool, name, &holders)?
                     .ok_or_else(|| StoreError::NoSuchObject(pool, name.clone()))?;
-                let bytes = logical.data.len() as u64;
+                let bytes = logical.data.len();
                 costs.push(CostExpr::par(acting.iter().map(|&osd| {
                     self.perf
                         .disk_io(osd.0 as usize, bytes.max(64) / acting.len() as u64)
                 })));
-                let _ = self.transact(&IoCtx::new(pool), name, logical.into_rebuild_ops())?;
+                let _ = self.transact(&IoCtx::new(pool), name, self.rebuild_ops(logical))?;
                 repaired = true;
             }
         }
@@ -405,6 +404,16 @@ mod tests {
     ) {
         let mut store = c.osd_store_mut(osd);
         f(store.get_mut(pool, name).expect("replica"));
+    }
+
+    /// XORs `mask` into byte `at` of a full replica. The write swaps a
+    /// piece into this replica's list only; buffers other replicas share
+    /// stay untouched.
+    fn flip(obj: &mut StoredObject, at: u64, mask: u8) {
+        if let Payload::Full(data) = &mut obj.payload {
+            let byte = data.read(at, 1).0[0] ^ mask;
+            let _ = data.write(at, vec![byte].into());
+        }
     }
 
     fn loaded_cluster(redundancy: PoolConfig) -> (crate::cluster::Cluster, IoCtx, Vec<Vec<u8>>) {
@@ -529,11 +538,7 @@ mod tests {
         let name = ObjectName::new("obj-0");
         let victim = c.holders(ctx.pool, &name)[0];
         // Corrupt one replica's payload behind the cluster's back.
-        corrupt(&c, victim, ctx.pool, &name, |obj| {
-            if let crate::object::Payload::Full(ref mut b) = obj.payload {
-                b.make_mut()[0] ^= 0xFF;
-            }
-        });
+        corrupt(&c, victim, ctx.pool, &name, |obj| flip(obj, 0, 0xFF));
         let findings = c.scrub(ctx.pool).expect("scrub");
         assert!(findings.iter().any(|f| f.name == name));
     }
@@ -568,11 +573,7 @@ mod tests {
         let (c, ctx, _) = loaded_cluster(PoolConfig::replicated("r", 2));
         let name = ObjectName::new("obj-1");
         let victim = c.holders(ctx.pool, &name)[1];
-        corrupt(&c, victim, ctx.pool, &name, |obj| {
-            if let crate::object::Payload::Full(ref mut b) = obj.payload {
-                b.make_mut()[100] ^= 1;
-            }
-        });
+        corrupt(&c, victim, ctx.pool, &name, |obj| flip(obj, 100, 1));
         let findings = c.deep_scrub(ctx.pool).expect("deep scrub");
         assert!(findings.iter().any(|f| f.name == name));
     }
@@ -582,11 +583,7 @@ mod tests {
         let (mut c, ctx, datasets) = loaded_cluster(PoolConfig::replicated("r", 2));
         let name = ObjectName::new("obj-3");
         let victim = c.holders(ctx.pool, &name)[1];
-        corrupt(&c, victim, ctx.pool, &name, |obj| {
-            if let crate::object::Payload::Full(ref mut b) = obj.payload {
-                b.make_mut()[5] ^= 0x42;
-            }
-        });
+        corrupt(&c, victim, ctx.pool, &name, |obj| flip(obj, 5, 0x42));
         assert!(!c.deep_scrub(ctx.pool).expect("scrub").is_empty());
         let t = c.repair_object(ctx.pool, &name).expect("repair");
         assert!(t.value, "repair reported work");

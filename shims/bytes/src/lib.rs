@@ -172,23 +172,6 @@ impl Bytes {
         &mut Arc::get_mut(&mut self.data).expect("detached arc is unique")[..len]
     }
 
-    /// Copy-on-write access to the backing vector itself, for callers
-    /// that need to resize as well as mutate. Detaches into a private
-    /// copy first unless this view uniquely owns its whole parent; after
-    /// `f` runs, the view re-covers the (possibly resized) vector.
-    pub fn with_vec_mut<R>(&mut self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        let unique = Arc::strong_count(&self.data) == 1;
-        if !(unique && self.offset == 0 && self.len == self.data.len()) {
-            let copy = self.as_slice().to_vec();
-            self.data = Arc::new(copy);
-            self.offset = 0;
-        }
-        let vec = Arc::get_mut(&mut self.data).expect("detached arc is unique");
-        let out = f(vec);
-        self.len = vec.len();
-        out
-    }
-
     /// Copies the view out into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
@@ -509,19 +492,6 @@ mod tests {
         let ptr = a.as_ptr();
         a.make_mut()[1] = 42;
         assert_eq!(a.as_ptr(), ptr, "unique view mutated without copying");
-    }
-
-    #[test]
-    fn with_vec_mut_detaches_and_resyncs_len() {
-        let mut a = Bytes::from(vec![1u8, 2, 3]);
-        let b = a.clone();
-        a.with_vec_mut(|v| v.resize(5, 9));
-        assert_eq!(a, [1u8, 2, 3, 9, 9]);
-        assert_eq!(b, [1u8, 2, 3], "sibling view unaffected");
-        // A windowed view re-covers just its own bytes after the call.
-        let mut w = Bytes::from(vec![0u8, 1, 2, 3]).slice(1..3);
-        w.with_vec_mut(|v| v.push(7));
-        assert_eq!(w, [1u8, 2, 7]);
     }
 
     #[test]

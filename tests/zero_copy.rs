@@ -6,14 +6,15 @@
 //! still cross a memcpy anywhere in the stack) and `engine.bytes_shared`
 //! (bytes moved by refcount bump where the old design copied). The
 //! aliasing tests go below the counters and check `Bytes::as_ptr`
-//! identity directly: every replica of a write must alias the caller's
-//! allocation, and every EC shard must alias one striped encode buffer.
+//! identity directly: every replica's pieces must alias the callers'
+//! allocations, a punched range must leave them, and every EC shard must
+//! alias one striped encode buffer.
 
 use bytes::Bytes;
 use global_dedup::core::{CachePolicy, DedupConfig, DedupStore};
 use global_dedup::sim::SimTime;
 use global_dedup::store::{
-    ClientId, ClusterBuilder, IoCtx, ObjectName, Payload, PoolConfig, StoredObject,
+    ClientId, ClusterBuilder, IoCtx, ObjectName, Payload, PoolConfig, StoredObject, TxOp,
 };
 use proptest::prelude::*;
 
@@ -175,17 +176,119 @@ fn replicated_fanout_aliases_one_buffer() {
     let copies = holdings(&cluster, pool, &name);
     assert_eq!(copies.len(), 3, "expected one copy per replica");
     for obj in &copies {
-        match &obj.payload {
-            Payload::Full(b) => {
-                assert!(
-                    b.same_parent(&data),
-                    "replica does not share the writer's allocation"
-                );
-                assert_eq!(b.as_ptr(), data.as_ptr(), "replica was deep-copied");
-            }
-            Payload::Shard { .. } => panic!("replicated pool stored a shard"),
-        }
+        let pieces = full_pieces(obj);
+        assert_eq!(pieces.len(), 1, "a whole write is one piece");
+        let (offset, b) = &pieces[0];
+        assert_eq!(*offset, 0);
+        assert!(
+            b.same_parent(&data),
+            "replica does not share the writer's allocation"
+        );
+        assert_eq!(b.as_ptr(), data.as_ptr(), "replica was deep-copied");
     }
+}
+
+/// A replica's pieces as owned `(offset, view)` pairs.
+fn full_pieces(obj: &StoredObject) -> Vec<(u64, Bytes)> {
+    match &obj.payload {
+        Payload::Full(data) => data.pieces().map(|(at, b)| (at, b.clone())).collect(),
+        Payload::Shard { .. } => panic!("replicated pool stored a shard"),
+    }
+}
+
+/// Sequential partial writes commit in place on every replica by
+/// splicing the caller's buffer in as a piece: each replica's pieces are
+/// the caller's allocations, pointer for pointer, and nothing is copied.
+#[test]
+fn in_place_appends_alias_the_callers_buffers() {
+    let mut cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
+    let pool = cluster.create_pool(PoolConfig::replicated("r3", 3));
+    let ctx = IoCtx::new(pool);
+    let name = ObjectName::new("appended");
+    let copied = cluster.registry().counter("engine.bytes_copied");
+    const PUT: usize = 128 * 1024;
+
+    // One allocation per PUT, so no two writes could share a parent.
+    let puts: Vec<Bytes> = (0..8)
+        .map(|i| Bytes::from(patterned(PUT, 20 + i)))
+        .collect();
+    let before = copied.get();
+    for (i, put) in puts.iter().enumerate() {
+        let _ = cluster
+            .write_at(&ctx, &name, (i * PUT) as u64, put.clone())
+            .expect("append");
+    }
+    assert_eq!(copied.get(), before, "an in-place append copied payload");
+
+    let copies = holdings(&cluster, pool, &name);
+    assert_eq!(copies.len(), 3, "expected one copy per replica");
+    for obj in &copies {
+        let pieces = full_pieces(obj);
+        assert_eq!(pieces.len(), puts.len(), "one piece per PUT");
+        for (i, ((offset, piece), put)) in pieces.iter().zip(&puts).enumerate() {
+            assert_eq!(*offset, (i * PUT) as u64);
+            assert!(
+                piece.same_parent(put),
+                "piece {i} is not the caller's buffer"
+            );
+            assert_eq!(piece.as_ptr(), put.as_ptr(), "piece {i} was deep-copied");
+            assert_eq!(piece.len(), PUT);
+        }
+        assert_eq!(obj.stored_bytes, (puts.len() * PUT) as u64);
+    }
+    let whole = cluster.read_full(&ctx, &name).expect("read").value;
+    assert_eq!(whole, puts.concat());
+}
+
+/// A punched range leaves every replica's piece list: no piece aliases
+/// the punched bytes any more, so their memory is released once nothing
+/// else holds it, and the space accounting is the old `len - holes`.
+#[test]
+fn punched_range_is_released() {
+    let mut cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
+    let pool = cluster.create_pool(PoolConfig::replicated("r3", 3));
+    let ctx = IoCtx::new(pool);
+    let name = ObjectName::new("punched");
+    let data = Bytes::from(patterned(256 * 1024, 4));
+    let _ = cluster
+        .write_full(&ctx, &name, data.clone())
+        .expect("write");
+    let (start, len) = (64 * 1024u64, 96 * 1024u64);
+    let punch = TxOp::PunchHole { offset: start, len };
+    let _ = cluster.transact(&ctx, &name, vec![punch]).expect("punch");
+
+    let punched =
+        data.as_ptr() as usize + start as usize..data.as_ptr() as usize + (start + len) as usize;
+    let copies = holdings(&cluster, pool, &name);
+    assert_eq!(copies.len(), 3, "expected one copy per replica");
+    for obj in &copies {
+        for (offset, piece) in full_pieces(obj) {
+            assert!(
+                offset + piece.len() as u64 <= start || offset >= start + len,
+                "piece at {offset} overlaps the hole"
+            );
+            let at = piece.as_ptr() as usize..piece.as_ptr() as usize + piece.len();
+            assert!(
+                at.end <= punched.start || at.start >= punched.end,
+                "piece at {offset} aliases punched bytes"
+            );
+        }
+        let object_len = obj.payload.object_len();
+        assert_eq!(
+            obj.stored_bytes,
+            object_len - obj.holes.total().min(object_len)
+        );
+        assert_eq!(obj.stored_bytes, data.len() as u64 - len);
+    }
+    let read = cluster.read_full(&ctx, &name).expect("read").value;
+    assert!(read[start as usize..(start + len) as usize]
+        .iter()
+        .all(|&b| b == 0));
+    assert_eq!(read[..start as usize], data[..start as usize]);
+    assert_eq!(
+        read[(start + len) as usize..],
+        data[(start + len) as usize..]
+    );
 }
 
 /// An EC write stripes all k+m shards into one contiguous encode buffer;
