@@ -26,8 +26,9 @@ pub enum DoctorInjection {
     /// No fault: a clean bill of health is the expected outcome.
     #[default]
     None,
-    /// Mark OSD 0 down after the midpoint segment (recoverable fault:
-    /// pools still serve from survivors, health goes `degraded`).
+    /// Mark OSD 0 down after the midpoint segment, or after the only one
+    /// (recoverable fault: pools still serve from survivors, health goes
+    /// `degraded`).
     OsdDown,
     /// Build the stack with a deliberately undersized Bloom gate so real
     /// traffic saturates it (health goes `critical`, engine emits
@@ -377,6 +378,9 @@ pub fn run_doctor(opts: &DoctorOptions) -> (DoctorReport, DedupSystem) {
     let mut capacity = Vec::new();
     let mut clock = SimTime::ZERO;
     let mut issued = 0u64;
+    // The segment after which an injected OSD failure lands: the midpoint,
+    // which for a single segment is that segment itself.
+    let osd_down_after = (segments / 2).max(1) - 1;
     for seg in 0..segments {
         let seg_stats =
             run_closed_loop_with_background(&mut system, 4, per_segment, seg + 1, true, |i, _| {
@@ -390,7 +394,7 @@ pub fn run_doctor(opts: &DoctorOptions) -> (DoctorReport, DedupSystem) {
         // the segment's dedup outcome, then sample.
         let _ = system.store_mut().flush_all(clock).expect("settle flush");
         capacity.push(system.store().sample_capacity(clock).expect("capacity"));
-        if seg + 1 == segments / 2 && opts.inject == DoctorInjection::OsdDown {
+        if seg == osd_down_after && opts.inject == DoctorInjection::OsdDown {
             system.cluster_mut().mark_down(OsdId(0));
         }
         // Prime / advance the stall probe each segment so queue stalls

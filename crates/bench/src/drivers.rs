@@ -181,7 +181,7 @@ fn issue_flow(
     if let Some(t) = tracer {
         let kind = if op.data.is_some() { "write" } else { "read" };
         let ctx = t.begin_op(kind, &op.object, at);
-        t.bind_flow(tag, &ctx);
+        t.bind_flow(tag, ctx);
     }
     let cost = match op.data {
         Some(ref data) => system.write(op.client, &op.object, op.offset, data, at),
@@ -204,7 +204,7 @@ fn attempt_background(
             if let Some(t) = tracer {
                 let worker = (tag - BG_BASE) as u32;
                 let ctx = t.begin_op("flush", &format!("worker-{worker}"), at);
-                t.bind_flow(tag, &ctx);
+                t.bind_flow(tag, ctx);
             }
             engine.start(at, &cost, tag)
         }

@@ -105,7 +105,7 @@ pub mod cdc {
              dedup (~0%) while CDC recovers most of it; the paper accepts \
              that loss to keep OSD CPU headroom (§5).\n"
         );
-        let mut sidecar = report::MetricsSidecar::new("ablation-cdc");
+        let mut sidecar = report::Sidecars::new("ablation-cdc");
         sidecar.capture_registry("analysis", &registry, SimTime::ZERO);
         sidecar.write();
     }
@@ -123,7 +123,7 @@ pub mod chunk_sweep {
             "Extends Table 2 on the private-cloud dataset.",
         );
         let dataset = CloudSpec::default().dataset();
-        let mut sidecar = report::MetricsSidecar::new("ablation-chunk-sweep");
+        let mut sidecar = report::Sidecars::new("ablation-chunk-sweep");
         let mut rows = Vec::new();
         for chunk_kib in [4u32, 8, 16, 32, 64, 128] {
             let cluster = ClusterBuilder::new().build();
@@ -200,7 +200,7 @@ pub mod cache_policy {
         let dataset = FioSpec::new(OBJECTS as u64 * OBJECT_SIZE, 0.5)
             .object_size(OBJECT_SIZE as u32)
             .dataset();
-        let mut sidecar = report::MetricsSidecar::new("ablation-cache-policy");
+        let mut sidecar = report::Sidecars::new("ablation-cache-policy");
         let mut rows = Vec::new();
         for (label, policy, hit_count) in [
             ("always evict", CachePolicy::EvictAll, 0u32),
@@ -333,7 +333,7 @@ pub mod tiered_fp {
         label: &'static str,
         config: DedupConfig,
         ops: u64,
-        sidecar: &mut report::MetricsSidecar,
+        sidecar: &mut report::Sidecars,
     ) -> Outcome {
         let mut sys = DedupSystem::new(label, config).background(BackgroundMode::Unthrottled);
         let stats = run_closed_loop_with_background(&mut sys, STREAMS, ops, 99, true, |i, rng| {
@@ -378,7 +378,7 @@ pub mod tiered_fp {
              collisions; the flat engine hashes every chunk.",
         );
         let ops = if smoke { 600 } else { 6_000 };
-        let mut sidecar = report::MetricsSidecar::new("ablation-tiered-fp");
+        let mut sidecar = report::Sidecars::new("ablation-tiered-fp");
         let flat = drive(
             "flat",
             DedupConfig::with_chunk_size(CHUNK),
@@ -559,7 +559,7 @@ pub mod compress_tradeoff {
         label: &str,
         config: DedupConfig,
         ops: &Ops,
-        sidecar: &mut report::MetricsSidecar,
+        sidecar: &mut report::Sidecars,
     ) -> Outcome {
         let mut sys = DedupSystem::new(
             label.to_string(),
@@ -582,7 +582,7 @@ pub mod compress_tradeoff {
         }
     }
 
-    fn drive_plain(label: &str, ops: &Ops, sidecar: &mut report::MetricsSidecar) -> Outcome {
+    fn drive_plain(label: &str, ops: &Ops, sidecar: &mut report::Sidecars) -> Outcome {
         let mut sys = OriginalSystem::new(
             label.to_string(),
             PoolConfig::replicated("d", 2).with_compression(),
@@ -610,7 +610,7 @@ pub mod compress_tradeoff {
              compression plane; `dedup+comp/fpC` additionally fingerprints \
              in the compressed domain, so full hashes touch fewer bytes.",
         );
-        let mut sidecar = report::MetricsSidecar::new("ablation-compress-tradeoff");
+        let mut sidecar = report::Sidecars::new("ablation-compress-tradeoff");
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut vm_outcomes: Vec<(String, Outcome)> = Vec::new();
         for (workload, dataset) in [

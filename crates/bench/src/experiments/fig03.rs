@@ -111,7 +111,7 @@ pub fn run() {
         ],
         &rows,
     );
-    let mut sidecar = report::MetricsSidecar::new("fig03");
+    let mut sidecar = report::Sidecars::new("fig03");
     sidecar.capture_registry("analysis", &registry, SimTime::ZERO);
     sidecar.write();
 }

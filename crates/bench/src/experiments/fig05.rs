@@ -146,20 +146,20 @@ pub fn run() {
         report::series("fg MB/s (noisy)", &busy.series.throughput_mbps(), 1),
     );
 
-    let mut sidecar = report::MetricsSidecar::new("fig05");
-    sidecar.capture("original", &original, orig.elapsed);
-    sidecar.capture("inline", &inline, inl.elapsed);
-    sidecar.capture("quiet", &quiet, base.elapsed);
-    sidecar.capture("unthrottled", &noisy, busy.elapsed);
-    sidecar.write();
+    let mut sidecars = report::Sidecars::new("fig05");
+    sidecars.capture("original", &original, orig.elapsed);
+    sidecars.capture("inline", &inline, inl.elapsed);
+    sidecars.capture("quiet", &quiet, base.elapsed);
+    sidecars.capture("unthrottled", &noisy, busy.elapsed);
 
     // Redirection-read probe: the unthrottled run left the backlog
     // deduplicated with its cached copies evicted, so these reads proxy
     // through the metadata pool to the chunk pool. Silent on stdout (the
     // figure's printed output must not depend on tracing) and after the
-    // metrics capture; its purpose is the trace sidecar, where each read
-    // decomposes into redirect.lookup / redirect.chunk_read /
-    // redirect.relay legs with separate queue and service segments.
+    // metrics snapshot; its purpose is the trace sidecar, read at write
+    // time, where each read decomposes into redirect.lookup /
+    // redirect.chunk_read / redirect.relay legs with separate queue and
+    // service segments.
     let _ = run_closed_loop(&mut noisy, 4, 64, 3, |i, _| {
         OpSpec::read(
             format!("backlog-{}", i % 512),
@@ -168,25 +168,5 @@ pub fn run() {
             ClientId(0),
         )
     });
-
-    let mut traces = report::TraceSidecar::new("fig05");
-    traces.capture("original", &original);
-    traces.capture("inline", &inline);
-    traces.capture("quiet", &quiet);
-    traces.capture("unthrottled", &noisy);
-    traces.write();
-
-    let mut events = report::EventSidecar::new("fig05");
-    events.capture("original", &original);
-    events.capture("inline", &inline);
-    events.capture("quiet", &quiet);
-    events.capture("unthrottled", &noisy);
-    events.write();
-
-    let mut opdumps = report::OpDumpSidecar::new("fig05");
-    opdumps.capture("original", &original);
-    opdumps.capture("inline", &inline);
-    opdumps.capture("quiet", &quiet);
-    opdumps.capture("unthrottled", &noisy);
-    opdumps.write();
+    sidecars.write();
 }

@@ -64,7 +64,7 @@ pub fn run() {
         "16 in-flight ops (4 threads x 4 iodepth) over a preloaded 32 MiB set.",
     );
     let data = dataset();
-    let mut sidecar = report::MetricsSidecar::new("fig10");
+    let mut sidecar = report::Sidecars::new("fig10");
 
     // ---- random write ----
     let mut rows = Vec::new();

@@ -51,7 +51,7 @@ pub fn run() {
         .object_size(OBJECT_SIZE as u32)
         .dataset();
 
-    let mut sidecar = report::MetricsSidecar::new("fig11");
+    let mut sidecar = report::Sidecars::new("fig11");
     let mut write_rows = Vec::new();
     let mut read_rows = Vec::new();
     for block in [32u64 * 1024, 64 * 1024, 128 * 1024] {

@@ -83,7 +83,7 @@ pub fn run() {
          higher under random writes.",
     );
     let dataset = spec().dataset();
-    let mut sidecar = report::MetricsSidecar::new("fig12");
+    let mut sidecar = report::Sidecars::new("fig12");
     let mut outcomes: Vec<Outcome> = Vec::new();
 
     {

@@ -149,7 +149,7 @@ pub fn run() {
          here 1000x down); dedup variants grow by only the unique user data \
          per image; ec+dedup+comp is the minimum.\n"
     );
-    let mut sidecar = report::MetricsSidecar::new("fig13");
+    let mut sidecar = report::Sidecars::new("fig13");
     for (name, system) in &systems {
         system
             .registry()

@@ -173,27 +173,9 @@ pub fn run() {
          stays within ~80-90% of ideal.\n"
     );
 
-    let mut sidecar = report::MetricsSidecar::new("fig14");
-    sidecar.capture("ideal", &ideal_sys, ideal.elapsed);
-    sidecar.capture("uncontrolled", &uncontrolled_sys, uncontrolled.elapsed);
-    sidecar.capture("controlled", &controlled_sys, controlled.elapsed);
-    sidecar.write();
-
-    let mut traces = report::TraceSidecar::new("fig14");
-    traces.capture("ideal", &ideal_sys);
-    traces.capture("uncontrolled", &uncontrolled_sys);
-    traces.capture("controlled", &controlled_sys);
-    traces.write();
-
-    let mut events = report::EventSidecar::new("fig14");
-    events.capture("ideal", &ideal_sys);
-    events.capture("uncontrolled", &uncontrolled_sys);
-    events.capture("controlled", &controlled_sys);
-    events.write();
-
-    let mut opdumps = report::OpDumpSidecar::new("fig14");
-    opdumps.capture("ideal", &ideal_sys);
-    opdumps.capture("uncontrolled", &uncontrolled_sys);
-    opdumps.capture("controlled", &controlled_sys);
-    opdumps.write();
+    let mut sidecars = report::Sidecars::new("fig14");
+    sidecars.capture("ideal", &ideal_sys, ideal.elapsed);
+    sidecars.capture("uncontrolled", &uncontrolled_sys, uncontrolled.elapsed);
+    sidecars.capture("controlled", &controlled_sys, controlled.elapsed);
+    sidecars.write();
 }

@@ -54,7 +54,7 @@ pub fn run() {
         ],
         &rows,
     );
-    let mut sidecar = report::MetricsSidecar::new("table1");
+    let mut sidecar = report::Sidecars::new("table1");
     sidecar.capture_registry("analysis", &registry, SimTime::ZERO);
     sidecar.write();
 }

@@ -24,7 +24,7 @@ pub fn run() {
         "Private-cloud dataset; ratios exclude replication redundancy as in the paper.",
     );
     let dataset = CloudSpec::default().dataset();
-    let mut sidecar = report::MetricsSidecar::new("table2");
+    let mut sidecar = report::Sidecars::new("table2");
     let mut rows = Vec::new();
     for &(chunk_kib, paper_ideal, paper_actual) in PAPER {
         let cluster = ClusterBuilder::new().build();

@@ -80,7 +80,7 @@ pub fn run() {
          Original/Proposed ratio is the reproduced shape.",
     );
     let data = dataset();
-    let mut sidecar = report::MetricsSidecar::new("table3");
+    let mut sidecar = report::Sidecars::new("table3");
     let mut rows = Vec::new();
     for &(failures, paper_orig, paper_prop) in PAPER {
         let (mut orig, _) = original_cluster(&data);

@@ -1,11 +1,11 @@
 //! Markdown reporting shared by every experiment binary, plus the
-//! JSON-lines metrics sidecar every figure binary drops next to its
-//! output.
+//! sidecars (metrics, and on request trace and events) every figure
+//! binary drops next to its output.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use dedup_obs::{sample_resources, TraceExport};
+use dedup_obs::{sample_resources, EventLog, Registry, TraceExport, Tracer};
 use dedup_sim::SimTime;
 
 use crate::systems::StorageSystem;
@@ -44,70 +44,70 @@ pub fn events_dir() -> Option<PathBuf> {
     std::env::var_os("DEDUP_EVENTS_DIR").map(PathBuf::from)
 }
 
-/// Where op-dump sidecars go, when op dumping is on: `$DEDUP_OPDUMP_DIR`,
-/// or `target/opdumps` when only the `DEDUP_OPDUMP` switch is set.
-/// Op dumps ride on the tracer, so they additionally require
-/// `DEDUP_TRACE_DIR` (otherwise no tracker exists to dump).
-pub fn opdump_dir() -> Option<PathBuf> {
-    if let Some(dir) = std::env::var_os("DEDUP_OPDUMP_DIR") {
-        return Some(PathBuf::from(dir));
-    }
-    std::env::var_os("DEDUP_OPDUMP").map(|_| PathBuf::from("target/opdumps"))
-}
-
 /// The tail every sidecar writer shares: creates `dir`, writes `body` to
 /// `<dir>/<figure>.<ext>` and prints the path. IO errors are reported on
 /// stderr as `<kind> sidecar skipped (...)` but never fatal — a read-only
 /// checkout must not kill a figure run.
-fn write_sidecar(kind: &str, dir: &Path, figure: &str, ext: &str, body: String) -> Option<PathBuf> {
+fn write_sidecar(kind: &str, dir: &Path, figure: &str, ext: &str, body: String) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("{kind} sidecar skipped ({}: {e})", dir.display());
-        return None;
+        return;
     }
     let path = dir.join(format!("{figure}.{ext}"));
     match std::fs::write(&path, body) {
-        Ok(()) => {
-            println!("{kind} sidecar: {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("{kind} sidecar skipped ({}: {e})", path.display());
-            None
-        }
+        Ok(()) => println!("{kind} sidecar: {}", path.display()),
+        Err(e) => eprintln!("{kind} sidecar skipped ({}: {e})", path.display()),
     }
 }
 
-/// Accumulates labelled registry snapshots from the systems an experiment
-/// ran and writes them as one `<figure>.metrics.jsonl` sidecar.
+/// The sidecars one figure run writes next to its stdout:
+/// `<figure>.metrics.jsonl` always (under `$DEDUP_METRICS_DIR`), plus
+/// `<figure>.trace.json` (Chrome trace, loadable in Perfetto /
+/// `chrome://tracing`) and `<figure>.events.jsonl` when
+/// `DEDUP_TRACE_DIR` / `DEDUP_EVENTS_DIR` are set and a captured system
+/// has a tracer / event log attached.
 ///
-/// Every line is one metric in the registry's JSON format, with a
-/// `system` label distinguishing the configurations under test.
-pub struct MetricsSidecar {
+/// Every metrics line is one metric in the registry's JSON format and
+/// every event line one event, each with a `system` label distinguishing
+/// the configurations under test.
+pub struct Sidecars {
     figure: String,
-    lines: Vec<String>,
+    metrics: Vec<String>,
+    traces: Vec<(String, Tracer)>,
+    events: Vec<(String, EventLog)>,
 }
 
-impl MetricsSidecar {
-    /// Starts a sidecar for `figure` (e.g. `"fig14"`).
+impl Sidecars {
+    /// Starts the sidecars for `figure` (e.g. `"fig14"`).
     pub fn new(figure: impl Into<String>) -> Self {
-        MetricsSidecar {
+        Sidecars {
             figure: figure.into(),
-            lines: Vec::new(),
+            metrics: Vec::new(),
+            traces: Vec::new(),
+            events: Vec::new(),
         }
     }
 
-    /// Snapshots `system`'s registry at virtual time `now`, tagging each
-    /// metric with `system=<label>`. Samples per-resource utilisation
-    /// into the registry first so the sidecar covers the timing plane
-    /// too.
+    /// Captures `system` under `label`. Its registry is snapshotted at
+    /// virtual time `now`, after sampling per-resource utilisation into it
+    /// so the metrics cover the timing plane too. Its tracer and event log,
+    /// when attached, are shared handles read at [`Sidecars::write`], so
+    /// work run between capture and write still lands in the trace (fig05's
+    /// redirection-read probe).
     pub fn capture(&mut self, label: &str, system: &dyn StorageSystem, now: SimTime) {
         let registry = system.registry();
         sample_resources(registry, &system.cluster().perf().pool, now);
         self.capture_registry(label, registry, now);
+        if let Some(t) = system.tracer() {
+            self.traces.push((label.to_string(), t.clone()));
+        }
+        if let Some(e) = system.events() {
+            self.events.push((label.to_string(), e.clone()));
+        }
     }
 
     /// Snapshots a bare registry (analyses without a storage stack).
-    pub fn capture_registry(&mut self, label: &str, registry: &dedup_obs::Registry, now: SimTime) {
+    pub fn capture_registry(&mut self, label: &str, registry: &Registry, now: SimTime) {
         let mut snaps = registry.snapshot(now);
         for snap in &mut snaps {
             // Registry labels are sorted by key; keep the injected label in
@@ -119,179 +119,51 @@ impl MetricsSidecar {
                 .unwrap_or_else(|p| p);
             snap.labels
                 .insert(pos, ("system".to_string(), label.to_string()));
-            self.lines.push(snap.to_json());
+            self.metrics.push(snap.to_json());
         }
     }
 
-    /// Lines captured so far (one JSON object per metric).
+    /// Metrics lines captured so far (one JSON object per metric).
     pub fn lines(&self) -> &[String] {
-        &self.lines
+        &self.metrics
     }
 
-    /// Writes the sidecar, creating the metrics directory if needed, and
-    /// prints its path. Errors are reported but not fatal: a read-only
-    /// checkout must not kill a figure run.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = metrics_dir();
-        let mut body = self.lines.join("\n");
+    /// Writes the metrics sidecar, and the trace and event sidecars when
+    /// asked for and non-empty, printing each path. IO errors are reported
+    /// but not fatal: a read-only checkout must not kill a figure run.
+    pub fn write(&self) {
+        let mut body = self.metrics.join("\n");
         body.push('\n');
-        write_sidecar("metrics", &dir, &self.figure, "metrics.jsonl", body)
-    }
-}
+        write_sidecar(
+            "metrics",
+            &metrics_dir(),
+            &self.figure,
+            "metrics.jsonl",
+            body,
+        );
 
-/// Accumulates labelled [`TraceExport`]s from the systems an experiment
-/// ran and writes them as one Chrome-trace `<figure>.trace.json` sidecar
-/// (loadable in Perfetto / `chrome://tracing`).
-///
-/// Does nothing unless `DEDUP_TRACE_DIR` is set: capture is a no-op for
-/// untraced systems and [`TraceSidecar::write`] without captures writes
-/// no file, so figure binaries can call this unconditionally.
-pub struct TraceSidecar {
-    figure: String,
-    exports: Vec<(String, TraceExport)>,
-}
-
-impl TraceSidecar {
-    /// Starts a trace sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        TraceSidecar {
-            figure: figure.into(),
-            exports: Vec::new(),
+        if let (Some(dir), false) = (trace_dir(), self.traces.is_empty()) {
+            let exports: Vec<(String, TraceExport)> = self
+                .traces
+                .iter()
+                .map(|(label, t)| (label.clone(), t.export()))
+                .collect();
+            let body = dedup_obs::render(&exports);
+            write_sidecar("trace", &dir, &self.figure, "trace.json", body);
         }
-    }
 
-    /// Captures `system`'s span trees under the `label` track group; no-op
-    /// when the system has no tracer attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if let Some(t) = system.tracer() {
-            self.exports.push((label.to_string(), t.export()));
+        let Some(dir) = events_dir() else { return };
+        let mut body = String::new();
+        for (label, log) in &self.events {
+            for e in log.events() {
+                // Splice the system label in as the first key; event JSON
+                // always starts with `{"seq":`.
+                let _ = writeln!(body, "{{\"system\":\"{label}\",{}", &e.to_json()[1..]);
+            }
         }
-    }
-
-    /// Captures from a bare tracer (stacks driven without a
-    /// [`StorageSystem`]).
-    pub fn capture_tracer(&mut self, label: &str, tracer: &dedup_obs::Tracer) {
-        self.exports.push((label.to_string(), tracer.export()));
-    }
-
-    /// Writes `<figure>.trace.json` under `DEDUP_TRACE_DIR` and prints its
-    /// path. Returns `None` (silently) when tracing is off or nothing was
-    /// captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = trace_dir()?;
-        if self.exports.is_empty() {
-            return None;
+        if !body.is_empty() {
+            write_sidecar("event", &dir, &self.figure, "events.jsonl", body);
         }
-        let body = dedup_obs::render(&self.exports);
-        write_sidecar("trace", &dir, &self.figure, "trace.json", body)
-    }
-}
-
-/// Accumulates labelled event-log exports and writes them as one
-/// `<figure>.events.jsonl` sidecar (one JSON object per event, each
-/// tagged with the system label).
-///
-/// Does nothing unless `DEDUP_EVENTS_DIR` is set: capture is a no-op for
-/// systems without an event log and [`EventSidecar::write`] without
-/// captures writes no file, so figure binaries can call this
-/// unconditionally.
-pub struct EventSidecar {
-    figure: String,
-    lines: Vec<String>,
-}
-
-impl EventSidecar {
-    /// Starts an event sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        EventSidecar {
-            figure: figure.into(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Captures `system`'s event log under `label`; no-op when the system
-    /// has no event log attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if let Some(ev) = system.events() {
-            self.capture_events(label, ev);
-        }
-    }
-
-    /// Captures from a bare [`dedup_obs::EventLog`].
-    pub fn capture_events(&mut self, label: &str, events: &dedup_obs::EventLog) {
-        for e in events.events() {
-            let line = e.to_json();
-            // Splice the system label in as the first key; event JSON
-            // always starts with `{"seq":`.
-            self.lines
-                .push(format!("{{\"system\":\"{label}\",{}", &line[1..]));
-        }
-    }
-
-    /// Writes `<figure>.events.jsonl` under `DEDUP_EVENTS_DIR` and prints
-    /// its path. Returns `None` (silently) when events are off or nothing
-    /// was captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = events_dir()?;
-        if self.lines.is_empty() {
-            return None;
-        }
-        let mut body = self.lines.join("\n");
-        body.push('\n');
-        write_sidecar("event", &dir, &self.figure, "events.jsonl", body)
-    }
-}
-
-/// Accumulates labelled op-tracker dumps (Ceph's `dump_in_flight_ops` /
-/// `dump_historic_ops`) and writes them as one `<figure>.ops.json`
-/// sidecar.
-///
-/// Gated on `DEDUP_OPDUMP` / `DEDUP_OPDUMP_DIR` (see [`opdump_dir`]); the
-/// dumps come from the tracer, so `DEDUP_TRACE_DIR` must be set too.
-pub struct OpDumpSidecar {
-    figure: String,
-    entries: Vec<String>,
-}
-
-impl OpDumpSidecar {
-    /// Starts an op-dump sidecar for `figure` (e.g. `"fig05"`).
-    pub fn new(figure: impl Into<String>) -> Self {
-        OpDumpSidecar {
-            figure: figure.into(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Captures `system`'s op-tracker state under `label`; no-op when op
-    /// dumping is off or the system has no tracer attached.
-    pub fn capture(&mut self, label: &str, system: &dyn StorageSystem) {
-        if opdump_dir().is_none() {
-            return;
-        }
-        if let Some(t) = system.tracer() {
-            self.capture_tracer(label, t);
-        }
-    }
-
-    /// Captures from a bare tracer.
-    pub fn capture_tracer(&mut self, label: &str, tracer: &dedup_obs::Tracer) {
-        self.entries.push(format!(
-            "{{\"system\":\"{label}\",\"in_flight\":{},\"historic\":{}}}",
-            tracer.dump_in_flight(),
-            tracer.dump_historic()
-        ));
-    }
-
-    /// Writes `<figure>.ops.json` under the op-dump directory and prints
-    /// its path. Returns `None` (silently) when op dumping is off or
-    /// nothing was captured; IO errors are reported but not fatal.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = opdump_dir()?;
-        if self.entries.is_empty() {
-            return None;
-        }
-        let body = format!("[{}]\n", self.entries.join(","));
-        write_sidecar("op-dump", &dir, &self.figure, "ops.json", body)
     }
 }
 

@@ -134,7 +134,7 @@ impl StorageSystem for OriginalSystem {
         data: &[u8],
         _now: SimTime,
     ) -> CostExpr {
-        let ctx = self.ctx.clone().with_client(client);
+        let ctx = self.ctx.with_client(client);
         self.cluster
             .write_at(&ctx, &ObjectName::new(name), offset, data.to_vec())
             .expect("original write")
@@ -149,7 +149,7 @@ impl StorageSystem for OriginalSystem {
         len: u64,
         _now: SimTime,
     ) -> CostExpr {
-        let ctx = self.ctx.clone().with_client(client);
+        let ctx = self.ctx.with_client(client);
         self.cluster
             .read_at(&ctx, &ObjectName::new(name), offset, len)
             .expect("original read")

@@ -44,32 +44,37 @@ fn doctor_ratio_matches_space_accounting() {
 }
 
 /// Acceptance: an injected OSD failure surfaces as a degraded/critical
-/// health finding and a matching structured event.
+/// health finding and a matching structured event — also when the run
+/// has a single segment, whose midpoint is that segment.
 #[test]
 fn injected_osd_down_surfaces_in_health_and_events() {
-    let (report, _system) = run_doctor(&smoke_opts(DoctorInjection::OsdDown));
+    for segments in [DoctorOptions::smoke().segments, 1] {
+        let mut opts = smoke_opts(DoctorInjection::OsdDown);
+        opts.segments = segments;
+        let (report, _system) = run_doctor(&opts);
 
-    assert!(
-        report.health.status() >= HealthStatus::Degraded,
-        "OSD down did not degrade health: {:?}",
-        report.health.findings
-    );
-    assert!(
-        report
-            .health
-            .findings
-            .iter()
-            .any(|f| f.code == "osd_down" && f.status >= HealthStatus::Degraded),
-        "no osd_down finding: {:?}",
-        report.health.findings
-    );
-    assert!(
-        report
-            .events
-            .iter()
-            .any(|e| e.kind == "osd_down" && e.severity >= Severity::Warn),
-        "no osd_down event in the timeline"
-    );
+        assert!(
+            report.health.status() >= HealthStatus::Degraded,
+            "{segments} segment(s): OSD down did not degrade health: {:?}",
+            report.health.findings
+        );
+        assert!(
+            report
+                .health
+                .findings
+                .iter()
+                .any(|f| f.code == "osd_down" && f.status >= HealthStatus::Degraded),
+            "{segments} segment(s): no osd_down finding: {:?}",
+            report.health.findings
+        );
+        assert!(
+            report
+                .events
+                .iter()
+                .any(|e| e.kind == "osd_down" && e.severity >= Severity::Warn),
+            "{segments} segment(s): no osd_down event in the timeline"
+        );
+    }
 }
 
 /// Acceptance: an undersized Bloom filter saturates under load and the

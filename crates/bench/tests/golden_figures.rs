@@ -17,7 +17,7 @@
 //!
 //! ```sh
 //! cargo build --release --offline -p dedup-bench
-//! env -u DEDUP_TRACE_DIR -u DEDUP_EVENTS_DIR -u DEDUP_OPDUMP -u DEDUP_OPDUMP_DIR \
+//! env -u DEDUP_TRACE_DIR -u DEDUP_EVENTS_DIR \
 //!   DEDUP_METRICS_DIR="$(mktemp -d)" target/release/fig03_local_vs_global \
 //!   | grep -v ' sidecar: ' > crates/bench/tests/golden/fig03.md
 //! ```
@@ -40,12 +40,7 @@ fn figure_stdout(exe: &str, tag: &str, trace_dir: Option<&Path>) -> String {
     let metrics = scratch(tag);
     let mut cmd = Command::new(exe);
     cmd.env("DEDUP_METRICS_DIR", &metrics);
-    for var in [
-        "DEDUP_TRACE_DIR",
-        "DEDUP_EVENTS_DIR",
-        "DEDUP_OPDUMP",
-        "DEDUP_OPDUMP_DIR",
-    ] {
+    for var in ["DEDUP_TRACE_DIR", "DEDUP_EVENTS_DIR"] {
         cmd.env_remove(var);
     }
     if let Some(dir) = trace_dir {
@@ -90,7 +85,9 @@ fn table1_osd_scaling() {
 
 /// Also the proof tracing is free of side effects, on a real figure: the
 /// same run with a tracer attached must print the same bytes, and the
-/// trace it writes must be a well-formed Chrome trace.
+/// trace it writes must be a well-formed Chrome trace in which the
+/// proxied redirection read decomposes into its lookup and chunk-read
+/// legs, with queueing and service time separated.
 #[test]
 #[ignore = "22 s in release; CI runs it with --include-ignored"]
 fn fig05_degradation() {
@@ -106,6 +103,14 @@ fn fig05_degradation() {
     let trace = std::fs::read_to_string(traces.join("fig05.trace.json")).expect("trace sidecar");
     let events = dedup_obs::validate_chrome_trace(&trace).expect("well-formed Chrome trace");
     assert!(events > 0, "traced fig05 recorded no events");
+    for needle in [
+        "\"redirect.lookup\"",
+        "\"redirect.chunk_read\"",
+        "\"queue\"",
+        "\"service\"",
+    ] {
+        assert!(trace.contains(needle), "traced fig05 has no {needle} span");
+    }
     let _ = std::fs::remove_dir_all(&traces);
 }
 

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use dedup_bench::drivers::{run_closed_loop_with_background, OpSpec};
-use dedup_bench::report::MetricsSidecar;
+use dedup_bench::report::Sidecars;
 use dedup_bench::systems::{BackgroundMode, DedupSystem, StorageSystem};
 use dedup_core::{CachePolicy, DedupConfig, Watermarks};
 use dedup_sim::SimTime;
@@ -103,7 +103,7 @@ fn fig14_style_snapshot_is_consistent() {
     let stats = run_closed_loop_with_background(&mut sys, STREAMS, OPS, 14, true, |i, _| seq_op(i));
     assert_eq!(stats.ops, OPS);
 
-    let mut sidecar = MetricsSidecar::new("test-fig14");
+    let mut sidecar = Sidecars::new("test-fig14");
     sidecar.capture("controlled", &sys, stats.elapsed);
 
     // Non-empty; every line is a self-contained JSON object tagged with

@@ -392,13 +392,12 @@ impl ChunkPool {
             .add(raw.len() as u64);
         let node = primary_node(cluster, self.pool, chunk)?;
         let nanos = self.compression.cost.decompress_nanos(raw.len() as u64);
-        let mut cpu = cluster
-            .perf()
-            .cpu_busy(node, SimDuration::from_nanos(nanos));
-        if cctx.trace.is_some() {
-            // Labelled only when traced, like the engine's own cost legs.
-            cpu = CostExpr::tagged("read.decompress_cpu", cpu);
-        }
+        let cpu = cluster.label(
+            "read.decompress_cpu",
+            cluster
+                .perf()
+                .cpu_busy(node, SimDuration::from_nanos(nanos)),
+        );
         let raw = Bytes::from(raw);
         let end = (off + len).min(raw.len() as u64);
         let start = off.min(end);

@@ -196,7 +196,7 @@ impl DedupStore {
             .set(batch.objects.len() as i64);
         record_stage_wall(
             &self.metrics.stage_wall_ns,
-            &self.tracer,
+            self.tracer(),
             "flush.stage",
             start,
         );
@@ -249,7 +249,7 @@ impl DedupStore {
         }
         record_stage_wall(
             &self.metrics.commit_wall_ns,
-            &self.tracer,
+            self.tracer(),
             "flush.commit",
             start,
         );
@@ -281,7 +281,7 @@ impl DedupStore {
         if let Some(ticket) = ticket {
             if !self.dirty.lock().check(&name, ticket) {
                 self.metrics.stage_conflicts.inc();
-                if let Some(ev) = &self.events {
+                if let Some(ev) = self.events() {
                     ev.emit(
                         Severity::Warn,
                         "engine.flush",
@@ -454,7 +454,7 @@ impl DedupStore {
                 Ok(self.label("flush.map_update", t.cost))
             })?;
         if chunks_compressed > 0 {
-            if let Some(ev) = &self.events {
+            if let Some(ev) = self.events() {
                 ev.emit(
                     Severity::Info,
                     "engine.compress",
@@ -572,7 +572,7 @@ impl DedupStore {
             .set((fill * 1_000_000.0) as i64);
         if self.chunks.bloom_newly_overfull(fill) {
             self.metrics.bloom_overfill.inc();
-            if let Some(ev) = &self.events {
+            if let Some(ev) = self.events() {
                 ev.emit(
                     Severity::Warn,
                     "engine.bloom",

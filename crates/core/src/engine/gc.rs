@@ -31,7 +31,7 @@ impl DedupStore {
         self.metrics
             .gc_stale_refs_dropped
             .add(report.stale_refs_dropped);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.events() {
             if report.chunks_reclaimed > 0
                 || report.stale_refs_dropped > 0
                 || report.counts_corrected > 0

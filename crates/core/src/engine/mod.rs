@@ -163,13 +163,8 @@ pub struct DedupStore {
     hitset: SharedHitSet,
     rate: Mutex<RateController>,
     metrics: EngineMetrics,
-    tracer: Option<Tracer>,
-    /// Structured event log shared with the cluster; `None` (the default)
-    /// keeps every emission site a single branch — the same
-    /// zero-cost-when-off contract as the tracer.
-    events: Option<EventLog>,
-    /// Flush-progress memory for the dirty-queue stall health probe
-    /// ([`crate::health::QueueHealth`]): what the previous probe saw.
+    /// Flush-progress memory for the dirty-queue stall health probe: what
+    /// the previous probe saw.
     stall: Mutex<crate::health::StallState>,
 }
 
@@ -201,8 +196,6 @@ impl DedupStore {
             rate: Mutex::new(RateController::new(config.watermarks)),
             config,
             metrics,
-            tracer: None,
-            events: None,
             stall: Mutex::new(crate::health::StallState::default()),
         }
     }
@@ -339,12 +332,12 @@ impl DedupStore {
         let (tiered, compression) = (self.config.tiered_fingerprint, self.config.compression);
         let (wall_ns, tracer) = (
             self.metrics.fingerprint_wall_ns.clone(),
-            self.tracer.clone(),
+            self.tracer().cloned(),
         );
         move |batch| {
             let start = Instant::now();
             fingerprint_batch(batch, parallelism, tiered, &compression);
-            record_stage_wall(&wall_ns, &tracer, "flush.fingerprint", start);
+            record_stage_wall(&wall_ns, tracer.as_ref(), "flush.fingerprint", start);
         }
     }
 
@@ -371,18 +364,18 @@ impl DedupStore {
         &self.metrics
     }
 
-    /// Attaches a tracer to the whole stack: the engine labels its dedup
-    /// cost legs, the underlying cluster labels its replication/EC legs,
-    /// and the tracer's slow-op counter lands in this engine's registry.
+    /// Attaches a tracer to the whole stack. The cluster holds the one
+    /// handle, so from now on every cost leg, the engine's dedup legs and
+    /// the cluster's replication/EC legs alike, carries its step name; the
+    /// tracer's slow-op counter lands in this engine's registry.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.cluster.attach_tracer(tracer.clone());
         tracer.attach_registry(self.registry());
-        self.tracer = Some(tracer);
+        self.cluster.attach_tracer(tracer);
     }
 
-    /// The attached tracer, if any.
+    /// The cluster's tracer, if one is attached.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        self.cluster.tracer()
     }
 
     /// Attaches a structured event log to the whole stack: the engine
@@ -392,48 +385,35 @@ impl DedupStore {
     /// virtual timeline — attaching a log never changes virtual-time
     /// results.
     pub fn attach_events(&mut self, events: EventLog) {
-        self.cluster.attach_events(events.clone());
-        self.events = Some(events);
+        self.cluster.attach_events(events);
     }
 
-    /// The attached event log, if any.
+    /// The cluster's event log, if one is attached.
     pub fn events(&self) -> Option<&EventLog> {
-        self.events.as_ref()
+        self.cluster.events()
     }
 
     /// Advances the event log's virtual clock when one is attached, so
     /// clock-less emitters (admin paths, recovery) stamp correctly.
     #[inline]
     fn advance_events(&self, now: SimTime) {
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.events() {
             ev.advance(now);
         }
     }
 
-    /// Tags `cost` with a semantic label when a tracer is attached;
-    /// returns it untouched (no allocation) otherwise.
+    /// Tags `cost` with a step name iff the cluster has a tracer
+    /// ([`Cluster::label`]).
     fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
-        if self.tracer.is_some() {
-            CostExpr::tagged(label, cost)
-        } else {
-            cost
-        }
-    }
-
-    fn io_ctx(&self, pool: PoolId, client: ClientId) -> IoCtx {
-        let ctx = IoCtx::new(pool).with_client(client);
-        match &self.tracer {
-            Some(t) => ctx.with_trace(t.ctx()),
-            None => ctx,
-        }
+        self.cluster.label(label, cost)
     }
 
     fn meta_ctx(&self, client: ClientId) -> IoCtx {
-        self.io_ctx(self.metadata_pool, client)
+        IoCtx::new(self.metadata_pool).with_client(client)
     }
 
     fn chunk_ctx(&self, client: ClientId) -> IoCtx {
-        self.io_ctx(self.chunks.pool(), client)
+        IoCtx::new(self.chunks.pool()).with_client(client)
     }
 
     fn load_chunk_map(&self, name: &ObjectName) -> Result<Vec<ChunkMapEntry>, DedupError> {
@@ -475,7 +455,7 @@ impl DedupStore {
         };
         let prev = self.metrics.rate_band.get();
         self.metrics.rate_band.set(band);
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.events() {
             ev.advance(now);
             if prev != band {
                 ev.emit_at(

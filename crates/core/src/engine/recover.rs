@@ -69,7 +69,7 @@ impl DedupStore {
         let flush = self.flush_all(now)?.value;
         let gc = self.gc_chunk_pool()?.value;
         let checkpoint_seq = self.cluster.wal_checkpoint()?.last_seq;
-        if let Some(ev) = &self.events {
+        if let Some(ev) = self.events() {
             ev.emit_at(
                 now,
                 Severity::Info,

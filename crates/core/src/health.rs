@@ -1,10 +1,11 @@
-//! Engine-layer health checks and the stack-wide aggregation entry point.
+//! Engine-layer health probes and the stack-wide probe table.
 //!
-//! Each probe implements [`dedup_obs::HealthCheck`]: a cheap, read-only
-//! pull over state the engine already maintains — no new bookkeeping is
-//! added to the hot path. [`DedupStore::health_report`] aggregates the
-//! engine probes with the store layer's [`dedup_store::OsdHealth`] and
-//! [`dedup_store::WalHealth`] into one [`HealthReport`].
+//! Each probe is a plain `fn(&DedupStore) -> Option<HealthFinding>`: a
+//! cheap, read-only pull over state the engine already maintains — no new
+//! bookkeeping is added to the hot path. `PROBES` lists every probe
+//! once, engine and store layer ([`dedup_store::osd_health`],
+//! [`dedup_store::wal_health`]) alike, with its component name;
+//! [`DedupStore::health_report`] walks it into one [`HealthReport`].
 //!
 //! Thresholds (all documented on the individual probes):
 //!
@@ -22,9 +23,9 @@
 //! informational `shard_skew_read` finding at `ok`; only a skewed shard
 //! dominated by exclusive-mode *mutations* still degrades.
 
-use dedup_obs::{HealthCheck, HealthFinding, HealthReport, HealthStatus};
+use dedup_obs::{HealthFinding, HealthReport, HealthStatus};
 use dedup_sim::SimTime;
-use dedup_store::{OsdHealth, WalHealth};
+use dedup_store::{osd_health, wal_health};
 
 use crate::engine::DedupStore;
 
@@ -45,81 +46,60 @@ const SHARD_SKEW_MIN_OPS: u64 = 1000;
 /// merely worth knowing about.
 const SHARD_SKEW_WRITE_HEAVY: f64 = 0.5;
 
+/// A health probe: `None` means healthy.
+type Probe = fn(&DedupStore) -> Option<HealthFinding>;
+
+/// Every probe of the stack, with its component name, in report order.
+const PROBES: [(&str, Probe); 8] = [
+    ("engine.bloom", bloom_health),
+    ("engine.index", index_health),
+    ("service.shard", shard_health),
+    ("engine.flush", queue_health),
+    ("rate", rate_health),
+    ("engine.compress", compression_health),
+    ("cluster.osd", |s| osd_health(s.cluster())),
+    ("cluster.wal", |s| wal_health(s.cluster())),
+];
+
 /// Bloom-gate saturation probe. A filter past ~50% fill answers
 /// "maybe" too often to be worth consulting; past ~90% it is noise.
-pub struct BloomHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> BloomHealth<'a> {
-    /// Probes `store`'s chunk-index bloom gate.
-    pub fn new(store: &'a DedupStore) -> Self {
-        BloomHealth { store }
-    }
-}
-
-impl HealthCheck for BloomHealth<'_> {
-    fn component(&self) -> &str {
-        "engine.bloom"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let fill = self.store.bloom_fill_ratio();
-        let status = if fill >= BLOOM_CRITICAL_FILL {
-            HealthStatus::Critical
-        } else if fill > BLOOM_DEGRADED_FILL {
-            HealthStatus::Degraded
-        } else {
-            return Vec::new();
-        };
-        vec![HealthFinding::new(
-            "engine.bloom",
-            status,
-            "bloom_overfill",
-            format!("bloom gate fill ratio {fill:.3} (degraded > {BLOOM_DEGRADED_FILL}, critical >= {BLOOM_CRITICAL_FILL})"),
-        )]
-    }
+fn bloom_health(store: &DedupStore) -> Option<HealthFinding> {
+    let fill = store.bloom_fill_ratio();
+    let status = if fill >= BLOOM_CRITICAL_FILL {
+        HealthStatus::Critical
+    } else if fill > BLOOM_DEGRADED_FILL {
+        HealthStatus::Degraded
+    } else {
+        return None;
+    };
+    Some(HealthFinding::new(
+        "engine.bloom",
+        status,
+        "bloom_overfill",
+        format!("bloom gate fill ratio {fill:.3} (degraded > {BLOOM_DEGRADED_FILL}, critical >= {BLOOM_CRITICAL_FILL})"),
+    ))
 }
 
 /// Chunk-index memory-bound probe. Only indexes that declare a bound
 /// ([`crate::ChunkIndex::declared_memory_bound`], i.e. a finite hot
 /// tier) are checked; the default unbounded index is exempt by
 /// construction.
-pub struct IndexHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> IndexHealth<'a> {
-    /// Probes `store`'s chunk index against its declared memory bound.
-    pub fn new(store: &'a DedupStore) -> Self {
-        IndexHealth { store }
-    }
-}
-
-impl HealthCheck for IndexHealth<'_> {
-    fn component(&self) -> &str {
-        "engine.index"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let Some(bound) = self.store.chunks().index().declared_memory_bound() else {
-            return Vec::new();
-        };
-        let resident = self.store.index_resident_bytes();
-        let status = if resident > bound {
-            HealthStatus::Critical
-        } else if resident as f64 >= bound as f64 * INDEX_NEAR_BOUND {
-            HealthStatus::Degraded
-        } else {
-            return Vec::new();
-        };
-        vec![HealthFinding::new(
-            "engine.index",
-            status,
-            "index_memory",
-            format!("index resident {resident} B vs declared bound {bound} B"),
-        )]
-    }
+fn index_health(store: &DedupStore) -> Option<HealthFinding> {
+    let bound = store.chunks().index().declared_memory_bound()?;
+    let resident = store.index_resident_bytes();
+    let status = if resident > bound {
+        HealthStatus::Critical
+    } else if resident as f64 >= bound as f64 * INDEX_NEAR_BOUND {
+        HealthStatus::Degraded
+    } else {
+        return None;
+    };
+    Some(HealthFinding::new(
+        "engine.index",
+        status,
+        "index_memory",
+        format!("index resident {resident} B vs declared bound {bound} B"),
+    ))
 }
 
 /// Foreground-shard balance probe: a shard drawing more than
@@ -130,80 +110,59 @@ impl HealthCheck for IndexHealth<'_> {
 /// foreground path (degraded, `shard_skew`), while one dominated by
 /// shared-mode reads proceeds in parallel and is reported
 /// informationally (`shard_skew_read` at [`HealthStatus::Ok`]).
-pub struct ShardHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> ShardHealth<'a> {
-    /// Probes `store`'s per-shard op counters.
-    pub fn new(store: &'a DedupStore) -> Self {
-        ShardHealth { store }
+fn shard_health(store: &DedupStore) -> Option<HealthFinding> {
+    let m = store.metrics();
+    let counts: Vec<u64> = m.shard_ops.iter().map(|c| c.get()).collect();
+    if counts.len() < 2 {
+        return None;
     }
-}
-
-impl HealthCheck for ShardHealth<'_> {
-    fn component(&self) -> &str {
-        "service.shard"
+    let total: u64 = counts.iter().sum();
+    if total < SHARD_SKEW_MIN_OPS {
+        return None;
     }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let m = self.store.metrics();
-        let counts: Vec<u64> = m.shard_ops.iter().map(|c| c.get()).collect();
-        if counts.len() < 2 {
-            return Vec::new();
-        }
-        let total: u64 = counts.iter().sum();
-        if total < SHARD_SKEW_MIN_OPS {
-            return Vec::new();
-        }
-        let (hottest, &max) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .expect("len >= 2");
-        let mean = total as f64 / counts.len() as f64;
-        let skew = max as f64 / mean;
-        if skew <= SHARD_SKEW_LIMIT {
-            return Vec::new();
-        }
-        let writes = m.shard_write_ops.get(hottest).map_or(0, |c| c.get());
-        let write_fraction = if max == 0 {
-            0.0
-        } else {
-            writes as f64 / max as f64
-        };
-        if write_fraction < SHARD_SKEW_WRITE_HEAVY {
-            // Read-heavy: shared-mode acquisitions run in parallel, so
-            // the hot shard is not a serialization point — informational.
-            return vec![HealthFinding::new(
-                "service.shard",
-                HealthStatus::Ok,
-                "shard_skew_read",
-                format!(
-                    "hottest shard took {max} of {total} ops ({skew:.1}x the mean across {} shards), \
-                     but only {writes} were exclusive-mode mutations — read-heavy skew is benign \
-                     under reader-writer shards",
-                    counts.len()
-                ),
-            )];
-        }
-        vec![HealthFinding::new(
+    let (hottest, &max) = counts.iter().enumerate().max_by_key(|(_, &c)| c)?;
+    let mean = total as f64 / counts.len() as f64;
+    let skew = max as f64 / mean;
+    if skew <= SHARD_SKEW_LIMIT {
+        return None;
+    }
+    let writes = m.shard_write_ops.get(hottest).map_or(0, |c| c.get());
+    let write_fraction = if max == 0 {
+        0.0
+    } else {
+        writes as f64 / max as f64
+    };
+    if write_fraction < SHARD_SKEW_WRITE_HEAVY {
+        // Read-heavy: shared-mode acquisitions run in parallel, so the
+        // hot shard is not a serialization point — informational.
+        return Some(HealthFinding::new(
             "service.shard",
-            HealthStatus::Degraded,
-            "shard_skew",
+            HealthStatus::Ok,
+            "shard_skew_read",
             format!(
                 "hottest shard took {max} of {total} ops ({skew:.1}x the mean across {} shards), \
-                 {writes} of them exclusive-mode mutations — write-heavy skew serializes the shard",
+                 but only {writes} were exclusive-mode mutations — read-heavy skew is benign \
+                 under reader-writer shards",
                 counts.len()
             ),
-        )]
+        ));
     }
+    Some(HealthFinding::new(
+        "service.shard",
+        HealthStatus::Degraded,
+        "shard_skew",
+        format!(
+            "hottest shard took {max} of {total} ops ({skew:.1}x the mean across {} shards), \
+             {writes} of them exclusive-mode mutations — write-heavy skew serializes the shard",
+            counts.len()
+        ),
+    ))
 }
 
-/// What the previous [`QueueHealth`] probe observed, kept on the store so
-/// successive `health_report` calls can detect "no progress".
+/// What the previous dirty-queue stall probe observed, kept on the store
+/// so successive `health_report` calls can detect "no progress".
 #[derive(Debug, Default, Clone, Copy)]
-pub struct StallState {
+pub(crate) struct StallState {
     last_depth: u64,
     last_flushed: u64,
     primed: bool,
@@ -212,46 +171,30 @@ pub struct StallState {
 /// Dirty-queue stall probe: if the queue is non-empty and neither drained
 /// nor flushed a single chunk since the previous probe, background
 /// deduplication has stopped making progress (worker dead, or rate
-/// control pinned at the hardest band with no foreground lull).
-pub struct QueueHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> QueueHealth<'a> {
-    /// Probes `store`'s dirty queue. Stateful across calls: the first
-    /// probe only primes the baseline and never reports.
-    pub fn new(store: &'a DedupStore) -> Self {
-        QueueHealth { store }
-    }
-}
-
-impl HealthCheck for QueueHealth<'_> {
-    fn component(&self) -> &str {
-        "engine.flush"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let depth = self.store.dirty_len() as u64;
-        let flushed = self.store.metrics().chunks_flushed.get();
-        let mut st = self.store.stall_state().lock();
-        let stalled =
-            st.primed && depth > 0 && depth >= st.last_depth && flushed == st.last_flushed;
-        let prev_depth = st.last_depth;
-        st.primed = true;
-        st.last_depth = depth;
-        st.last_flushed = flushed;
-        if !stalled {
-            return Vec::new();
-        }
-        vec![HealthFinding::new(
+/// control pinned at the hardest band with no foreground lull). Stateful
+/// across calls: the first probe only primes the baseline and never
+/// reports.
+fn queue_health(store: &DedupStore) -> Option<HealthFinding> {
+    let depth = store.dirty_len() as u64;
+    let flushed = store.metrics().chunks_flushed.get();
+    let mut st = store.stall_state().lock();
+    let stalled = st.primed && depth > 0 && depth >= st.last_depth && flushed == st.last_flushed;
+    let prev_depth = st.last_depth;
+    *st = StallState {
+        last_depth: depth,
+        last_flushed: flushed,
+        primed: true,
+    };
+    stalled.then(|| {
+        HealthFinding::new(
             "engine.flush",
             HealthStatus::Degraded,
             "queue_stall",
             format!(
                 "dirty queue stalled at depth {depth} (was {prev_depth}; no chunks flushed since last probe)"
             ),
-        )]
-    }
+        )
+    })
 }
 
 /// Effective compression ratio (ppm, physical/logical) at or above which
@@ -267,107 +210,62 @@ const COMPRESS_MIN_ATTEMPTED_BYTES: u64 = 1 << 20;
 /// [`COMPRESS_MIN_ATTEMPTED_BYTES`] attempted), every flush is paying
 /// compressor CPU for no capacity return — the plane should be turned
 /// off for this workload. Inactive while compression is disabled.
-pub struct CompressionHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> CompressionHealth<'a> {
-    /// Probes `store`'s lifetime compression counters.
-    pub fn new(store: &'a DedupStore) -> Self {
-        CompressionHealth { store }
+fn compression_health(store: &DedupStore) -> Option<HealthFinding> {
+    if !store.config().compression.enabled {
+        return None;
     }
-}
-
-impl HealthCheck for CompressionHealth<'_> {
-    fn component(&self) -> &str {
-        "engine.compress"
+    let m = store.metrics();
+    let attempted = m.compress_attempted_bytes.get();
+    if attempted < COMPRESS_MIN_ATTEMPTED_BYTES {
+        return None;
     }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        if !self.store.config().compression.enabled {
-            return Vec::new();
-        }
-        let m = self.store.metrics();
-        let attempted = m.compress_attempted_bytes.get();
-        if attempted < COMPRESS_MIN_ATTEMPTED_BYTES {
-            return Vec::new();
-        }
-        // `compress_raw_bytes` is the logical size of chunks that kept
-        // their compressed form; everything else fell back to verbatim
-        // storage, so the effective physical footprint is the kept
-        // compressed bytes plus the logical size of the fallbacks.
-        let raw = m.compress_raw_bytes.get();
-        let physical = m.compress_stored_bytes.get() + attempted.saturating_sub(raw);
-        let ratio_ppm = physical.saturating_mul(1_000_000) / attempted.max(1);
-        if ratio_ppm < COMPRESS_INEFFECTIVE_RATIO_PPM {
-            return Vec::new();
-        }
-        vec![HealthFinding::new(
-            "engine.compress",
-            HealthStatus::Degraded,
-            "compression_ineffective",
-            format!(
-                "inline compression is not paying: {physical} physical B for {attempted} logical B \
-                 ({ratio_ppm} ppm, degraded >= {COMPRESS_INEFFECTIVE_RATIO_PPM} ppm) — \
-                 workload is incompressible, consider disabling the plane"
-            ),
-        )]
+    // `compress_raw_bytes` is the logical size of chunks that kept their
+    // compressed form; everything else fell back to verbatim storage, so
+    // the effective physical footprint is the kept compressed bytes plus
+    // the logical size of the fallbacks.
+    let raw = m.compress_raw_bytes.get();
+    let physical = m.compress_stored_bytes.get() + attempted.saturating_sub(raw);
+    let ratio_ppm = physical.saturating_mul(1_000_000) / attempted.max(1);
+    if ratio_ppm < COMPRESS_INEFFECTIVE_RATIO_PPM {
+        return None;
     }
+    Some(HealthFinding::new(
+        "engine.compress",
+        HealthStatus::Degraded,
+        "compression_ineffective",
+        format!(
+            "inline compression is not paying: {physical} physical B for {attempted} logical B \
+             ({ratio_ppm} ppm, degraded >= {COMPRESS_INEFFECTIVE_RATIO_PPM} ppm) — \
+             workload is incompressible, consider disabling the plane"
+        ),
+    ))
 }
 
 /// Rate-control pressure probe: band 2 means foreground IOPS exceeded
 /// the high watermark and dedup is throttled hardest — sustained, the
 /// dirty backlog only grows.
-pub struct RateHealth<'a> {
-    store: &'a DedupStore,
-}
-
-impl<'a> RateHealth<'a> {
-    /// Probes `store`'s published watermark band.
-    pub fn new(store: &'a DedupStore) -> Self {
-        RateHealth { store }
-    }
-}
-
-impl HealthCheck for RateHealth<'_> {
-    fn component(&self) -> &str {
-        "rate"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let band = self.store.metrics().rate_band.get();
-        if band < 2 {
-            return Vec::new();
-        }
-        vec![HealthFinding::new(
+fn rate_health(store: &DedupStore) -> Option<HealthFinding> {
+    let band = store.metrics().rate_band.get();
+    (band >= 2).then(|| {
+        HealthFinding::new(
             "rate",
             HealthStatus::Degraded,
             "throttle_band_high",
             format!("rate control in band {band}: foreground load above the high watermark, dedup throttled hardest"),
-        )]
-    }
+        )
+    })
 }
 
 impl DedupStore {
-    /// Runs every engine- and store-layer health probe and aggregates
-    /// the findings into one [`HealthReport`] stamped `now`.
+    /// Runs every probe in the table (`PROBES`) and aggregates the findings into one
+    /// [`HealthReport`] stamped `now`.
     ///
     /// Read-only apart from the stall probe's progress memory; safe to
     /// call at any cadence. The first call primes the stall baseline.
     pub fn health_report(&self, now: SimTime) -> HealthReport {
-        let bloom = BloomHealth::new(self);
-        let index = IndexHealth::new(self);
-        let shards = ShardHealth::new(self);
-        let queue = QueueHealth::new(self);
-        let rate = RateHealth::new(self);
-        let compress = CompressionHealth::new(self);
-        let osd = OsdHealth::new(self.cluster());
-        let wal = WalHealth::new(self.cluster());
         HealthReport::collect(
             now,
-            &[
-                &bloom, &index, &shards, &queue, &rate, &compress, &osd, &wal,
-            ],
+            PROBES.map(|(component, probe)| (component, probe(self))),
         )
     }
 }
@@ -394,8 +292,11 @@ mod tests {
         let report = s.health_report(SimTime::ZERO);
         assert_eq!(report.status(), HealthStatus::Ok);
         assert!(report.findings.is_empty());
-        assert!(report.components.iter().any(|c| c == "engine.bloom"));
-        assert!(report.components.iter().any(|c| c == "cluster.osd"));
+        let names: Vec<&str> = PROBES.iter().map(|(c, _)| *c).collect();
+        assert_eq!(
+            report.components, names,
+            "one component per probe, in table order"
+        );
     }
 
     #[test]
@@ -409,15 +310,14 @@ mod tests {
         assert!(s.dirty_len() > 0);
 
         // First probe primes; second with no flush progress reports.
-        assert!(QueueHealth::new(&s).check(now).is_empty());
-        let findings = QueueHealth::new(&s).check(now);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].status, HealthStatus::Degraded);
-        assert_eq!(findings[0].code, "queue_stall");
+        assert!(queue_health(&s).is_none());
+        let finding = queue_health(&s).expect("stalled");
+        assert_eq!(finding.status, HealthStatus::Degraded);
+        assert_eq!(finding.code, "queue_stall");
 
         // Flush; next probe sees progress and clears.
         let _ = s.flush_all(now).expect("flush");
-        assert!(QueueHealth::new(&s).check(now).is_empty());
+        assert!(queue_health(&s).is_none());
     }
 
     #[test]
@@ -429,7 +329,7 @@ mod tests {
             .write(ClientId(0), &name, 0, vec![0u8; 1 << 21], SimTime::ZERO)
             .expect("write");
         let _ = s.flush_all(SimTime::ZERO).expect("flush");
-        assert!(CompressionHealth::new(&s).check(SimTime::ZERO).is_empty());
+        assert!(compression_health(&s).is_none());
 
         // Enabled on compressible data: the ratio is good, stay quiet.
         let mut s = store_with(DedupConfig::with_chunk_size(4096).compress());
@@ -438,7 +338,7 @@ mod tests {
             .expect("write");
         let _ = s.flush_all(SimTime::ZERO).expect("flush");
         assert!(s.metrics().compress_attempted_bytes.get() >= 1 << 20);
-        assert!(CompressionHealth::new(&s).check(SimTime::ZERO).is_empty());
+        assert!(compression_health(&s).is_none());
     }
 
     #[test]
@@ -460,10 +360,9 @@ mod tests {
             .write(ClientId(0), &name, 0, data, SimTime::ZERO)
             .expect("write");
         let _ = s.flush_all(SimTime::ZERO).expect("flush");
-        let findings = CompressionHealth::new(&s).check(SimTime::ZERO);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "compression_ineffective");
-        assert_eq!(findings[0].status, HealthStatus::Degraded);
+        let finding = compression_health(&s).expect("incompressible");
+        assert_eq!(finding.code, "compression_ineffective");
+        assert_eq!(finding.status, HealthStatus::Degraded);
     }
 
     #[test]
@@ -476,10 +375,9 @@ mod tests {
                 .write(ClientId(0), &name, 0, vec![1u8; 512], SimTime::from_secs(i))
                 .expect("write");
         }
-        let findings = ShardHealth::new(&s).check(SimTime::ZERO);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "shard_skew");
-        assert_eq!(findings[0].status, HealthStatus::Degraded);
+        let finding = shard_health(&s).expect("hot shard");
+        assert_eq!(finding.code, "shard_skew");
+        assert_eq!(finding.status, HealthStatus::Degraded);
 
         // A store with balanced names stays quiet.
         let s2 = store_with(DedupConfig::with_chunk_size(4096).foreground_shards(4));
@@ -489,7 +387,7 @@ mod tests {
                 .write(ClientId(0), &name, 0, vec![1u8; 512], SimTime::from_secs(i))
                 .expect("write");
         }
-        assert!(ShardHealth::new(&s2).check(SimTime::ZERO).is_empty());
+        assert!(shard_health(&s2).is_none());
     }
 
     #[test]
@@ -507,10 +405,9 @@ mod tests {
                 .read(ClientId(0), &name, 0, 4096, SimTime::from_secs(i))
                 .expect("read");
         }
-        let findings = ShardHealth::new(&s).check(SimTime::ZERO);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "shard_skew_read");
-        assert_eq!(findings[0].status, HealthStatus::Ok);
+        let finding = shard_health(&s).expect("hot shard");
+        assert_eq!(finding.code, "shard_skew_read");
+        assert_eq!(finding.status, HealthStatus::Ok);
         // The informational finding never drags the report below Ok.
         assert_eq!(s.health_report(SimTime::ZERO).status(), HealthStatus::Ok);
 
@@ -521,9 +418,8 @@ mod tests {
                 .write(ClientId(0), &name, 0, vec![1u8; 512], SimTime::from_secs(i))
                 .expect("write");
         }
-        let findings = ShardHealth::new(&s2).check(SimTime::ZERO);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].code, "shard_skew");
-        assert_eq!(findings[0].status, HealthStatus::Degraded);
+        let finding = shard_health(&s2).expect("hot shard");
+        assert_eq!(finding.code, "shard_skew");
+        assert_eq!(finding.status, HealthStatus::Degraded);
     }
 }

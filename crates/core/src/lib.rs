@@ -54,7 +54,7 @@ pub mod chunkmap;
 pub mod config;
 pub mod crashpoint;
 pub mod engine;
-pub mod health;
+mod health;
 pub mod hitset;
 pub mod index;
 pub mod pipeline;
@@ -82,9 +82,6 @@ pub use engine::{
     shard_index, CrashRecoveryReport, DedupStore, EngineStats, FailurePoint, FlushReport, GcReport,
 };
 pub use error::DedupError;
-pub use health::{
-    BloomHealth, CompressionHealth, IndexHealth, QueueHealth, RateHealth, ShardHealth, StallState,
-};
 pub use hitset::{BloomFilter, HitSet};
 pub use index::{build_index, CandidateRef, ChunkIndex, IndexStats, TieredIndex};
 pub use pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};

@@ -237,7 +237,7 @@ pub fn fingerprint_batch(
 /// attached.
 pub(crate) fn record_stage_wall(
     histogram: &Histogram,
-    tracer: &Option<Tracer>,
+    tracer: Option<&Tracer>,
     span: &str,
     start: Instant,
 ) {

@@ -257,7 +257,7 @@ impl DedupService {
                                     }
                                 }
                             }
-                            if let (Some(t), Some(ctx)) = (&tracer, &tick_ctx) {
+                            if let (Some(t), Some(ctx)) = (&tracer, tick_ctx) {
                                 t.finish_wall_op(ctx);
                             }
                         }

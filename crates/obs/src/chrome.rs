@@ -16,16 +16,15 @@
 //!   process with one track per real flush-worker thread, keeping the two
 //!   clock domains from overlapping on a shared timeline.
 //!
-//! [`validate_chrome_trace`] is a dependency-free structural check used by
-//! CI: it parses the JSON and asserts every event carries `ph`, `ts`,
-//! `pid` and `tid`.
+//! [`validate_chrome_trace`] is a dependency-free structural check (the
+//! traced fig05 golden test runs it): it parses the JSON and asserts every
+//! event carries `ph`, `ts`, `pid` and `tid`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::optracker::{Clock, Span, Track};
 use crate::registry::json_escape;
-use crate::trace::TraceExport;
+use crate::trace::{Clock, Span, TraceExport, Track};
 
 /// Formats nanoseconds as fractional microseconds (trace_event unit).
 fn us(ns: u64) -> String {
@@ -441,7 +440,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optracker::OpTrace;
+    use crate::trace::OpTrace;
 
     fn sample_export() -> TraceExport {
         TraceExport {

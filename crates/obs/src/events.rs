@@ -13,9 +13,9 @@
 //! shared **bounded ring**: when the ring is full the oldest event is
 //! dropped and counted, so a misbehaving subsystem can flood the log
 //! without unbounded memory growth. Events carry a typed payload as
-//! ordered key/value fields and export as JSON-lines
-//! ([`EventLog::to_jsonl`]) — the same sidecar idiom as the metrics
-//! registry.
+//! ordered key/value fields and render as one JSON object each
+//! ([`Event::to_json`]), the lines of the `<figure>.events.jsonl`
+//! sidecar.
 //!
 //! # Virtual-time stamping
 //!
@@ -34,8 +34,8 @@
 //! site is gated on it, so the disabled path is a branch on a `None` —
 //! no allocation, no lock, no virtual cost (events only *observe* the
 //! virtual timeline, they never add legs to it). This is the same
-//! zero-cost-when-off contract the tracer upholds, and
-//! `bench_obs_overhead` enforces it.
+//! zero-cost-when-off contract the tracer upholds, and the
+//! `obs_off_is_free` test enforces it.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -293,16 +293,6 @@ impl EventLog {
     pub fn count(&self, severity: Severity) -> u64 {
         self.inner.ring.lock().expect("event ring lock").by_severity[severity.index()]
     }
-
-    /// Renders the retained events as JSON-lines, oldest first.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_line_with_escaping() {
+    fn json_is_one_object_with_escaping() {
         let log = EventLog::new();
         log.emit_at(
             SimTime::from_nanos(42),
@@ -379,13 +369,12 @@ mod tests {
             "osd_down",
             vec![("osd", "3".into()), ("detail", "said \"bye\"".into())],
         );
-        let out = log.to_jsonl();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("{\"seq\":1,\"at_ns\":42,\"severity\":\"warn\""));
-        assert!(lines[0].contains("\"source\":\"cluster.osd\""));
-        assert!(lines[0].contains("\"kind\":\"osd_down\""));
-        assert!(lines[0].contains("\\\"bye\\\""));
-        assert!(lines[0].ends_with('}'));
+        let line = log.events()[0].to_json();
+        assert!(!line.contains('\n'));
+        assert!(line.starts_with("{\"seq\":1,\"at_ns\":42,\"severity\":\"warn\""));
+        assert!(line.contains("\"source\":\"cluster.osd\""));
+        assert!(line.contains("\"kind\":\"osd_down\""));
+        assert!(line.contains("\\\"bye\\\""));
+        assert!(line.ends_with('}'));
     }
 }

@@ -1,15 +1,17 @@
-//! Health checks and aggregated health reports.
+//! Health findings and aggregated health reports.
 //!
-//! Each subsystem that can degrade implements [`HealthCheck`]: a cheap,
-//! read-only probe over its own state that returns zero or more
-//! [`HealthFinding`]s (no findings = healthy). Findings carry a
-//! machine-readable `code` plus a human-readable `detail`, and roll up
-//! into a [`HealthReport`] whose overall [`HealthStatus`] is the worst
-//! finding's status — `ok` < `degraded` < `critical`.
+//! Each subsystem that can degrade exposes a **probe**: a plain, cheap,
+//! read-only function over its own state that returns at most one
+//! [`HealthFinding`] (`None` = healthy). Findings carry a machine-readable
+//! `code` plus a human-readable `detail`, and roll up into a
+//! [`HealthReport`] whose overall [`HealthStatus`] is the worst finding's
+//! status — `ok` < `degraded` < `critical`. The stack lists its probes
+//! once, with their component names, in one table
+//! (`dedup_core::DedupStore::health_report`).
 //!
-//! Checks are pull-based: nothing runs until someone (the service
+//! Probes are pull-based: nothing runs until someone (the service
 //! worker's caller, `dedup_doctor`, a test) asks for a report, so the
-//! steady-state cost of having health checks *available* is zero. Probes
+//! steady-state cost of having health probes *available* is zero. Probes
 //! must not mutate the system or advance virtual time — they observe the
 //! same state the metrics gauges are published from.
 
@@ -86,17 +88,7 @@ impl HealthFinding {
     }
 }
 
-/// A subsystem that can report on its own condition.
-pub trait HealthCheck {
-    /// Component name used in findings and reports.
-    fn component(&self) -> &str;
-
-    /// Probes current state; returns findings (empty = healthy). Must be
-    /// read-only and cheap — suitable for calling every report interval.
-    fn check(&self, now: SimTime) -> Vec<HealthFinding>;
-}
-
-/// Aggregated findings from a set of [`HealthCheck`]s.
+/// Aggregated findings from a table of probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// Virtual time the report was assembled at.
@@ -108,19 +100,22 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Runs every check and collects the findings.
-    pub fn collect(now: SimTime, checks: &[&dyn HealthCheck]) -> Self {
-        let mut components = Vec::with_capacity(checks.len());
-        let mut findings = Vec::new();
-        for check in checks {
-            components.push(check.component().to_string());
-            findings.extend(check.check(now));
-        }
-        HealthReport {
+    /// Collects `(component, finding)` pairs, in probe order, into a
+    /// report stamped `now`.
+    pub fn collect<'a>(
+        now: SimTime,
+        probes: impl IntoIterator<Item = (&'a str, Option<HealthFinding>)>,
+    ) -> Self {
+        let mut report = HealthReport {
             at: now,
-            components,
-            findings,
+            components: Vec::new(),
+            findings: Vec::new(),
+        };
+        for (component, finding) in probes {
+            report.components.push(component.to_string());
+            report.findings.extend(finding);
         }
+        report
     }
 
     /// Overall status: the worst finding's status, or `Ok` if none.
@@ -130,14 +125,6 @@ impl HealthReport {
             .map(|f| f.status)
             .max()
             .unwrap_or(HealthStatus::Ok)
-    }
-
-    /// Findings at exactly `status`.
-    pub fn findings_at(&self, status: HealthStatus) -> Vec<&HealthFinding> {
-        self.findings
-            .iter()
-            .filter(|f| f.status == status)
-            .collect()
     }
 
     /// Renders the report as one JSON object.
@@ -171,69 +158,45 @@ impl HealthReport {
 mod tests {
     use super::*;
 
-    struct Fixed(&'static str, Vec<HealthFinding>);
-
-    impl HealthCheck for Fixed {
-        fn component(&self) -> &str {
-            self.0
-        }
-        fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-            self.1.clone()
-        }
+    fn finding(component: &str, status: HealthStatus, code: &'static str) -> HealthFinding {
+        HealthFinding::new(component, status, code, "detail")
     }
 
     #[test]
     fn worst_finding_wins() {
-        let healthy = Fixed("a", vec![]);
-        let degraded = Fixed(
-            "b",
-            vec![HealthFinding::new(
-                "b",
-                HealthStatus::Degraded,
-                "skew",
-                "shard skew 5.0x",
-            )],
-        );
-        let critical = Fixed(
+        let healthy = ("a", None);
+        let degraded = ("b", Some(finding("b", HealthStatus::Degraded, "skew")));
+        let critical = (
             "c",
-            vec![HealthFinding::new(
-                "c",
-                HealthStatus::Critical,
-                "wal_manifest",
-                "manifest unreadable",
-            )],
+            Some(finding("c", HealthStatus::Critical, "wal_manifest")),
         );
 
-        let report = HealthReport::collect(SimTime::from_secs(1), &[&healthy, &degraded]);
+        let report =
+            HealthReport::collect(SimTime::from_secs(1), [healthy.clone(), degraded.clone()]);
         assert_eq!(report.status(), HealthStatus::Degraded);
         assert_eq!(report.components, vec!["a", "b"]);
 
-        let report =
-            HealthReport::collect(SimTime::from_secs(1), &[&healthy, &degraded, &critical]);
+        let report = HealthReport::collect(SimTime::from_secs(1), [healthy, degraded, critical]);
         assert_eq!(report.status(), HealthStatus::Critical);
-        assert_eq!(report.findings_at(HealthStatus::Degraded).len(), 1);
-        assert_eq!(report.findings_at(HealthStatus::Critical).len(), 1);
+        assert_eq!(report.findings.len(), 2);
     }
 
     #[test]
     fn empty_report_is_ok() {
-        let report = HealthReport::collect(SimTime::ZERO, &[]);
+        let report = HealthReport::collect(SimTime::ZERO, []);
         assert_eq!(report.status(), HealthStatus::Ok);
         assert!(report.findings.is_empty());
     }
 
     #[test]
     fn report_json_shape() {
-        let check = Fixed(
+        let bloom = HealthFinding::new(
             "engine.bloom",
-            vec![HealthFinding::new(
-                "engine.bloom",
-                HealthStatus::Degraded,
-                "bloom_overfill",
-                "fill 0.62 > 0.50",
-            )],
+            HealthStatus::Degraded,
+            "bloom_overfill",
+            "fill 0.62 > 0.50",
         );
-        let report = HealthReport::collect(SimTime::from_nanos(7), &[&check]);
+        let report = HealthReport::collect(SimTime::from_nanos(7), [("engine.bloom", Some(bloom))]);
         let json = report.to_json();
         assert!(json.starts_with("{\"at_ns\":7,\"status\":\"degraded\""));
         assert!(json.contains("\"components\":[\"engine.bloom\"]"));

@@ -18,39 +18,39 @@
 //! - [`trace`] — per-op causal tracing: a [`Tracer`] implements the
 //!   simulator's `TraceSink` so every cost-DAG leg an engine executes
 //!   becomes a span (with queueing and service time separated), grouped
-//!   into span trees per foreground op / background flush.
-//! - [`optracker`] — Ceph-style op tracker behind the tracer: ring
-//!   buffers of in-flight and historic ops, rolling-p95 slow-op
-//!   detection, JSON dumps.
+//!   into span trees per foreground op / background flush. The tracer
+//!   owns its ops: a bounded in-flight/finished ring with rolling-p95
+//!   slow-op flagging.
 //! - [`chrome`] — Chrome `trace_event` (Perfetto-loadable) export of
-//!   recorded traces, plus a dependency-free schema validator for CI.
+//!   recorded traces, plus a dependency-free schema validator.
 //! - [`events`] — the third pillar: a severity-leveled, bounded-ring
 //!   [`EventLog`] of discrete, virtual-time-stamped state changes (OSD
 //!   down, bloom overfill, WAL checkpoint, band transition) with
 //!   JSON-lines export.
-//! - [`health`] — the [`HealthCheck`] trait plus `ok/degraded/critical`
-//!   aggregation into a machine-readable [`HealthReport`].
+//! - [`health`] — [`HealthFinding`]s from plain probe functions and their
+//!   `ok/degraded/critical` aggregation into a machine-readable
+//!   [`HealthReport`].
 //!
 //! One `Registry` is created per storage stack (the engine builds it and
 //! shares it with its cluster) so a single snapshot shows the whole
 //! system: foreground op latencies next to flush-queue depth next to disk
-//! utilisation. A `Tracer` is attached the same way when `DEDUP_TRACE_DIR`
-//! is set, producing `<figure>.trace.json` sidecars.
+//! utilisation. A `Tracer` and an `EventLog` are attached to the cluster
+//! the same way when `DEDUP_TRACE_DIR` / `DEDUP_EVENTS_DIR` are set; the
+//! attached tracer is also the one switch that labels cost legs with step
+//! names.
 
 pub mod chrome;
 pub mod events;
 pub mod health;
-pub mod optracker;
 pub mod probe;
 pub mod registry;
 pub mod trace;
 
 pub use chrome::{render, validate_chrome_trace};
 pub use events::{Event, EventLog, Severity};
-pub use health::{HealthCheck, HealthFinding, HealthReport, HealthStatus};
-pub use optracker::{Clock, OpTrace, OpTracker, SlowOpEvent, Span, Track, TrackerConfig};
+pub use health::{HealthFinding, HealthReport, HealthStatus};
 pub use probe::{sample_flow_engine, sample_resources};
 pub use registry::{
-    json_escape, Counter, Gauge, Histogram, Labels, Meter, MetricSnapshot, Registry, SnapshotValue,
+    Counter, Gauge, Histogram, Labels, Meter, MetricSnapshot, Registry, SnapshotValue,
 };
-pub use trace::{TraceCtx, TraceExport, Tracer};
+pub use trace::{Clock, OpTrace, Span, TraceCtx, TraceExport, Tracer, Track};

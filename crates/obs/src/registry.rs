@@ -154,11 +154,6 @@ impl Histogram {
         inner.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records a [`SimDuration`] sample in nanoseconds.
-    pub fn record_duration(&self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
@@ -445,16 +440,11 @@ impl Registry {
     }
 
     /// Gets or creates an unlabelled sliding-rate meter.
-    pub fn meter(&self, name: &str, window: SimDuration) -> Meter {
-        self.meter_with(name, &[], window)
-    }
-
-    /// Gets or creates a labelled sliding-rate meter.
     ///
     /// The window is fixed at first registration; later callers get the
     /// existing meter regardless of the window they pass.
-    pub fn meter_with(&self, name: &str, labels: &[(&str, &str)], window: SimDuration) -> Meter {
-        match self.instrument(name, labels, || Instrument::Meter(Meter::new(window))) {
+    pub fn meter(&self, name: &str, window: SimDuration) -> Meter {
+        match self.instrument(name, &[], || Instrument::Meter(Meter::new(window))) {
             Instrument::Meter(m) => m,
             other => panic!("metric {name} already registered as {}", other.kind()),
         }
@@ -505,8 +495,8 @@ impl Registry {
 }
 
 /// Escapes a string for embedding in a JSON string literal (the escape
-/// rules every hand-rolled JSON emitter in this workspace shares).
-pub fn json_escape(s: &str) -> String {
+/// rules every hand-rolled JSON emitter in this crate shares).
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

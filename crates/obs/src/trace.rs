@@ -14,9 +14,15 @@
 //!   commit phases and service-worker ticks, measured against the tracer's
 //!   creation instant.
 //!
-//! Ops live in an [`OpTracker`] ring (in-flight → historic) with rolling
-//! p95 slow-op detection; see [`crate::optracker`]. The whole record
-//! exports as Chrome `trace_event` JSON via [`crate::chrome`].
+//! The tracer owns its ops in one bounded ring: up to 1 024 in flight
+//! (beyond that the oldest is force-retired unfinished) and the last
+//! 4 096 finished, each tree capped at 8 192 spans. When an op finishes,
+//! its latency is compared with the rolling p95 of the last 128 finished
+//! ops of its kind; once 32 have finished, an op slower than 4× that p95
+//! is flagged [`OpTrace::slow`] and counted (`trace.slow_ops`). Windows
+//! are per kind, so virtual-time and wall-clock ops never share a
+//! baseline. The whole record exports as Chrome `trace_event` JSON via
+//! [`crate::chrome`].
 //!
 //! # Lifecycle
 //!
@@ -33,7 +39,7 @@
 //! engine.set_trace_sink(Box::new(tracer.clone()));
 //!
 //! let ctx = tracer.begin_op("read", "obj-1", SimTime::ZERO);
-//! tracer.bind_flow(42, &ctx);
+//! tracer.bind_flow(42, ctx);
 //! engine.start(
 //!     SimTime::ZERO,
 //!     &CostExpr::tagged("read.disk", CostExpr::transfer(disk, 4096)),
@@ -43,39 +49,117 @@
 //! assert_eq!(tracer.export().ops.len(), 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dedup_sim::{CostExpr, LegKind, LegRecord, ResourcePool, SimTime, TraceSink};
+use dedup_sim::{LegKind, LegRecord, ResourcePool, SimTime, TraceSink};
 
-use crate::optracker::{Clock, OpTrace, OpTracker, SlowOpEvent, Span, Track, TrackerConfig};
 use crate::registry::{Counter, Registry};
+
+/// Ops tracked in flight; beyond this the oldest is force-retired.
+const MAX_IN_FLIGHT: usize = 1024;
+/// Finished (or force-retired) ops kept for export.
+const MAX_FINISHED: usize = 4096;
+/// Span-tree size cap per op; further spans are counted, not stored.
+const MAX_SPANS_PER_OP: usize = 8192;
+/// Standalone wall spans kept (they have no op ring to age out of).
+const MAX_WALL_SPANS: usize = 65536;
+/// Finished latencies per op kind feeding the rolling p95.
+const SLOW_WINDOW: usize = 128;
+/// Finished ops of a kind needed before slow-op flagging starts.
+const SLOW_MIN_SAMPLES: usize = 32;
+/// An op slower than this multiple of its kind's rolling p95 is slow.
+const SLOW_FACTOR: u64 = 4;
+
+/// Which clock an op's timestamps are measured on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Simulator virtual time ([`SimTime`] nanoseconds).
+    Virtual,
+    /// Wall-clock nanoseconds since the tracer's epoch.
+    Wall,
+}
+
+/// Where a span is drawn: one track per simulated resource, one per
+/// wall-clock thread.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Track {
+    /// A simulated resource, by pool index (resolved to its spec name at
+    /// export time).
+    Resource(u32),
+    /// A named wall-clock thread (flush workers) or a virtual pseudo-track
+    /// (`"delay"` for resource-free legs).
+    Thread(String),
+}
+
+/// One node of an op's span tree.
+#[derive(Debug, Clone)]
+pub struct Span {
+    /// Step name: the cost-DAG label path (e.g. `"read/redirect.chunk_read"`)
+    /// or a structural name (`"queue"`, `"service"`, `"flush.stage"`).
+    pub name: String,
+    /// The track the span is drawn on.
+    pub track: Track,
+    /// Start, in the owning op's clock domain (nanoseconds).
+    pub start_ns: u64,
+    /// End, in the owning op's clock domain (nanoseconds).
+    pub end_ns: u64,
+    /// Parent span index within the op; `None` = child of the op root.
+    pub parent: Option<u32>,
+    /// Payload bytes for transfer legs (0 otherwise).
+    pub bytes: u64,
+}
+
+/// One traced operation: identity, lifetime, and its span tree.
+#[derive(Debug, Clone)]
+pub struct OpTrace {
+    /// Unique id (monotonic per tracer).
+    pub id: u64,
+    /// Op kind: `"write"`, `"read"`, `"flush"`, `"service.tick"`, ...
+    pub kind: String,
+    /// Free-form detail, typically the object name.
+    pub detail: String,
+    /// The clock `start_ns`/`end_ns` are measured on.
+    pub clock: Clock,
+    /// Begin time in nanoseconds.
+    pub start_ns: u64,
+    /// End time; `None` while in flight (or if force-retired).
+    pub end_ns: Option<u64>,
+    /// Flagged slower than 4× the rolling p95 of its kind.
+    pub slow: bool,
+    /// Span tree (parent links point into this vector).
+    pub spans: Vec<Span>,
+    /// Spans discarded after the per-op cap was hit.
+    pub dropped_spans: u64,
+}
 
 /// Everything a [`Tracer`] recorded, snapshot for export.
 #[derive(Debug, Clone, Default)]
 pub struct TraceExport {
     /// Resource-index → spec-name mapping for resolving span tracks.
     pub resource_names: Vec<String>,
-    /// Historic then in-flight ops, in begin order.
+    /// Finished then in-flight ops, in begin order.
     pub ops: Vec<OpTrace>,
     /// Standalone wall-clock spans (flush pipeline phases), not owned by
     /// any op.
     pub wall_spans: Vec<Span>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TracerInner {
     next_op: u64,
     /// Flow tag → op id, for attributing engine legs.
     bindings: HashMap<u64, u64>,
-    tracker: OpTracker,
+    /// Keyed by op id; ids are monotonic, so iteration order = begin order.
+    in_flight: BTreeMap<u64, OpTrace>,
+    finished: VecDeque<OpTrace>,
+    /// Rolling finished-latency windows, one per op kind.
+    windows: HashMap<String, VecDeque<u64>>,
+    slow_ops: u64,
+    slow_counter: Option<Counter>,
     resource_names: Vec<String>,
     wall_spans: Vec<Span>,
-    /// Bound on `wall_spans` (standalone spans have no op ring to age out
-    /// of).
-    max_wall_spans: usize,
-    slow_counter: Option<Counter>,
 }
 
 /// Cloneable per-operation tracer; see the [module docs](self).
@@ -93,22 +177,12 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer with default [`TrackerConfig`] capacities.
+    /// Creates an empty tracer.
     pub fn new() -> Self {
-        Tracer::with_config(TrackerConfig::default())
-    }
-
-    /// Creates a tracer with explicit ring capacities / slow-op tuning.
-    pub fn with_config(config: TrackerConfig) -> Self {
         Tracer {
             inner: Arc::new(Mutex::new(TracerInner {
                 next_op: 1,
-                bindings: HashMap::new(),
-                tracker: OpTracker::new(config),
-                resource_names: Vec::new(),
-                wall_spans: Vec::new(),
-                max_wall_spans: 65536,
-                slow_counter: None,
+                ..TracerInner::default()
             })),
             epoch: Instant::now(),
         }
@@ -132,57 +206,27 @@ impl Tracer {
 
     /// Begins a virtual-time op (foreground I/O, background flush).
     pub fn begin_op(&self, kind: &str, detail: &str, now: SimTime) -> TraceCtx {
-        self.begin(kind, detail, Clock::Virtual, now.as_nanos())
+        self.lock()
+            .begin(kind, detail, Clock::Virtual, now.as_nanos())
     }
 
     /// Begins a wall-clock op (service-worker tick).
     pub fn begin_wall_op(&self, kind: &str, detail: &str) -> TraceCtx {
         let now = self.wall_now_ns();
-        self.begin(kind, detail, Clock::Wall, now)
+        self.lock().begin(kind, detail, Clock::Wall, now)
     }
 
-    fn begin(&self, kind: &str, detail: &str, clock: Clock, start_ns: u64) -> TraceCtx {
-        let mut inner = self.lock();
-        let id = inner.next_op;
-        inner.next_op += 1;
-        inner.tracker.begin(id, kind, detail, clock, start_ns);
-        TraceCtx {
-            tracer: self.clone(),
-            op: Some(id),
-        }
-    }
-
-    /// A label-only context carrying no op identity: lets layers tag cost
-    /// subtrees without a per-op handle.
-    pub fn ctx(&self) -> TraceCtx {
-        TraceCtx {
-            tracer: self.clone(),
-            op: None,
-        }
-    }
-
-    /// Routes legs of the flow started with `tag` into `ctx`'s op. Safe to
-    /// rebind a tag (closed-loop drivers reuse stream slots as tags).
-    pub fn bind_flow(&self, tag: u64, ctx: &TraceCtx) {
-        if let Some(op) = ctx.op {
-            self.lock().bindings.insert(tag, op);
-        }
-    }
-
-    /// Finishes an op explicitly (for ops not executed through a bound
-    /// flow). Flow-bound ops finish automatically on flow completion.
-    pub fn finish_op(&self, ctx: &TraceCtx, end: SimTime) {
-        if let Some(op) = ctx.op {
-            self.lock().finish(op, end.as_nanos());
-        }
+    /// Routes legs of the flow started with `tag` into `ctx`'s op; the op
+    /// finishes when the flow completes. Safe to rebind a tag (closed-loop
+    /// drivers reuse stream slots as tags).
+    pub fn bind_flow(&self, tag: u64, ctx: TraceCtx) {
+        self.lock().bindings.insert(tag, ctx.op);
     }
 
     /// Finishes a wall-clock op at the current wall time.
-    pub fn finish_wall_op(&self, ctx: &TraceCtx) {
+    pub fn finish_wall_op(&self, ctx: TraceCtx) {
         let now = self.wall_now_ns();
-        if let Some(op) = ctx.op {
-            self.lock().finish(op, now);
-        }
+        self.lock().finish(ctx.op, now);
     }
 
     /// Nanoseconds of wall time since this tracer was created.
@@ -195,7 +239,7 @@ impl Tracer {
     pub fn wall_span(&self, name: &str, start_ns: u64, end_ns: u64) {
         let thread = std::thread::current().name().unwrap_or("anon").to_string();
         let mut inner = self.lock();
-        if inner.wall_spans.len() >= inner.max_wall_spans {
+        if inner.wall_spans.len() >= MAX_WALL_SPANS {
             return;
         }
         inner.wall_spans.push(Span {
@@ -210,29 +254,14 @@ impl Tracer {
 
     /// Total ops flagged slow so far.
     pub fn slow_ops(&self) -> u64 {
-        self.lock().tracker.slow_ops()
-    }
-
-    /// The bounded slow-op event log, oldest first.
-    pub fn slow_events(&self) -> Vec<SlowOpEvent> {
-        self.lock().tracker.slow_events().cloned().collect()
-    }
-
-    /// In-flight ops as a JSON array (cf. Ceph `dump_ops_in_flight`).
-    pub fn dump_in_flight(&self) -> String {
-        self.lock().tracker.dump_in_flight()
-    }
-
-    /// Historic ops as a JSON array (cf. Ceph `dump_historic_ops`).
-    pub fn dump_historic(&self) -> String {
-        self.lock().tracker.dump_historic()
+        self.lock().slow_ops
     }
 
     /// Snapshots everything recorded so far for export.
     pub fn export(&self) -> TraceExport {
         let inner = self.lock();
-        let mut ops: Vec<OpTrace> = inner.tracker.historic().cloned().collect();
-        ops.extend(inner.tracker.in_flight().cloned());
+        let mut ops: Vec<OpTrace> = inner.finished.iter().cloned().collect();
+        ops.extend(inner.in_flight.values().cloned());
         ops.sort_by_key(|o| o.id);
         TraceExport {
             resource_names: inner.resource_names.clone(),
@@ -243,13 +272,85 @@ impl Tracer {
 }
 
 impl TracerInner {
-    fn finish(&mut self, op: u64, end_ns: u64) {
-        if self.tracker.finish(op, end_ns).is_some() {
-            if let Some(c) = &self.slow_counter {
-                c.inc();
+    fn begin(&mut self, kind: &str, detail: &str, clock: Clock, start_ns: u64) -> TraceCtx {
+        let id = self.next_op;
+        self.next_op += 1;
+        if self.in_flight.len() >= MAX_IN_FLIGHT {
+            // Force-retire the oldest (still unfinished) op so a leak of
+            // unfinished ops cannot grow without bound.
+            if let Some((_, oldest)) = self.in_flight.pop_first() {
+                self.retire(oldest);
             }
         }
+        self.in_flight.insert(
+            id,
+            OpTrace {
+                id,
+                kind: kind.to_string(),
+                detail: detail.to_string(),
+                clock,
+                start_ns,
+                end_ns: None,
+                slow: false,
+                spans: Vec::new(),
+                dropped_spans: 0,
+            },
+        );
+        TraceCtx { op: id }
     }
+
+    /// Appends a span to op `id`'s tree; returns its index for parenting,
+    /// or `None` if the op is not in flight or its tree is full.
+    fn add_span(&mut self, id: u64, span: Span) -> Option<u32> {
+        let op = self.in_flight.get_mut(&id)?;
+        if op.spans.len() >= MAX_SPANS_PER_OP {
+            op.dropped_spans += 1;
+            return None;
+        }
+        op.spans.push(span);
+        Some((op.spans.len() - 1) as u32)
+    }
+
+    /// Finishes op `id` at `end_ns`: flags it slow against its kind's
+    /// rolling p95, then moves it to the finished ring.
+    fn finish(&mut self, id: u64, end_ns: u64) {
+        let Some(mut op) = self.in_flight.remove(&id) else {
+            return;
+        };
+        op.end_ns = Some(end_ns);
+        let latency = end_ns.saturating_sub(op.start_ns);
+        let window = self.windows.entry(op.kind.clone()).or_default();
+        if window.len() >= SLOW_MIN_SAMPLES {
+            let p95 = rolling_p95(window);
+            if p95 > 0 && latency > p95.saturating_mul(SLOW_FACTOR) {
+                op.slow = true;
+                self.slow_ops += 1;
+                if let Some(c) = &self.slow_counter {
+                    c.inc();
+                }
+            }
+        }
+        if window.len() >= SLOW_WINDOW {
+            window.pop_front();
+        }
+        window.push_back(latency);
+        self.retire(op);
+    }
+
+    fn retire(&mut self, op: OpTrace) {
+        if self.finished.len() >= MAX_FINISHED {
+            self.finished.pop_front();
+        }
+        self.finished.push_back(op);
+    }
+}
+
+/// p95 over the window by the nearest-rank method.
+fn rolling_p95(window: &VecDeque<u64>) -> u64 {
+    let mut sorted: Vec<u64> = window.iter().copied().collect();
+    sorted.sort_unstable();
+    let rank = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 impl TraceSink for Tracer {
@@ -271,7 +372,7 @@ impl TraceSink for Tracer {
             None => (Track::Thread("delay".into()), "delay".to_string()),
         };
         let name = leg.label.as_deref().map(String::from).unwrap_or(fallback);
-        let parent = inner.tracker.add_span(
+        let parent = inner.add_span(
             op,
             Span {
                 name,
@@ -287,7 +388,7 @@ impl TraceSink for Tracer {
             return; // no queue/service structure on resource-free legs
         }
         if leg.queue_nanos() > 0 {
-            inner.tracker.add_span(
+            inner.add_span(
                 op,
                 Span {
                     name: "queue".into(),
@@ -299,7 +400,7 @@ impl TraceSink for Tracer {
                 },
             );
         }
-        inner.tracker.add_span(
+        inner.add_span(
             op,
             Span {
                 name: "service".into(),
@@ -320,36 +421,17 @@ impl TraceSink for Tracer {
     }
 }
 
-/// A handle tying cost-tree labels (and optionally an op identity) to a
-/// [`Tracer`]. Carried by storage-layer ops (`IoCtx`) so cluster
-/// read/write/recovery paths can tag the cost legs they assemble.
-#[derive(Debug, Clone)]
+/// The handle [`Tracer::begin_op`] / [`Tracer::begin_wall_op`] return:
+/// which op a flow binding or a wall-clock finish refers to.
+#[derive(Debug, Clone, Copy)]
 pub struct TraceCtx {
-    tracer: Tracer,
-    op: Option<u64>,
-}
-
-impl TraceCtx {
-    /// The op this context belongs to, if it carries one.
-    pub fn op_id(&self) -> Option<u64> {
-        self.op
-    }
-
-    /// The owning tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Labels a cost subtree with a semantic step name.
-    pub fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
-        CostExpr::tagged(label, cost)
-    }
+    op: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dedup_sim::{FlowEngine, ResourceSpec};
+    use dedup_sim::{CostExpr, FlowEngine, ResourceSpec};
 
     fn traced_setup() -> (ResourcePool, FlowEngine, Tracer) {
         let mut pool = ResourcePool::new();
@@ -360,6 +442,14 @@ mod tests {
         let mut engine = FlowEngine::new();
         engine.set_trace_sink(Box::new(tracer.clone()));
         (pool, engine, tracer)
+    }
+
+    /// Runs one virtual op of `kind` from `start` to `end` through the
+    /// sink interface, the way a completed flow finishes it.
+    fn op(tracer: &Tracer, kind: &str, start: u64, end: u64) {
+        let ctx = tracer.begin_op(kind, "", SimTime::from_nanos(start));
+        tracer.bind_flow(1, ctx);
+        tracer.flow_completed(1, SimTime::from_nanos(end));
     }
 
     #[test]
@@ -375,7 +465,7 @@ mod tests {
             ]),
         );
         let ctx = tracer.begin_op("read", "obj-7", SimTime::ZERO);
-        tracer.bind_flow(5, &ctx);
+        tracer.bind_flow(5, ctx);
         engine.start(SimTime::ZERO, &cost, 5);
         while engine.advance(&mut pool).is_some() {}
         let export = tracer.export();
@@ -411,8 +501,8 @@ mod tests {
         let disk = pool.iter().next().unwrap().0;
         let c1 = tracer.begin_op("w", "a", SimTime::ZERO);
         let c2 = tracer.begin_op("w", "b", SimTime::ZERO);
-        tracer.bind_flow(1, &c1);
-        tracer.bind_flow(2, &c2);
+        tracer.bind_flow(1, c1);
+        tracer.bind_flow(2, c2);
         engine.start(SimTime::ZERO, &CostExpr::transfer(disk, 1 << 20), 1);
         engine.start(SimTime::ZERO, &CostExpr::transfer(disk, 1 << 20), 2);
         while engine.advance(&mut pool).is_some() {}
@@ -433,7 +523,7 @@ mod tests {
         let ctx = tracer.begin_wall_op("service.tick", "");
         let t0 = tracer.wall_now_ns();
         tracer.wall_span("flush.stage", t0, t0 + 10);
-        tracer.finish_wall_op(&ctx);
+        tracer.finish_wall_op(ctx);
         let export = tracer.export();
         assert_eq!(export.ops.len(), 1);
         assert_eq!(export.ops[0].clock, Clock::Wall);
@@ -443,42 +533,73 @@ mod tests {
     }
 
     #[test]
-    fn export_ctx_has_no_op_but_still_labels() {
+    fn slow_ops_are_flagged_against_their_kinds_rolling_p95() {
         let tracer = Tracer::new();
-        let ctx = tracer.ctx();
-        assert_eq!(ctx.op_id(), None);
-        let cost = ctx.label(
-            "read",
-            CostExpr::delay(dedup_sim::SimDuration::from_nanos(5)),
-        );
-        assert!(matches!(cost, CostExpr::Tagged { .. }));
+        let registry = Registry::new();
+        tracer.attach_registry(&registry);
+        for i in 0..SLOW_MIN_SAMPLES as u64 {
+            op(&tracer, "read", i, i + 1000);
+        }
+        // Exactly 4x p95 is not slow; one nanosecond more is.
+        op(&tracer, "read", 0, 4000);
+        assert_eq!(tracer.slow_ops(), 0);
+        op(&tracer, "read", 0, 4001);
+        // A "flush" 100x slower than reads has no baseline of its own yet.
+        op(&tracer, "flush", 0, 100_000);
+        assert_eq!(tracer.slow_ops(), 1);
+        assert_eq!(registry.counter("trace.slow_ops").get(), 1);
+        let slow: Vec<OpTrace> = tracer.export().ops.into_iter().filter(|o| o.slow).collect();
+        assert_eq!(slow.len(), 1);
+        assert_eq!(slow[0].end_ns, Some(4001));
     }
 
     #[test]
-    fn slow_counter_reaches_registry() {
-        let tracer = Tracer::with_config(TrackerConfig {
-            slow_min_samples: 2,
-            slow_factor: 2.0,
-            ..TrackerConfig::default()
-        });
-        let registry = Registry::new();
-        tracer.attach_registry(&registry);
-        for i in 0..4 {
-            let ctx = tracer.begin_op("r", "", SimTime::from_nanos(i));
-            tracer.finish_op(&ctx, SimTime::from_nanos(i + 100));
+    fn rings_are_bounded() {
+        let tracer = Tracer::new();
+        for i in 0..MAX_FINISHED as u64 + 3 {
+            op(&tracer, "w", i, i + 1);
         }
-        let ctx = tracer.begin_op("r", "", SimTime::ZERO);
-        tracer.finish_op(&ctx, SimTime::from_nanos(100_000));
-        assert_eq!(tracer.slow_ops(), 1);
-        assert_eq!(registry.counter("trace.slow_ops").get(), 1);
-        assert!(tracer.dump_historic().contains("\"slow\":true"));
+        let ids: Vec<u64> = tracer.export().ops.iter().map(|o| o.id).collect();
+        assert_eq!(ids.len(), MAX_FINISHED);
+        assert_eq!(ids[0], 4, "the oldest finished ops age out first");
+
+        // In flight: the oldest unfinished op is force-retired.
+        let tracer = Tracer::new();
+        for _ in 0..=MAX_IN_FLIGHT {
+            let _ = tracer.begin_op("w", "", SimTime::ZERO);
+        }
+        let export = tracer.export();
+        assert_eq!(export.ops.len(), MAX_IN_FLIGHT + 1);
+        let retired = &export.ops[0];
+        assert_eq!((retired.id, retired.end_ns), (1, None));
+        assert_eq!(tracer.lock().in_flight.len(), MAX_IN_FLIGHT);
+    }
+
+    #[test]
+    fn span_cap_counts_drops() {
+        let tracer = Tracer::new();
+        let ctx = tracer.begin_op("w", "", SimTime::ZERO);
+        let mut inner = tracer.lock();
+        let span = Span {
+            name: "s".into(),
+            track: Track::Thread("delay".into()),
+            start_ns: 0,
+            end_ns: 1,
+            parent: None,
+            bytes: 0,
+        };
+        for i in 0..MAX_SPANS_PER_OP {
+            assert_eq!(inner.add_span(ctx.op, span.clone()), Some(i as u32));
+        }
+        assert_eq!(inner.add_span(ctx.op, span), None);
+        assert_eq!(inner.in_flight[&ctx.op].dropped_spans, 1);
     }
 }
 
 #[cfg(test)]
 mod span_proptests {
     use super::*;
-    use dedup_sim::{FlowEngine, ResourceId, ResourceSpec, SimDuration};
+    use dedup_sim::{CostExpr, FlowEngine, ResourceId, ResourceSpec, SimDuration};
     use proptest::prelude::*;
 
     /// Resource-index shape of a cost tree; converted to a [`CostExpr`]
@@ -542,7 +663,7 @@ mod span_proptests {
         let mut engine = FlowEngine::new();
         engine.set_trace_sink(Box::new(tracer.clone()));
         let ctx = tracer.begin_op("op", "", SimTime::ZERO);
-        tracer.bind_flow(9, &ctx);
+        tracer.bind_flow(9, ctx);
         engine.start(SimTime::ZERO, cost, 9);
         while engine.advance(&mut pool).is_some() {}
         let mut export = tracer.export();

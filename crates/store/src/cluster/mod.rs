@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use dedup_erasure::ReedSolomon;
-use dedup_obs::{EventLog, Registry, Severity, TraceCtx, Tracer};
+use dedup_obs::{EventLog, Registry, Severity, Tracer};
 use dedup_placement::{ClusterMap, NodeId, OsdId, PgMap, PoolId};
 use dedup_sim::{CostExpr, SimTime};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -57,29 +57,15 @@ impl<T> Timed<T> {
 
 /// An I/O context: which pool to address and which client host issues the
 /// request (chooses the client-side NIC), mirroring a RADOS `ioctx`.
-///
-/// A context may also carry a [`TraceCtx`]: when it does, cluster ops tag
-/// the cost legs they assemble with semantic step names so traced runs
-/// can attribute time per step. Tags are timing-transparent and absent
-/// entirely on untraced contexts, so the untraced path is unchanged.
-#[derive(Debug, Clone)]
+/// Pure addressing: whether cost legs get step names is the cluster's
+/// attached tracer's business ([`Cluster::label`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoCtx {
     /// Target pool.
     pub pool: PoolId,
     /// Issuing client host.
     pub client: ClientId,
-    /// Optional per-op trace context.
-    pub trace: Option<TraceCtx>,
 }
-
-impl PartialEq for IoCtx {
-    fn eq(&self, other: &Self) -> bool {
-        // Trace identity is diagnostic state, not addressing state.
-        self.pool == other.pool && self.client == other.client
-    }
-}
-
-impl Eq for IoCtx {}
 
 impl IoCtx {
     /// Creates a context for `pool` from client 0.
@@ -87,7 +73,6 @@ impl IoCtx {
         IoCtx {
             pool,
             client: ClientId(0),
-            trace: None,
         }
     }
 
@@ -95,22 +80,6 @@ impl IoCtx {
     pub fn with_client(mut self, client: ClientId) -> Self {
         self.client = client;
         self
-    }
-
-    /// Attaches a trace context: subsequent ops through this `IoCtx` tag
-    /// their cost legs.
-    pub fn with_trace(mut self, trace: TraceCtx) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Tags `cost` with `label` when this context is traced; returns it
-    /// untouched otherwise.
-    pub fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
-        match &self.trace {
-            Some(t) => t.label(label, cost),
-            None => cost,
-        }
     }
 }
 
@@ -307,9 +276,9 @@ impl Cluster {
         self.metrics = ClusterMetrics::new(registry);
     }
 
-    /// Attaches a per-op tracer. Cluster-internal ops with no caller
-    /// context (recovery, scrub) tag their cost legs through it, and
-    /// stacked layers can retrieve it via [`Cluster::tracer`]. The tracer
+    /// Attaches a per-op tracer: from now on every cost leg the stack
+    /// assembles carries its step name ([`Cluster::label`]), and stacked
+    /// layers share this one handle via [`Cluster::tracer`]. The tracer
     /// also learns the timing plane's resource names.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
         tracer.register_resources(&self.perf.pool);
@@ -347,9 +316,10 @@ impl Cluster {
         }
     }
 
-    /// Tags `cost` when a tracer is attached (for cluster-internal ops
-    /// that have no caller-supplied [`IoCtx`] trace).
-    pub(crate) fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
+    /// Tags `cost` with a step name if and only if a tracer is attached;
+    /// returns it untouched (no allocation) otherwise. Tags are
+    /// timing-transparent, so labelling never changes virtual time.
+    pub fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
         match &self.tracer {
             Some(_) => CostExpr::tagged(label, cost),
             None => cost,

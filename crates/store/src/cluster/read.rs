@@ -211,10 +211,10 @@ impl Cluster {
         let primary_node = self.node_of(primary);
         let fetch = match st.config.redundancy {
             Redundancy::Replicated(_) => {
-                ctx.label("disk_read", self.perf.disk_io(primary.0 as usize, len))
+                self.label("disk_read", self.perf.disk_io(primary.0 as usize, len))
             }
             // The k data shards covering the range, then back to the client.
-            Redundancy::Erasure { k, .. } => ctx.label(
+            Redundancy::Erasure { k, .. } => self.label(
                 "ec_gather",
                 self.ec_gather_cost(&acting[..k], len.div_ceil(k as u64).max(1)),
             ),
@@ -222,7 +222,7 @@ impl Cluster {
         let cost = CostExpr::seq([
             self.perf.request_cpu(primary_node, len),
             fetch,
-            ctx.label(
+            self.label(
                 "reply_xfer",
                 self.perf.client_to_node(ctx.client, primary_node, len),
             ),
@@ -327,7 +327,7 @@ impl Cluster {
             .with_replica(ctx.pool, name, f)?
             .ok_or_else(|| StoreError::NoSuchObject(ctx.pool, name.clone()))?;
         let primary = self.acting(ctx.pool, name)?[0];
-        let cost = ctx.label(
+        let cost = self.label(
             "meta_read",
             CostExpr::seq([
                 self.perf.disk_io(primary.0 as usize, META_IO),

@@ -380,7 +380,7 @@ impl Cluster {
     ) -> CostExpr {
         let primary_node = self.node_of(acting[0]);
         let payload = sum.data_bytes + sum.meta_bytes + 64; // 64B of message header
-        let client_leg = ctx.label(
+        let client_leg = self.label(
             "client_xfer",
             self.perf.client_to_node(ctx.client, primary_node, payload),
         );
@@ -396,7 +396,7 @@ impl Cluster {
         };
         if sum.removes {
             // Deletion: metadata-sized fan-out.
-            return CostExpr::seq([client_leg, ctx.label("delete_fanout", fanout(64))]);
+            return CostExpr::seq([client_leg, self.label("delete_fanout", fanout(64))]);
         }
         let request_cpu = self.perf.request_cpu(primary_node, sum.data_bytes);
         match st.config.redundancy {
@@ -409,8 +409,8 @@ impl Cluster {
                 CostExpr::seq([
                     client_leg,
                     request_cpu,
-                    ctx.label("compress", compress_cpu),
-                    ctx.label("rep_fanout", fanout(payload)),
+                    self.label("compress", compress_cpu),
+                    self.label("rep_fanout", fanout(payload)),
                 ])
             }
             Redundancy::Erasure { k, m } => {
@@ -432,9 +432,9 @@ impl Cluster {
                 CostExpr::seq([
                     client_leg,
                     request_cpu,
-                    ctx.label("ec_rmw", rmw),
-                    ctx.label("ec_parity", ec_cpu),
-                    ctx.label("ec_fanout", fanout(shard_out)),
+                    self.label("ec_rmw", rmw),
+                    self.label("ec_parity", ec_cpu),
+                    self.label("ec_fanout", fanout(shard_out)),
                 ])
             }
         }

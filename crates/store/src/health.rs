@@ -1,92 +1,56 @@
-//! Store-layer health checks: OSD availability and WAL durable-state
-//! sanity, implementing [`dedup_obs::HealthCheck`] for aggregation into
-//! a stack-wide [`dedup_obs::HealthReport`].
+//! Store-layer health probes: OSD availability and WAL durable-state
+//! sanity, listed in the stack-wide probe table
+//! (`dedup_core::DedupStore::health_report`).
 
-use dedup_obs::{HealthCheck, HealthFinding, HealthStatus};
-use dedup_sim::SimTime;
+use dedup_obs::{HealthFinding, HealthStatus};
 
 use crate::cluster::Cluster;
 
-/// OSD availability probe: any down OSD is `degraded` (the pools still
-/// serve from survivors); half or more down is `critical` (replicated ×2
-/// pools can no longer place full acting sets reliably).
-pub struct OsdHealth<'a> {
-    cluster: &'a Cluster,
+/// OSD availability probe (`cluster.osd`): any down OSD is `degraded`
+/// (the pools still serve from survivors); half or more down is
+/// `critical` (replicated ×2 pools can no longer place full acting sets
+/// reliably).
+pub fn osd_health(cluster: &Cluster) -> Option<HealthFinding> {
+    let osds = cluster.map().osds();
+    let down: Vec<String> = osds
+        .iter()
+        .filter(|o| !o.up)
+        .map(|o| o.id.0.to_string())
+        .collect();
+    if down.is_empty() {
+        return None;
+    }
+    let status = if down.len() * 2 >= osds.len() {
+        HealthStatus::Critical
+    } else {
+        HealthStatus::Degraded
+    };
+    Some(HealthFinding::new(
+        "cluster.osd",
+        status,
+        "osd_down",
+        format!(
+            "{} of {} OSDs down (ids: {})",
+            down.len(),
+            osds.len(),
+            down.join(",")
+        ),
+    ))
 }
 
-impl<'a> OsdHealth<'a> {
-    /// Probes `cluster`'s map.
-    pub fn new(cluster: &'a Cluster) -> Self {
-        OsdHealth { cluster }
-    }
-}
-
-impl HealthCheck for OsdHealth<'_> {
-    fn component(&self) -> &str {
-        "cluster.osd"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        let osds = self.cluster.map().osds();
-        let down: Vec<String> = osds
-            .iter()
-            .filter(|o| !o.up)
-            .map(|o| o.id.0.to_string())
-            .collect();
-        if down.is_empty() {
-            return Vec::new();
-        }
-        let status = if down.len() * 2 >= osds.len() {
-            HealthStatus::Critical
-        } else {
-            HealthStatus::Degraded
-        };
-        vec![HealthFinding::new(
-            "cluster.osd",
-            status,
-            "osd_down",
-            format!(
-                "{} of {} OSDs down (ids: {})",
-                down.len(),
-                osds.len(),
-                down.join(",")
-            ),
-        )]
-    }
-}
-
-/// WAL durable-state probe: the MANIFEST must decode and every segment it
-/// names must be present and clean ([`Cluster::wal_manifest_check`]).
-/// Corruption here means a crash right now would be unrecoverable, so any
-/// failure is `critical`. A cluster without an attached WAL is healthy
-/// (durability was never promised).
-pub struct WalHealth<'a> {
-    cluster: &'a Cluster,
-}
-
-impl<'a> WalHealth<'a> {
-    /// Probes `cluster`'s WAL state.
-    pub fn new(cluster: &'a Cluster) -> Self {
-        WalHealth { cluster }
-    }
-}
-
-impl HealthCheck for WalHealth<'_> {
-    fn component(&self) -> &str {
-        "cluster.wal"
-    }
-
-    fn check(&self, _now: SimTime) -> Vec<HealthFinding> {
-        match self.cluster.wal_manifest_check() {
-            None | Some(Ok(_)) => Vec::new(),
-            Some(Err(detail)) => vec![HealthFinding::new(
-                "cluster.wal",
-                HealthStatus::Critical,
-                "wal_manifest",
-                detail,
-            )],
-        }
-    }
+/// WAL durable-state probe (`cluster.wal`): the MANIFEST must decode and
+/// every segment it names must be present and clean
+/// ([`Cluster::wal_manifest_check`]). Corruption here means a crash right
+/// now would be unrecoverable, so any failure is `critical`. A cluster
+/// without an attached WAL is healthy (durability was never promised).
+pub fn wal_health(cluster: &Cluster) -> Option<HealthFinding> {
+    let detail = cluster.wal_manifest_check()?.err()?;
+    Some(HealthFinding::new(
+        "cluster.wal",
+        HealthStatus::Critical,
+        "wal_manifest",
+        detail,
+    ))
 }
 
 #[cfg(test)]
@@ -98,30 +62,31 @@ mod tests {
     #[test]
     fn osd_health_tracks_down_devices() {
         let mut c = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
-        assert!(OsdHealth::new(&c).check(SimTime::ZERO).is_empty());
+        assert!(osd_health(&c).is_none());
 
         c.mark_down(OsdId(0));
-        let findings = OsdHealth::new(&c).check(SimTime::ZERO);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].status, HealthStatus::Degraded);
-        assert_eq!(findings[0].code, "osd_down");
-        assert!(findings[0].detail.contains("1 of 8"));
+        let finding = osd_health(&c).expect("one OSD down");
+        assert_eq!(finding.status, HealthStatus::Degraded);
+        assert_eq!(finding.code, "osd_down");
+        assert!(finding.detail.contains("1 of 8"));
 
         for i in 1..4 {
             c.mark_down(OsdId(i));
         }
-        let findings = OsdHealth::new(&c).check(SimTime::ZERO);
-        assert_eq!(findings[0].status, HealthStatus::Critical);
+        assert_eq!(
+            osd_health(&c).expect("half down").status,
+            HealthStatus::Critical
+        );
 
         for i in 0..4 {
             c.revive_osd(OsdId(i));
         }
-        assert!(OsdHealth::new(&c).check(SimTime::ZERO).is_empty());
+        assert!(osd_health(&c).is_none());
     }
 
     #[test]
     fn wal_health_is_quiet_without_a_wal() {
         let c = ClusterBuilder::new().build();
-        assert!(WalHealth::new(&c).check(SimTime::ZERO).is_empty());
+        assert!(wal_health(&c).is_none());
     }
 }

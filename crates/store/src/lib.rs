@@ -39,7 +39,7 @@ pub use cluster::{
     WalRecoveryReport,
 };
 pub use error::StoreError;
-pub use health::{OsdHealth, WalHealth};
+pub use health::{osd_health, wal_health};
 pub use object::{ExtentList, ObjectName, Payload, RangeSet, StoredObject, PER_OBJECT_OVERHEAD};
 pub use osd::{Osd, OsdStats};
 pub use perf::{ClientId, PerfConfig, PerfTopology};

@@ -140,7 +140,7 @@ impl BlockBackend for (Cluster, IoCtx) {
         now: SimTime,
     ) -> Result<CostExpr, BlockError> {
         let _ = now;
-        let ctx = self.1.clone().with_client(client);
+        let ctx = self.1.with_client(client);
         Ok(self.0.write_at(&ctx, name, offset, data.to_vec())?.cost)
     }
 
@@ -153,7 +153,7 @@ impl BlockBackend for (Cluster, IoCtx) {
         now: SimTime,
     ) -> Result<(Vec<u8>, CostExpr), BlockError> {
         let _ = now;
-        let ctx = self.1.clone().with_client(client);
+        let ctx = self.1.with_client(client);
         let size = self.0.stat(self.1.pool, name)?.unwrap_or(0);
         if offset >= size {
             return Ok((vec![0u8; len as usize], CostExpr::Nop));
