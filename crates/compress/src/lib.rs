@@ -8,7 +8,11 @@
 //! genuine compressed sizes.
 //!
 //! The format is LZ4-flavoured (token byte with literal-run and match-length
-//! nibbles, 16-bit match offsets) but makes no compatibility claims.
+//! nibbles, 16-bit match offsets) but not LZ4-compatible. It is frozen:
+//! stored pools hold these streams and compressed-domain chunk names are
+//! hashes of them, so [`compress`] must emit the same bytes for every input
+//! forever. `streams_are_pinned` (in the workloads crate's
+//! `compress_roundtrip` tests) pins a corpus of streams to enforce that.
 //!
 //! # Example
 //!
@@ -46,9 +50,29 @@ impl fmt::Display for DecompressError {
 
 impl Error for DecompressError {}
 
+/// Bytes the decoder's output buffer keeps past the bytes it must hold, so
+/// the fixed-size literal and match copies may overrun their run.
+const SLACK: usize = 32;
+/// Most output bytes one input byte can decode to (a 255 continuation
+/// byte of a match length).
+const MAX_EXPANSION: usize = 255;
+
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"));
+fn load4(data: &[u8], i: usize) -> u32 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&data[i..i + 4]);
+    u32::from_le_bytes(w)
+}
+
+#[inline]
+fn load8(data: &[u8], i: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&data[i..i + 8]);
+    u64::from_le_bytes(w)
+}
+
+#[inline]
+fn hash(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
@@ -92,21 +116,19 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut i = 0usize;
 
     while i + MIN_MATCH <= data.len() {
-        let h = hash4(data, i);
+        // One load serves both the hash and the candidate compare.
+        let window = load4(data, i);
+        let h = hash(window);
         let candidate = table[h];
         table[h] = i;
         let is_match = candidate != usize::MAX
             && i - candidate <= MAX_OFFSET
-            && data[candidate..candidate + MIN_MATCH] == data[i..i + MIN_MATCH];
+            && load4(data, candidate) == window;
         if !is_match {
             i += 1;
             continue;
         }
-        // Extend the match.
-        let mut len = MIN_MATCH;
-        while i + len < data.len() && data[candidate + len] == data[i + len] {
-            len += 1;
-        }
+        let len = match_len(data, candidate, i);
         emit_sequence(
             &mut out,
             &data[literal_start..i],
@@ -115,20 +137,16 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         // Seed the table through the match so future references can land
         // inside it (cheap, keeps ratios reasonable on periodic data).
         let end = (i + len).min(data.len().saturating_sub(MIN_MATCH - 1));
-        let mut j = i + 1;
-        while j < end {
-            table[hash4(data, j)] = j;
-            j += 1;
+        for j in i + 1..end {
+            table[hash(load4(data, j))] = j;
         }
         i += len;
         literal_start = i;
     }
-    if literal_start < data.len() || data.is_empty() {
+    // Input that ends inside a match has had one emitted already, so the
+    // stream is non-empty either way.
+    if literal_start < data.len() {
         emit_sequence(&mut out, &data[literal_start..], None);
-    } else if out.is_empty() {
-        // Data fully covered by matches but output must be non-empty to
-        // distinguish from empty input; emit an empty trailing literal run.
-        emit_sequence(&mut out, &[], None);
     }
     if out.len() > max_compressed_len(data.len()) {
         // Stored-block escape: emit the input as one raw literal run.
@@ -136,6 +154,25 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         emit_sequence(&mut out, data, None);
     }
     out
+}
+
+/// Length of the match at `i` against the earlier `candidate`, whose first
+/// `MIN_MATCH` bytes are known equal. Extends a word at a time: the first
+/// differing byte of two little-endian words is the lowest set bit of
+/// their XOR.
+fn match_len(data: &[u8], candidate: usize, i: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while i + len + 8 <= data.len() {
+        let diff = load8(data, candidate + len) ^ load8(data, i + len);
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    while i + len < data.len() && data[candidate + len] == data[i + len] {
+        len += 1;
+    }
+    len
 }
 
 fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
@@ -188,51 +225,105 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
 /// Callers that know the original size (the dedup engine records it next to
 /// each compressed chunk) use this to keep a corrupt or malicious stream
 /// from allocating beyond that size: the output buffer never grows past
-/// `max_out` before the error is returned.
+/// `max_out` (plus a few bytes of slack) before the error is returned.
 ///
 /// # Errors
 ///
 /// Returns [`DecompressError`] if the stream is truncated, references data
 /// before the start of the output, or would expand past `max_out` bytes.
 pub fn decompress_with_limit(data: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3).min(max_out));
+    // A limit the stream can reach is the caller's size hint (the engine
+    // passes each chunk's raw length), so the buffer is sized once. A limit
+    // past anything the stream can expand to (`decompress` passes
+    // `usize::MAX`) says nothing: start at a small multiple and grow.
+    let first = if max_out <= data.len().saturating_mul(MAX_EXPANSION) {
+        max_out
+    } else {
+        data.len().saturating_mul(4)
+    };
+    // `out[..n]` is the decoded output; everything past it is scratch the
+    // fixed-size copies may overrun. Before a run of `k` bytes is copied,
+    // `reserve` makes `out.len() >= n + k + SLACK`.
+    let mut out = vec![0u8; first + SLACK];
+    let mut n = 0usize;
     let mut pos = 0usize;
     while pos < data.len() {
         let token = data[pos];
         pos += 1;
         let lit_len = read_varlen(data, &mut pos, (token >> 4) as usize)?;
-        if pos + lit_len > data.len() {
+        if lit_len > data.len() - pos || lit_len > max_out - n {
             return Err(DecompressError { at: pos });
         }
-        if lit_len > max_out - out.len() {
-            return Err(DecompressError { at: pos });
+        reserve(&mut out, n + lit_len, max_out);
+        if lit_len <= 16 && data.len() - pos >= 16 {
+            out[n..n + 16].copy_from_slice(&data[pos..pos + 16]);
+        } else {
+            out[n..n + lit_len].copy_from_slice(&data[pos..pos + lit_len]);
         }
-        out.extend_from_slice(&data[pos..pos + lit_len]);
+        n += lit_len;
         pos += lit_len;
         if pos == data.len() {
             break; // final sequence has no match part
         }
-        if pos + 2 > data.len() {
+        if data.len() - pos < 2 {
             return Err(DecompressError { at: pos });
         }
-        let offset = u16::from_le_bytes(data[pos..pos + 2].try_into().expect("2 bytes")) as usize;
+        let offset = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
         pos += 2;
         let match_len = read_varlen(data, &mut pos, (token & 0x0F) as usize)? + MIN_MATCH;
-        if offset == 0 || offset > out.len() {
+        if offset == 0 || offset > n || match_len > max_out - n {
             return Err(DecompressError { at: pos });
         }
-        if match_len > max_out - out.len() {
-            return Err(DecompressError { at: pos });
-        }
-        let start = out.len() - offset;
-        // Overlapping copy (offset < len is legal and common for RLE-like
-        // runs), so copy byte by byte.
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        reserve(&mut out, n + match_len, max_out);
+        copy_match(&mut out, n, offset, match_len);
+        n += match_len;
+    }
+    out.truncate(n);
+    Ok(out)
+}
+
+/// Grows `out` so bytes up to `end` plus the slack fit, doubling so a
+/// stream that outgrows its first guess is copied `O(log n)` times.
+#[inline]
+fn reserve(out: &mut Vec<u8>, end: usize, max_out: usize) {
+    if end + SLACK > out.len() {
+        let len = out
+            .len()
+            .saturating_mul(2)
+            .min(max_out.saturating_add(SLACK))
+            .max(end + SLACK);
+        out.resize(len, 0);
+    }
+}
+
+/// Appends the `len`-byte match at distance `offset` behind `out[..n]`.
+///
+/// Copies 8 bytes per step, so it may write up to 7 bytes past the match
+/// into the slack (the next copy, or the final truncate, overwrites
+/// them). A step must read only final bytes: writing at `p` from distance
+/// `d >= 8`, it reads `[p - d, p - d + 8)`, all below `p`. A shorter
+/// distance is widened first: the match repeats with period `offset`, so
+/// once `(m - 1) * offset` bytes are written byte by byte, every later byte
+/// also equals the byte `m * offset >= 8` behind it.
+#[inline]
+fn copy_match(out: &mut [u8], n: usize, offset: usize, len: usize) {
+    let end = n + len;
+    let mut src = n - offset;
+    let mut dst = n;
+    if offset < 8 {
+        let head = (8usize.div_ceil(offset) - 1) * offset;
+        while dst < end.min(n + head) {
+            out[dst] = out[dst - offset];
+            dst += 1;
         }
     }
-    Ok(out)
+    while dst < end {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&out[src..src + 8]);
+        out[dst..dst + 8].copy_from_slice(&w);
+        src += 8;
+        dst += 8;
+    }
 }
 
 /// Compression statistics for one buffer, as reported by the capacity
@@ -263,9 +354,138 @@ impl CompressionStats {
     }
 }
 
+/// The byte-at-a-time decoder the wild-copy one replaced, kept as the
+/// oracle: both must agree on every input and limit, `Ok` bytes and `Err`
+/// position alike.
+#[cfg(test)]
+fn reference_decompress(data: &[u8], max_out: usize) -> Result<Vec<u8>, DecompressError> {
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let token = data[pos];
+        pos += 1;
+        let lit_len = read_varlen(data, &mut pos, (token >> 4) as usize)?;
+        if pos + lit_len > data.len() {
+            return Err(DecompressError { at: pos });
+        }
+        if lit_len > max_out - out.len() {
+            return Err(DecompressError { at: pos });
+        }
+        out.extend_from_slice(&data[pos..pos + lit_len]);
+        pos += lit_len;
+        if pos == data.len() {
+            break;
+        }
+        if pos + 2 > data.len() {
+            return Err(DecompressError { at: pos });
+        }
+        let offset = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
+        pos += 2;
+        let match_len = read_varlen(data, &mut pos, (token & 0x0F) as usize)? + MIN_MATCH;
+        if offset == 0 || offset > out.len() {
+            return Err(DecompressError { at: pos });
+        }
+        if match_len > max_out - out.len() {
+            return Err(DecompressError { at: pos });
+        }
+        let start = out.len() - offset;
+        for k in 0..match_len {
+            let b = out[start + k];
+            out.push(b);
+        }
+    }
+    Ok(out)
+}
+
+/// The byte-compare encoder the word-at-a-time one replaced, kept as the
+/// oracle for "the same bytes for every input".
+#[cfg(test)]
+fn reference_compress(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    if data.is_empty() {
+        return out;
+    }
+    let hash4 = |i: usize| hash(load4(data, i));
+    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let mut literal_start = 0usize;
+    let mut i = 0usize;
+    while i + MIN_MATCH <= data.len() {
+        let h = hash4(i);
+        let candidate = table[h];
+        table[h] = i;
+        let is_match = candidate != usize::MAX
+            && i - candidate <= MAX_OFFSET
+            && data[candidate..candidate + MIN_MATCH] == data[i..i + MIN_MATCH];
+        if !is_match {
+            i += 1;
+            continue;
+        }
+        let mut len = MIN_MATCH;
+        while i + len < data.len() && data[candidate + len] == data[i + len] {
+            len += 1;
+        }
+        emit_sequence(
+            &mut out,
+            &data[literal_start..i],
+            Some(((i - candidate) as u16, len)),
+        );
+        let end = (i + len).min(data.len().saturating_sub(MIN_MATCH - 1));
+        for j in i + 1..end {
+            table[hash4(j)] = j;
+        }
+        i += len;
+        literal_start = i;
+    }
+    if literal_start < data.len() {
+        emit_sequence(&mut out, &data[literal_start..], None);
+    }
+    if out.len() > max_compressed_len(data.len()) {
+        out.clear();
+        emit_sequence(&mut out, data, None);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every match shape the wild copy distinguishes: offsets on both
+    /// sides of the 8-byte step and the widened short-offset head, match
+    /// lengths across the 15 nibble and the 255 varlen boundaries, and
+    /// literal runs on both sides of the 16-byte literal copy — each at
+    /// the exact limit (where the slack is all that absorbs an overrun),
+    /// one byte under it, and unlimited (where the buffer grows).
+    #[test]
+    fn wild_copies_agree_with_reference_at_every_boundary() {
+        let history: Vec<u8> = (0..20u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        for offset in 1..=20usize {
+            for match_len in 4..=300usize {
+                for lits in 0..=17usize {
+                    for tail in [0usize, 5] {
+                        let mut stream = Vec::new();
+                        // 20 bytes of history, then a 4-byte match of them.
+                        emit_sequence(&mut stream, &history, Some((20, 4)));
+                        let literals: Vec<u8> = (0..lits).map(|k| 0xC0 | k as u8).collect();
+                        emit_sequence(&mut stream, &literals, Some((offset as u16, match_len)));
+                        if tail > 0 {
+                            emit_sequence(&mut stream, b"tail!", None);
+                        }
+                        let exact = 24 + lits + match_len + tail;
+                        let want = reference_decompress(&stream, exact).expect("valid");
+                        assert_eq!(want.len(), exact);
+                        for limit in [exact, exact - 1, usize::MAX] {
+                            assert_eq!(
+                                decompress_with_limit(&stream, limit),
+                                reference_decompress(&stream, limit),
+                                "offset {offset} len {match_len} lits {lits} tail {tail} limit {limit}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);
@@ -429,6 +649,20 @@ mod tests {
     }
 
     #[test]
+    fn output_is_sized_once_for_a_reachable_limit_and_grows_without_one() {
+        let data = b"limitcase ".repeat(400);
+        let packed = compress(&data);
+        let out = decompress_with_limit(&packed, data.len()).expect("fits");
+        assert_eq!(out.capacity(), data.len() + SLACK, "one exact allocation");
+        // No limit: start small and grow, never at the 255x worst case.
+        let out = decompress(&packed).expect("valid");
+        assert_eq!(out, data);
+        assert!(out.capacity() <= 2 * (data.len() + SLACK));
+        let tiny = decompress(&compress(b"abcdefgh")).expect("valid");
+        assert!(tiny.capacity() < 4 * 9 + SLACK + 1, "{}", tiny.capacity());
+    }
+
+    #[test]
     fn stats_ratio() {
         let s = CompressionStats::measure(&b"aaaa".repeat(1000));
         assert!(s.ratio() > 10.0);
@@ -479,51 +713,74 @@ mod proptests {
             let packed = compress(&data);
             prop_assert!(packed.len() <= max_compressed_len(data.len()));
         }
+    }
 
-        /// Arbitrary garbage fed to the decoder must either decode or
-        /// return an error — never panic, and with a limit never produce
-        /// more output than the limit allows.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The word-at-a-time encoder emits the reference's bytes, on
+        /// random input and on periodic input whose matches end at every
+        /// alignment relative to the 8-byte compare and the input's end.
         #[test]
-        fn malformed_streams_never_panic(
+        fn encoder_matches_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            period in 1usize..40,
+            runs in 0usize..300,
+            noise in proptest::collection::vec(any::<u8>(), 0..24),
+        ) {
+            prop_assert_eq!(compress(&data), reference_compress(&data));
+            let mut periodic: Vec<u8> = data.iter().copied().cycle().take(period).collect();
+            periodic = periodic.repeat(runs);
+            periodic.extend_from_slice(&noise);
+            let echo = periodic[..periodic.len() / 3].to_vec();
+            periodic.extend_from_slice(&echo);
+            prop_assert_eq!(compress(&periodic), reference_compress(&periodic));
+        }
+
+        /// Garbage at any limit: the decoder and the byte-at-a-time
+        /// reference agree on the output or on the error position. The
+        /// reference never exceeds the limit, so neither does the decoder,
+        /// and neither panics.
+        #[test]
+        fn garbage_decodes_like_reference(
             garbage in proptest::collection::vec(any::<u8>(), 0..2048),
             limit in 0usize..16384,
         ) {
-            let _ = decompress(&garbage); // must not panic
-            if let Ok(out) = decompress_with_limit(&garbage, limit) {
-                prop_assert!(out.len() <= limit);
-            }
+            prop_assert_eq!(
+                decompress_with_limit(&garbage, limit),
+                reference_decompress(&garbage, limit)
+            );
+            prop_assert_eq!(decompress(&garbage), reference_decompress(&garbage, usize::MAX));
         }
 
-        /// Flipping one byte of a valid stream must never panic the
-        /// decoder (it may still decode to different bytes).
+        /// Valid streams, possibly with one byte flipped, truncated
+        /// anywhere (or not at all), decoded at limits around the true
+        /// length and unlimited.
         #[test]
-        fn corrupted_streams_never_panic(
+        fn damaged_streams_decode_like_reference(
             data in proptest::collection::vec(any::<u8>(), 1..2048),
+            repeat in 1usize..8,
+            flip in any::<bool>(),
             flip_at in any::<u16>(),
             flip_to in any::<u8>(),
-        ) {
-            let mut packed = compress(&data);
-            let at = flip_at as usize % packed.len();
-            packed[at] = flip_to;
-            let _ = decompress(&packed); // must not panic
-            if let Ok(out) = decompress_with_limit(&packed, data.len()) {
-                prop_assert!(out.len() <= data.len());
-            }
-        }
-
-        /// Truncating a valid stream anywhere either errors or yields a
-        /// prefix-consistent output — never a panic.
-        #[test]
-        fn truncation_never_panics(
-            data in proptest::collection::vec(any::<u8>(), 0..2048),
             cut in any::<u16>(),
+            slack in 0usize..64,
         ) {
-            let packed = compress(&data);
-            if packed.is_empty() {
-                return Ok(());
+            // Repeating the input gives the stream long matches to damage.
+            let data = data.repeat(repeat);
+            let mut packed = compress(&data);
+            if flip {
+                let at = flip_at as usize % packed.len();
+                packed[at] = flip_to;
             }
-            let cut = cut as usize % packed.len();
-            let _ = decompress(&packed[..cut]); // must not panic
+            let cut = packed.len() - cut as usize % packed.len();
+            let stream = &packed[..cut];
+            for limit in [data.len().saturating_sub(slack), data.len() + slack, usize::MAX] {
+                prop_assert_eq!(
+                    decompress_with_limit(stream, limit),
+                    reference_decompress(stream, limit)
+                );
+            }
         }
     }
 }

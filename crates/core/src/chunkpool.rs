@@ -380,11 +380,13 @@ impl ChunkPool {
             .stat(self.pool, chunk)?
             .ok_or_else(|| StoreError::NoSuchObject(self.pool, chunk.clone()))?;
         let t = cluster.read_at(cctx, chunk, 0, extent)?;
-        let raw =
-            dedup_compress::decompress_with_limit(&t.value, raw_len as usize).map_err(|_| {
-                DedupError::CorruptCompressedChunk {
-                    chunk: chunk.to_string(),
-                }
+        // A stream that decodes short of the recorded length is as corrupt
+        // as one that does not decode: serving it would zero-fill the gap.
+        let raw = dedup_compress::decompress_with_limit(&t.value, raw_len as usize)
+            .ok()
+            .filter(|raw| raw.len() as u64 == raw_len)
+            .ok_or_else(|| DedupError::CorruptCompressedChunk {
+                chunk: chunk.to_string(),
             })?;
         self.metrics.compress_decompressed_chunks.inc();
         self.metrics
@@ -751,6 +753,17 @@ mod tests {
             pool.read_at(&cluster, &cctx, &bad, 0, 16).unwrap_err(),
             DedupError::CorruptCompressedChunk {
                 chunk: bad.to_string()
+            }
+        );
+
+        // A valid stream that decodes short of the recorded raw length
+        // must not be served: the read path would zero-fill the gap.
+        let short = store_encoded(b"short", dedup_compress::compress(&raw[..100]));
+        assert_eq!(
+            pool.read_at(&cluster, &cctx, &short, 0, raw.len() as u64)
+                .unwrap_err(),
+            DedupError::CorruptCompressedChunk {
+                chunk: short.to_string()
             }
         );
     }

@@ -10,6 +10,7 @@
 
 use dedup_compress::{compress, decompress, decompress_with_limit, max_compressed_len};
 use dedup_workloads::cloud::CloudSpec;
+use dedup_workloads::content::{compressible_block, unique_block};
 use dedup_workloads::fio::FioSpec;
 use dedup_workloads::sfs::SfsSpec;
 use dedup_workloads::vm_images::VmImageSpec;
@@ -32,6 +33,63 @@ fn check(data: &[u8]) {
     assert_eq!(&got[..], data);
     let limited = decompress_with_limit(&packed, data.len()).expect("exact limit must fit");
     assert_eq!(&limited[..], data);
+}
+
+/// FNV-1a over one stream: enough to tell any two encoders apart.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The stream format is frozen: stored pools hold these bytes, and
+/// compressed-domain chunk names are hashes of them. These are the
+/// streams the byte-at-a-time reference encoder produced; any encoder
+/// change that moves one byte fails here.
+#[test]
+fn streams_are_pinned() {
+    let vm = VmImageSpec {
+        images: 2,
+        image_bytes: 256 * 1024,
+        seed: 1,
+        ..VmImageSpec::default()
+    }
+    .image(1)
+    .data;
+    let cloud = CloudSpec::default().scaled(1.0 / 16.0).seed(1).dataset();
+    let cloud = cloud.iter_refs().next().expect("one VM disk").1;
+    let corpus: Vec<(&str, Vec<u8>)> = vec![
+        ("compressible 4 KiB", compressible_block(4096, 7, 1)),
+        ("compressible 32 KiB", compressible_block(32 * 1024, 7, 1)),
+        ("unique 4 KiB", unique_block(4096, 7, 1)),
+        ("unique 32 KiB", unique_block(32 * 1024, 7, 1)),
+        ("zeros 32 KiB", vec![0; 32 * 1024]),
+        ("abc x 1000", b"abc".repeat(1000)),
+        // The last OS block and the user block of the second image.
+        ("vm image tail", vm[vm.len() - 64 * 1024..].to_vec()),
+        // Base image into the shared pool of the first VM.
+        ("cloud slice", cloud[32 * 1024..96 * 1024].to_vec()),
+    ];
+    const PINNED: [(&str, usize, u64); 8] = [
+        ("compressible 4 KiB", 2_264, 0x93f4_a97a_b5b9_13a5),
+        ("compressible 32 KiB", 16_748, 0xe9be_b892_7c13_906a),
+        ("unique 4 KiB", 4_114, 0x8804_b8eb_8103_d1bf),
+        ("unique 32 KiB", 32_898, 0x6066_9ebd_f094_5192),
+        ("zeros 32 KiB", 133, 0x8fb2_16b0_69fc_f41d),
+        ("abc x 1000", 18, 0x65ac_4e2d_9e23_71df),
+        ("vm image tail", 33_189, 0x64a7_10ee_ce77_a475),
+        ("cloud slice", 33_007, 0x9d03_91d2_82e3_c26c),
+    ];
+    const TOTAL_LEN: usize = 122_371;
+    let got: Vec<(&str, usize, u64)> = corpus
+        .iter()
+        .map(|(name, data)| {
+            let packed = compress(data);
+            (*name, packed.len(), fnv1a(&packed))
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+    assert_eq!(got.iter().map(|g| g.1).sum::<usize>(), TOTAL_LEN);
 }
 
 proptest! {
