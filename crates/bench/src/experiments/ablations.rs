@@ -463,7 +463,6 @@ pub mod compress_tradeoff {
     use super::*;
     use crate::drivers::{run_closed_loop_with_background, RunStats};
     use crate::systems::OriginalSystem;
-    use dedup_core::FingerprintDomain;
     use dedup_sim::SimDuration;
     use dedup_workloads::vm_images::VmImageSpec;
     use dedup_workloads::Dataset;
@@ -607,8 +606,7 @@ pub mod compress_tradeoff {
              through the foreground path with the background engine \
              flushing concurrently. `compress` is substrate (pool-level) \
              compression without dedup; `dedup+comp` is the inline \
-             compression plane; `dedup+comp/fpC` additionally fingerprints \
-             in the compressed domain, so full hashes touch fewer bytes.",
+             compression plane.",
         );
         let mut sidecar = report::Sidecars::new("ablation-compress-tradeoff");
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -641,17 +639,6 @@ pub mod compress_tradeoff {
                         &mut sidecar,
                     ),
                 ),
-                (
-                    "dedup+comp/fpC".to_string(),
-                    drive_dedup(
-                        &format!("{workload}/dedup+comp/fpC"),
-                        DedupConfig::with_chunk_size(CHUNK)
-                            .compress()
-                            .compress_domain(FingerprintDomain::Compressed),
-                        &ops,
-                        &mut sidecar,
-                    ),
-                ),
             ];
             for (arm, o) in &arms {
                 rows.push(vec![
@@ -669,18 +656,6 @@ pub mod compress_tradeoff {
             }
             if workload == "vm-image" {
                 vm_outcomes = arms;
-            } else {
-                // The compressed fingerprint domain hashes post-compression
-                // bytes, so its full-hash work is never more than raw-domain.
-                let raw_dom = &arms[2].1;
-                let comp_dom = &arms[3].1;
-                assert!(
-                    comp_dom.full_hash_bytes <= raw_dom.full_hash_bytes,
-                    "compressed-domain full hashing touched more bytes \
-                     ({} vs {})",
-                    comp_dom.full_hash_bytes,
-                    raw_dom.full_hash_bytes
-                );
             }
         }
         report::print_table(
@@ -697,28 +672,18 @@ pub mod compress_tradeoff {
         println!(
             "\ntradeoff shape: dedup alone already collapses the shared OS \
              region; adding the compression plane buys further capacity on \
-             compressible data for extra flush-path CPU, and compressed-domain \
-             fingerprinting claws some of that CPU back by hashing the \
-             smaller post-compression bytes.\n"
+             compressible data for extra flush-path CPU.\n"
         );
 
         // Compression must pay for itself in capacity on the VM-image set.
         let dedup = &vm_outcomes[1].1;
         let comp = &vm_outcomes[2].1;
-        let fpc = &vm_outcomes[3].1;
         assert!(
             comp.raw_bytes < dedup.raw_bytes,
             "dedup+comp must store less than dedup alone on VM images \
              ({} vs {})",
             comp.raw_bytes,
             dedup.raw_bytes
-        );
-        assert!(
-            fpc.full_hash_bytes <= comp.full_hash_bytes,
-            "compressed-domain full hashing touched more bytes \
-             ({} vs {})",
-            fpc.full_hash_bytes,
-            comp.full_hash_bytes
         );
         sidecar.write();
     }

@@ -8,10 +8,10 @@
 //! genuine compressed sizes.
 //!
 //! The format is LZ4-flavoured (token byte with literal-run and match-length
-//! nibbles, 16-bit match offsets) but not LZ4-compatible. It is frozen:
-//! stored pools hold these streams and compressed-domain chunk names are
-//! hashes of them, so [`compress`] must emit the same bytes for every input
-//! forever. `streams_are_pinned` (in the workloads crate's
+//! nibbles, 16-bit match offsets) but not LZ4-compatible. Stored pools hold
+//! these streams, so the decoder must read every stream [`compress`] ever
+//! emitted; chunk names hash raw bytes, so the encoder's output may change,
+//! but only on purpose. `streams_are_pinned` (in the workloads crate's
 //! `compress_roundtrip` tests) pins a corpus of streams to enforce that.
 //!
 //! # Example

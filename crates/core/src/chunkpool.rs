@@ -40,34 +40,6 @@ use crate::refs::{
 };
 use crate::stats::CompressionReport;
 
-/// Fingerprint-domain resolution: the bytes a chunk's signature and full
-/// fingerprint cover under `compression`'s [`crate::FingerprintDomain`] — the raw
-/// `content`, or the `stored` bytes in the compressed domain — and whether
-/// a full hash of them is tagged into the compressed namespace (`encoded`:
-/// the stored bytes are a compressed stream).
-pub(crate) fn fingerprint_domain<T>(
-    compression: &CompressionConfig,
-    content: T,
-    stored: T,
-    encoded: bool,
-) -> (T, bool) {
-    if compression.compressed_domain() {
-        (stored, encoded)
-    } else {
-        (content, false)
-    }
-}
-
-/// The full fingerprint of `bytes` as [`fingerprint_domain`] resolved them.
-pub(crate) fn full_fingerprint(bytes: &[u8], tag_compressed: bool) -> Fingerprint {
-    let fp = Fingerprint::of(bytes);
-    if tag_compressed {
-        fp.into_compressed_domain()
-    } else {
-        fp
-    }
-}
-
 /// What [`ChunkPool::store`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkStoreOutcome {
@@ -327,18 +299,27 @@ impl ChunkPool {
     }
 
     /// Stored format of a chunk object: `Some(raw_len)` when the payload
-    /// is compressed, `None` for a raw payload. Metadata-plane probe: like
-    /// chunk-map lookups it rides the request and charges no virtual-time
-    /// cost, so read paths on a pool with no compressed chunks stay
-    /// cost-identical to a build without the compression plane.
+    /// is compressed, `None` for a raw payload. A marker that is present
+    /// but does not decode is [`DedupError::CorruptCompressedChunk`]:
+    /// taking it for "raw" would serve the compressed stream as user data.
+    /// Metadata-plane probe: like chunk-map lookups it rides the request
+    /// and charges no virtual-time cost, so read paths on a pool with no
+    /// compressed chunks stay cost-identical to a build without the
+    /// compression plane.
     fn raw_len(
         &self,
         cluster: &Cluster,
         cctx: &IoCtx,
         chunk: &ObjectName,
-    ) -> Result<Option<u64>, StoreError> {
+    ) -> Result<Option<u64>, DedupError> {
         let t = cluster.get_xattr(cctx, chunk, COMPRESS_XATTR)?;
-        Ok(t.value.and_then(|v| decode_raw_len(&v)))
+        t.value
+            .map(|v| {
+                decode_raw_len(&v).ok_or_else(|| DedupError::CorruptCompressedChunk {
+                    chunk: chunk.to_string(),
+                })
+            })
+            .transpose()
     }
 
     /// A chunk object's *logical* extent — the raw length for
@@ -373,7 +354,22 @@ impl ChunkPool {
         off: u64,
         len: u64,
     ) -> Result<Timed<Bytes>, DedupError> {
-        let Some(raw_len) = self.raw_len(cluster, cctx, chunk)? else {
+        let raw_len = self.raw_len(cluster, cctx, chunk)?;
+        self.read_span(cluster, cctx, chunk, raw_len, off, len)
+    }
+
+    /// [`ChunkPool::read_at`] with the chunk's [`ChunkPool::raw_len`]
+    /// already looked up.
+    fn read_span(
+        &self,
+        cluster: &Cluster,
+        cctx: &IoCtx,
+        chunk: &ObjectName,
+        raw_len: Option<u64>,
+        off: u64,
+        len: u64,
+    ) -> Result<Timed<Bytes>, DedupError> {
+        let Some(raw_len) = raw_len else {
             return Ok(cluster.read_at(cctx, chunk, off, len)?);
         };
         let extent = cluster
@@ -409,34 +405,23 @@ impl ChunkPool {
         ))
     }
 
-    /// Reads a stored chunk back in the configured fingerprint domain: the
-    /// bytes its signature and full fingerprint cover (logical payload, or
-    /// the stored bytes as they lie), and whether a full hash of them is
-    /// tagged compressed. `None` when the object is absent.
-    fn read_in_domain(
+    /// Reads a stored chunk's whole logical content — the bytes its
+    /// signature and full fingerprint cover. `None` when the object is
+    /// absent.
+    fn read_content(
         &self,
         cluster: &Cluster,
         cctx: &IoCtx,
         chunk: &ObjectName,
-    ) -> Result<Option<(Timed<Bytes>, bool)>, DedupError> {
+    ) -> Result<Option<Timed<Bytes>>, DedupError> {
         let Some(stored_len) = cluster.stat(self.pool, chunk)? else {
             return Ok(None);
         };
         let raw_len = self.raw_len(cluster, cctx, chunk)?;
-        let ((len, decode), tag) = fingerprint_domain(
-            &self.compression,
-            (raw_len.unwrap_or(stored_len), true),
-            (stored_len, false),
-            raw_len.is_some(),
-        );
-        let t = if len == 0 {
-            Timed::new(Bytes::new(), CostExpr::Nop)
-        } else if decode {
-            self.read_at(cluster, cctx, chunk, 0, len)?
-        } else {
-            cluster.read_at(cctx, chunk, 0, len)?
-        };
-        Ok(Some((t, tag)))
+        Ok(Some(match raw_len.unwrap_or(stored_len) {
+            0 => Timed::new(Bytes::new(), CostExpr::Nop),
+            len => self.read_span(cluster, cctx, chunk, raw_len, 0, len)?,
+        }))
     }
 
     /// Resolves a weak-named candidate's full fingerprint by reading its
@@ -453,11 +438,11 @@ impl ChunkPool {
         stored: Fingerprint,
     ) -> Result<Option<Timed<(Fingerprint, u64)>>, DedupError> {
         let chunk = Self::object_name(stored);
-        let Some((t, tag)) = self.read_in_domain(cluster, cctx, &chunk)? else {
+        let Some(t) = self.read_content(cluster, cctx, &chunk)? else {
             self.index.drop_candidate(sig, stored);
             return Ok(None);
         };
-        let full = full_fingerprint(&t.value, tag);
+        let full = Fingerprint::of(&t.value);
         self.index.memoize_full(sig, stored, full);
         Ok(Some(Timed::new((full, t.value.len() as u64), t.cost)))
     }
@@ -565,18 +550,18 @@ impl ChunkPool {
     /// [`ChunkPool::store`] of that content would overwrite its refcount
     /// with 1 — a silent double-free waiting to happen. In tiered mode the
     /// signature map must likewise cover every surviving chunk (a
-    /// signature miss claims uniqueness) — re-derived over the same bytes
-    /// the live pipeline signs — and the weak-name sequence is resumed
-    /// past the highest surviving one so a recycled name can never alias
-    /// different content.
+    /// signature miss claims uniqueness) — re-derived over the chunk's raw
+    /// bytes, as the live pipeline signs them — and the weak-name sequence
+    /// is resumed past the highest surviving one so a recycled name can
+    /// never alias different content.
     pub(crate) fn rebuild(&self, cluster: &Cluster, cctx: &IoCtx) -> Result<usize, DedupError> {
         self.index.clear();
         self.bloom_warned.store(false, Ordering::Relaxed);
         let (mut seeded, mut max_weak) = (0, 0u64);
         for (chunk, fp) in self.chunks(cluster)? {
             let sig = if self.tiered {
-                self.read_in_domain(cluster, cctx, &chunk)?
-                    .map(|(t, _)| ChunkSig::of(&t.value))
+                self.read_content(cluster, cctx, &chunk)?
+                    .map(|t| ChunkSig::of(&t.value))
             } else {
                 None
             };
@@ -766,6 +751,27 @@ mod tests {
                 chunk: short.to_string()
             }
         );
+
+        // A raw-length marker that is present but does not decode is
+        // corrupt, not "stored raw": the stream must never be served as
+        // user data, nor counted or sized as a raw chunk.
+        let garbled = store_encoded(b"garbled", dedup_compress::compress(&raw));
+        let _ = cluster
+            .transact(
+                &cctx,
+                &garbled,
+                vec![TxOp::SetXattr(COMPRESS_XATTR.into(), vec![1, 2, 3].into())],
+            )
+            .expect("tamper");
+        let corrupt = DedupError::CorruptCompressedChunk {
+            chunk: garbled.to_string(),
+        };
+        assert_eq!(
+            pool.read_at(&cluster, &cctx, &garbled, 0, 16).unwrap_err(),
+            corrupt
+        );
+        assert_eq!(pool.extent(&cluster, &cctx, &garbled).unwrap_err(), corrupt);
+        assert_eq!(pool.census(&cluster).unwrap_err(), corrupt);
     }
 
     #[test]
@@ -879,5 +885,50 @@ mod tests {
         assert_eq!((full, hashed), (Fingerprint::of(b"unique body"), 11));
         let cands = fresh.index().candidates(&sig, dedup_sim::SimTime::ZERO);
         assert_eq!(cands[0].full, Some(full));
+    }
+
+    #[test]
+    fn compressed_weak_chunks_are_signed_and_upgraded_over_raw_bytes() {
+        let config = DedupConfig::default().compress().tiered_fingerprint();
+        let (cluster, pool, cctx) = pool_with(&config);
+        let raw = b"weak and compressed, weak and compressed. ".repeat(64);
+        let stream = dedup_compress::compress(&raw);
+        assert!(stream.len() < raw.len());
+        let sig = ChunkSig::of(&raw);
+        let weak = pool.mint_weak(&sig);
+        let stored = pool.store(
+            &cluster,
+            &cctx,
+            weak,
+            Bytes::from(stream.clone()),
+            &backref("a", 0),
+            Some(sig),
+            Some(raw.len() as u64),
+        );
+        assert_eq!(stored.expect("store").value, ChunkStoreOutcome::Created);
+
+        // The restart case: the signature is re-derived over the raw
+        // bytes the live pipeline signed, never over the stored stream.
+        let metrics = EngineMetrics::new(Registry::new(), SimDuration::from_secs(1), 1);
+        let fresh = ChunkPool::new(pool.pool(), &config, metrics);
+        assert_eq!(fresh.rebuild(&cluster, &cctx).expect("rebuild"), 1);
+        let now = dedup_sim::SimTime::ZERO;
+        let cands = fresh.index().candidates(&sig, now);
+        assert_eq!(cands.len(), 1, "rebuild seeds the raw bytes' signature");
+        assert_eq!(cands[0].stored, weak);
+        assert!(
+            fresh
+                .index()
+                .candidates(&ChunkSig::of(&stream), now)
+                .is_empty(),
+            "the stream's signature names nothing"
+        );
+
+        let up = fresh.upgrade(&cluster, &cctx, &sig, weak).expect("upgrade");
+        assert_eq!(
+            up.expect("chunk exists").value,
+            (Fingerprint::of(&raw), raw.len() as u64),
+            "the upgrade hashes the decompressed raw bytes"
+        );
     }
 }

@@ -135,23 +135,6 @@ impl TieredIndexConfig {
     }
 }
 
-/// Which bytes the flush-path fingerprint (and the tiered pipeline's
-/// [`dedup_fingerprint::ChunkSig`]) covers when inline compression is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum FingerprintDomain {
-    /// Hash the raw chunk bytes (classic behaviour): dedup is independent
-    /// of how each copy happened to be stored.
-    #[default]
-    Raw,
-    /// Hash the *stored* bytes (post-compression fingerprinting, the
-    /// SPACE design): identical compressed segments dedup across tenants
-    /// and every full hash touches the smaller compressed stream.
-    /// Compressed-stored names are tagged into their own namespace
-    /// ([`dedup_fingerprint::Fingerprint::into_compressed_domain`]) so raw
-    /// and compressed chunks never falsely collide.
-    Compressed,
-}
-
 /// CPU cost model for the inline compression plane (virtual-time nanos
 /// charged per byte pushed through the codec).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,7 +183,8 @@ impl CompressionCostModel {
 /// size is stored as the original `Bytes` view untouched — the zero-copy
 /// CoW fast path (no allocation, no copy). Stored-compressed chunks carry
 /// their raw length in an object xattr and are transparently decompressed
-/// on read.
+/// on read. A chunk's name hashes its raw bytes either way, so how it is
+/// stored is the chunk pool's business alone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompressionConfig {
     /// Master switch. `false` leaves every path byte-identical to the
@@ -211,8 +195,6 @@ pub struct CompressionConfig {
     /// the chunk is stored raw. Default 900 000 (store compressed only
     /// when at least 10% smaller).
     pub max_ratio_ppm: u64,
-    /// Which bytes fingerprints (and tiered signatures) cover.
-    pub domain: FingerprintDomain,
     /// Virtual CPU cost of the codec.
     pub cost: CompressionCostModel,
 }
@@ -222,17 +204,8 @@ impl Default for CompressionConfig {
         CompressionConfig {
             enabled: false,
             max_ratio_ppm: 900_000,
-            domain: FingerprintDomain::Raw,
             cost: CompressionCostModel::default(),
         }
-    }
-}
-
-impl CompressionConfig {
-    /// Whether fingerprints and signatures cover the *stored* bytes: the
-    /// plane is on and set to [`FingerprintDomain::Compressed`].
-    pub(crate) fn compressed_domain(&self) -> bool {
-        self.enabled && self.domain == FingerprintDomain::Compressed
     }
 }
 
@@ -410,16 +383,9 @@ impl DedupConfig {
         self
     }
 
-    /// Enables inline chunk-pool compression (raw fingerprint domain).
+    /// Enables inline chunk-pool compression.
     pub fn compress(mut self) -> Self {
         self.compression.enabled = true;
-        self
-    }
-
-    /// Enables inline compression and selects the fingerprint domain.
-    pub fn compress_domain(mut self, domain: FingerprintDomain) -> Self {
-        self.compression.enabled = true;
-        self.compression.domain = domain;
         self
     }
 
@@ -461,7 +427,6 @@ mod tests {
             "unbounded index default"
         );
         assert!(!c.compression.enabled, "compression is opt-in");
-        assert_eq!(c.compression.domain, FingerprintDomain::Raw);
         assert_eq!(c.compression.max_ratio_ppm, 900_000);
         // Exhaustive on purpose: adding a knob must break this test.
         let DedupConfig {
@@ -485,12 +450,10 @@ mod tests {
     #[test]
     fn compression_builders_compose() {
         let c = DedupConfig::default()
-            .compress_domain(FingerprintDomain::Compressed)
+            .compress()
             .compress_max_ratio_ppm(750_000);
         assert!(c.compression.enabled);
-        assert_eq!(c.compression.domain, FingerprintDomain::Compressed);
         assert_eq!(c.compression.max_ratio_ppm, 750_000);
-        assert!(DedupConfig::default().compress().compression.enabled);
     }
 
     #[test]

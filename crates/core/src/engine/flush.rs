@@ -11,7 +11,7 @@ use dedup_store::{ClientId, ObjectName, Timed, TxOp};
 
 use super::{DedupStore, FailurePoint, FlushReport, Releases};
 use crate::chunkmap::ChunkMapEntry;
-use crate::chunkpool::{fingerprint_domain, full_fingerprint, ChunkPool, ChunkStoreOutcome};
+use crate::chunkpool::{ChunkPool, ChunkStoreOutcome};
 use crate::config::CachePolicy;
 use crate::error::DedupError;
 use crate::pipeline::{record_stage_wall, StagedBatch, StagedChunk, StagedObject};
@@ -110,17 +110,9 @@ impl DedupStore {
             // candidate appearing later (e.g. stored by an earlier chunk
             // of this very batch) is still caught.
             let (sig, fingerprint_wanted) = if self.config.tiered_fingerprint {
-                if self.config.compression.compressed_domain() {
-                    // Signatures live in the compressed namespace, which
-                    // is unknown until stage 2 encodes; stage 2 signs the
-                    // stored bytes and commit probes under the lock. Full
-                    // hashing stays unpaid unless that probe collides.
-                    (None, false)
-                } else {
-                    let s = ChunkSig::of(&content);
-                    let wanted = !self.chunks.index().candidates(&s, now).is_empty();
-                    (Some(s), wanted)
-                }
+                let s = ChunkSig::of(&content);
+                let wanted = !self.chunks.index().candidates(&s, now).is_empty();
+                (Some(s), wanted)
             } else {
                 (None, true)
             };
@@ -344,30 +336,27 @@ impl DedupStore {
             // fingerprint was computed in stage 2 (possibly on a worker
             // thread with the engine lock released); its CPU cost is
             // charged to the metadata node here, exactly as the serial
-            // engine did. Tiered mode: re-probe the signature under the
-            // lock and pay the full fingerprint only on a candidate
-            // collision — a miss proves global uniqueness and the chunk
-            // stores under a minted weak name, never hashed in full.
-            // In the compressed fingerprint domain both paths hash (and
-            // sign) the *stored* bytes — fewer bytes per full hash.
-            let (hashed, tag) =
-                fingerprint_domain(&self.config.compression, &content, &stored, encoded);
-            let (fp, sig) = if self.config.tiered_fingerprint {
-                self.resolve_chunk_target(
-                    chunk.sig.unwrap_or_else(|| ChunkSig::of(hashed)),
+            // engine did. Tiered mode (stage 1 signed every chunk):
+            // re-probe the signature under the lock and pay the full
+            // fingerprint only on a candidate collision — a miss proves
+            // global uniqueness and the chunk stores under a minted weak
+            // name, never hashed in full.
+            let (fp, sig) = match chunk.sig {
+                Some(sig) => self.resolve_chunk_target(
+                    sig,
                     chunk.fingerprint,
-                    hashed,
-                    tag,
+                    &content,
                     meta_node,
                     staged_at,
                     &mut costs,
-                )?
-            } else {
-                let fp = chunk
-                    .fingerprint
-                    .unwrap_or_else(|| full_fingerprint(hashed, tag));
-                self.charge_full_hash(meta_node, hashed.len() as u64, &mut costs);
-                (fp, None)
+                )?,
+                None => {
+                    let fp = chunk
+                        .fingerprint
+                        .unwrap_or_else(|| Fingerprint::of(&content));
+                    self.charge_full_hash(meta_node, content.len() as u64, &mut costs);
+                    (fp, None)
+                }
             };
             report.chunks_flushed += 1;
 
@@ -495,16 +484,11 @@ impl DedupStore {
     ///
     /// Returns the target fingerprint plus the signature for
     /// [`ChunkPool::store`] to index on creation.
-    ///
-    /// `content` and `tag_compressed` are what [`fingerprint_domain`]
-    /// resolved for the chunk.
-    #[allow(clippy::too_many_arguments)]
     fn resolve_chunk_target(
         &self,
         sig: ChunkSig,
         staged_fp: Option<Fingerprint>,
         content: &Bytes,
-        tag_compressed: bool,
         meta_node: usize,
         staged_at: SimTime,
         costs: &mut Vec<CostExpr>,
@@ -524,7 +508,7 @@ impl DedupStore {
             return Ok((self.chunks.mint_weak(&sig), Some(sig)));
         }
         // Collision (or stage 2 hashed already): pay the full fingerprint.
-        let full = staged_fp.unwrap_or_else(|| full_fingerprint(content, tag_compressed));
+        let full = staged_fp.unwrap_or_else(|| Fingerprint::of(content));
         self.charge_full_hash(meta_node, len, costs);
         let cctx = self.chunk_ctx(ClientId::INTERNAL);
         for cand in cands {

@@ -329,14 +329,14 @@ impl DedupStore {
     /// store lock released.
     pub(crate) fn fingerprint_stage(&self) -> impl Fn(&mut StagedBatch) + Send + 'static {
         let parallelism = self.fingerprint_parallelism();
-        let (tiered, compression) = (self.config.tiered_fingerprint, self.config.compression);
+        let compression = self.config.compression;
         let (wall_ns, tracer) = (
             self.metrics.fingerprint_wall_ns.clone(),
             self.tracer().cloned(),
         );
         move |batch| {
             let start = Instant::now();
-            fingerprint_batch(batch, parallelism, tiered, &compression);
+            fingerprint_batch(batch, parallelism, &compression);
             record_stage_wall(&wall_ns, tracer.as_ref(), "flush.fingerprint", start);
         }
     }

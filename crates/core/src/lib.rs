@@ -72,8 +72,8 @@ pub use baseline::{global_ratio, local_ratio, RatioAnalysis};
 pub use bloom::BloomConfig;
 pub use chunkmap::{ChunkMapEntry, CHUNK_MAP_ENTRY_BYTES};
 pub use config::{
-    CachePolicy, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode,
-    FingerprintDomain, HitSetConfig, TieredIndexConfig, Watermarks,
+    CachePolicy, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode, HitSetConfig,
+    TieredIndexConfig, Watermarks,
 };
 pub use crashpoint::{
     enumerate_crash_points, plan_for, rebuilt_store, wal_store, CrashPoint, CrashTopology,

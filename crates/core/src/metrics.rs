@@ -129,9 +129,8 @@ pub(crate) struct EngineMetrics {
     pub compress_decompressed_bytes: Counter,
     /// Full content fingerprints computed on the flush path.
     pub fp_full_calls: Counter,
-    /// Bytes run through full content fingerprints on the flush path
-    /// (stored bytes in the compressed fingerprint domain — the series
-    /// that shows post-compression hashing touching fewer bytes).
+    /// Raw chunk bytes run through full content fingerprints on the
+    /// flush path, weak-name upgrades included.
     pub fp_full_hash_bytes: Counter,
     /// Cheap chunk signatures computed on the flush path (tiered pipeline).
     pub fp_sig_calls: Counter,

@@ -9,8 +9,8 @@
 //!    objects, read their dirty-chunk contents — including deferred
 //!    read-modify-write merges from the previous chunk objects — and
 //!    snapshot each object's [`DirtyTicket`].
-//! 2. **Fingerprint** (no engine state needed): encode, sign and hash
-//!    every staged chunk, optionally across a scoped worker pool
+//! 2. **Fingerprint** (no engine state needed): encode and hash every
+//!    staged chunk, optionally across a scoped worker pool
 //!    ([`fingerprint_batch`]). [`DedupService`](crate::DedupService)
 //!    runs this with the engine lock *released*, so foreground I/O keeps
 //!    flowing while hashes crunch.
@@ -36,7 +36,6 @@ use dedup_store::ObjectName;
 use parking_lot::Mutex;
 
 use crate::chunkmap::ChunkMapEntry;
-use crate::chunkpool::{fingerprint_domain, full_fingerprint};
 use crate::config::CompressionConfig;
 use crate::queue::DirtyTicket;
 
@@ -56,7 +55,8 @@ pub struct StagedChunk {
     pub(crate) merged: bool,
     pub(crate) fingerprint: Option<Fingerprint>,
     /// Cheap discriminator computed at stage time when the tiered
-    /// fingerprint pipeline is on; `None` in classic mode.
+    /// fingerprint pipeline is on; `None` in classic mode. Commit takes
+    /// the tiered path exactly when it is set.
     pub(crate) sig: Option<ChunkSig>,
     /// Whether stage 2 must compute the full fingerprint. Classic mode:
     /// always. Tiered mode: only when the stage-time signature probe
@@ -153,9 +153,9 @@ impl StagedBatch {
     }
 }
 
-/// Stage 2: encodes (when inline compression is on), signs and
-/// fingerprints every staged chunk in `batch` — one pass per chunk, across
-/// one scoped pool of up to `parallelism` worker threads.
+/// Stage 2: encodes (when inline compression is on) and fingerprints
+/// every staged chunk in `batch` — one pass per chunk, across one scoped
+/// pool of up to `parallelism` worker threads.
 ///
 /// Needs no engine state, so callers holding a [`crate::DedupStore`]
 /// behind a lock can (and should) run it with the lock released. The
@@ -169,18 +169,13 @@ impl StagedBatch {
 /// compressed form is kept only if
 /// `compressed_len * 1_000_000 <= raw_len * max_ratio_ppm`, otherwise the
 /// chunk stays a zero-copy view of its original content
-/// ([`StagedChunk::stored`]). In the
-/// [`FingerprintDomain::Compressed`](crate::FingerprintDomain) domain,
-/// fingerprints (and tiered chunk signatures, which stage 1 could not
-/// compute before the encode) cover the stored bytes, with
-/// compressed-stored chunks tagged into their own fingerprint namespace.
-/// Tiered mode leaves `fingerprint_wanted` false for chunks whose
+/// ([`StagedChunk::stored`]). Fingerprints cover the raw content either
+/// way. Tiered mode leaves `fingerprint_wanted` false for chunks whose
 /// stage-time signature probe proved no stored chunk can match — those
 /// skip hashing entirely; commit re-probes under the lock.
 pub fn fingerprint_batch(
     batch: &mut StagedBatch,
     parallelism: usize,
-    tiered: bool,
     compression: &CompressionConfig,
 ) {
     let process = |chunk: &mut StagedChunk| {
@@ -192,26 +187,17 @@ pub fn fingerprint_batch(
                 chunk.encoded = Some(Bytes::from(enc));
             }
         }
-        let (bytes, tag) = fingerprint_domain(
-            compression,
-            &chunk.content,
-            chunk.stored(),
-            chunk.encoded.is_some(),
-        );
-        let sig = (tiered && chunk.sig.is_none()).then(|| ChunkSig::of(bytes));
-        let fingerprint = chunk
-            .fingerprint_wanted
-            .then(|| full_fingerprint(bytes, tag));
-        chunk.sig = chunk.sig.or(sig);
-        chunk.fingerprint = fingerprint.or(chunk.fingerprint);
+        if chunk.fingerprint_wanted {
+            chunk.fingerprint = Some(Fingerprint::of(&chunk.content));
+        }
     };
-    // Chunks with nothing to do (compression off, already signed, hash
-    // unwanted) are left out, so a batch of them spawns no threads.
+    // Chunks with nothing to do (compression off, hash unwanted) are left
+    // out, so a batch of them spawns no threads.
     let chunks: Vec<&mut StagedChunk> = batch
         .objects
         .iter_mut()
         .flat_map(|o| o.chunks.iter_mut())
-        .filter(|c| compression.enabled || c.fingerprint_wanted || (tiered && c.sig.is_none()))
+        .filter(|c| compression.enabled || c.fingerprint_wanted)
         .collect();
     let workers = parallelism.max(1).min(chunks.len());
     if workers <= 1 {
@@ -252,7 +238,6 @@ pub(crate) fn record_stage_wall(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FingerprintDomain;
 
     fn staged(name: &str, contents: &[&[u8]]) -> StagedObject {
         StagedObject {
@@ -282,10 +267,9 @@ mod tests {
         CompressionConfig::default()
     }
 
-    fn on(domain: FingerprintDomain) -> CompressionConfig {
+    fn on() -> CompressionConfig {
         CompressionConfig {
             enabled: true,
-            domain,
             ..CompressionConfig::default()
         }
     }
@@ -307,7 +291,7 @@ mod tests {
                     c.fingerprint = None;
                 }
             }
-            fingerprint_batch(&mut batch, parallelism, false, &off());
+            fingerprint_batch(&mut batch, parallelism, &off());
             assert_eq!(
                 batch.objects[0].chunks[0].fingerprint,
                 Some(Fingerprint::of(b"alpha"))
@@ -326,7 +310,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut batch = StagedBatch::default();
-        fingerprint_batch(&mut batch, 8, false, &off());
+        fingerprint_batch(&mut batch, 8, &off());
         assert!(batch.is_empty());
     }
 
@@ -337,7 +321,7 @@ mod tests {
             ..Default::default()
         };
         batch.objects[0].chunks[1].fingerprint_wanted = false;
-        fingerprint_batch(&mut batch, 2, false, &off());
+        fingerprint_batch(&mut batch, 2, &off());
         assert_eq!(
             batch.objects[0].chunks[0].fingerprint,
             Some(Fingerprint::of(b"alpha"))
@@ -364,7 +348,7 @@ mod tests {
                 objects: vec![staged("a", &[&compressible, &random, b""])],
                 ..Default::default()
             };
-            fingerprint_batch(&mut batch, parallelism, false, &on(FingerprintDomain::Raw));
+            fingerprint_batch(&mut batch, parallelism, &on());
             let chunks = &batch.objects[0].chunks;
             assert!(chunks[0].encoded.is_some(), "compressible chunk encodes");
             assert!(
@@ -373,43 +357,9 @@ mod tests {
             );
             assert!(chunks[1].encoded.is_none(), "random chunk stays raw");
             assert!(chunks[2].encoded.is_none(), "empty chunk stays raw");
-            // Raw domain: fingerprints still cover the raw content.
+            // Fingerprints still cover the raw content.
             assert_eq!(chunks[0].fingerprint, Some(Fingerprint::of(&compressible)));
             assert_eq!(chunks[1].fingerprint, Some(Fingerprint::of(&random)));
         }
-    }
-
-    #[test]
-    fn compressed_domain_hashes_stored_bytes() {
-        let compressible = b"setting=value\npath=/usr/lib\n".repeat(150);
-        let mut batch = StagedBatch {
-            objects: vec![staged("a", &[&compressible])],
-            ..Default::default()
-        };
-        fingerprint_batch(&mut batch, 2, false, &on(FingerprintDomain::Compressed));
-        let chunk = &batch.objects[0].chunks[0];
-        let stored = chunk.encoded.clone().expect("compresses");
-        assert_eq!(
-            chunk.fingerprint,
-            Some(Fingerprint::of(&stored).into_compressed_domain()),
-            "fingerprint covers the compressed bytes, tagged"
-        );
-    }
-
-    #[test]
-    fn compressed_domain_signs_stored_bytes_for_tiered_commit() {
-        let compressible = b"tiered sig body ".repeat(100);
-        let mut batch = StagedBatch {
-            objects: vec![staged("a", &[&compressible])],
-            ..Default::default()
-        };
-        // Tiered + compressed domain: stage 1 leaves sig unset and the
-        // fingerprint unwanted; stage 2 signs the stored bytes.
-        batch.objects[0].chunks[0].fingerprint_wanted = false;
-        fingerprint_batch(&mut batch, 1, true, &on(FingerprintDomain::Compressed));
-        let chunk = &batch.objects[0].chunks[0];
-        let stored = chunk.encoded.clone().expect("compresses");
-        assert_eq!(chunk.sig, Some(ChunkSig::of(&stored)));
-        assert_eq!(chunk.fingerprint, None, "full hash stays unpaid");
     }
 }

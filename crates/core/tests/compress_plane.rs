@@ -8,17 +8,15 @@
 //!   compression-off store running the same workload.
 //! * **Byte-identical reads** — clients cannot tell how a chunk is
 //!   stored. Full and unaligned partial reads return the same bytes
-//!   across compression-off, raw-domain, and compressed-domain stores,
-//!   including mixed pools holding both stored forms.
-//! * **Dedup conformance** — `FingerprintDomain::Compressed` names
-//!   chunks by their compressed bytes, but identical plaintext still
-//!   dedups exactly as it does under `FingerprintDomain::Raw` (the
-//!   compressor is deterministic, so equal plaintext ⇒ equal stream) —
-//!   while its full hashes never touch more bytes than the raw domain's.
+//!   with compression off and on, including mixed pools holding both
+//!   stored forms.
+//! * **Dedup conformance** — a chunk's name hashes its raw bytes, so
+//!   identical plaintext dedups however it is stored, under names pinned
+//!   as literals.
 //! * **Capacity** — on VM images (a shared compressible OS region) the
 //!   plane stores at least 30 % fewer unique chunk-pool bytes.
 
-use dedup_core::{DedupConfig, DedupStore, FingerprintDomain};
+use dedup_core::{DedupConfig, DedupStore};
 use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder, ObjectName};
 use dedup_workloads::vm_images::VmImageSpec;
@@ -133,9 +131,6 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
     let configs = [
         DedupConfig::with_chunk_size(CS),
         DedupConfig::with_chunk_size(CS).compress(),
-        DedupConfig::with_chunk_size(CS)
-            .compress()
-            .compress_domain(FingerprintDomain::Compressed),
     ];
     for (i, config) in configs.into_iter().enumerate() {
         let compress_on = i > 0;
@@ -164,20 +159,46 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
     }
 }
 
-/// `FingerprintDomain::Compressed` must dedup identical plaintext
-/// exactly like `FingerprintDomain::Raw`: same number of chunk objects
-/// after writing the same content twice under different names.
+/// FNV-1a over the chunk pool's object names, sorted, one per line.
+fn chunk_names_digest(s: &DedupStore) -> u64 {
+    let mut names: Vec<String> = s
+        .cluster()
+        .list_objects(s.chunk_pool())
+        .expect("list chunk pool")
+        .iter()
+        .map(|n| n.as_str().to_string())
+        .collect();
+    names.sort();
+    names
+        .iter()
+        .flat_map(|n| n.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// A chunk's name hashes its raw bytes whether or not it is stored
+/// compressed: the same plaintext written again under a second name adds
+/// no chunk object. The names themselves and the bytes hashed to reach
+/// them are pinned, classic and tiered, as recorded before the compressed
+/// fingerprint domain was deleted; any change to how chunks are named
+/// fails here.
 #[test]
-fn compressed_domain_dedups_identical_plaintext_like_raw() {
+fn identical_plaintext_dedups_under_pinned_raw_names() {
     let data = mixed_payload();
-    let mut chunk_objects = Vec::new();
-    let mut full_hash_bytes = Vec::new();
-    for domain in [FingerprintDomain::Raw, FingerprintDomain::Compressed] {
-        let mut s = store_with(
-            DedupConfig::with_chunk_size(CS)
-                .compress()
-                .compress_domain(domain),
-        );
+    // (mode, chunk objects, names digest, full-hash bytes)
+    const PINNED: [(&str, u64, u64, u64); 2] = [
+        ("classic", 15, 0xe577_c9b0_51c3_34f9, 196_608),
+        ("tiered", 15, 0x5350_167f_1ed9_c551, 196_608),
+    ];
+    let configs = [
+        DedupConfig::with_chunk_size(CS).compress(),
+        DedupConfig::with_chunk_size(CS)
+            .compress()
+            .tiered_fingerprint(),
+    ];
+    for ((mode, objects, digest, hashed), config) in PINNED.into_iter().zip(configs) {
+        let mut s = store_with(config);
         let _ = s
             .write(ClientId(0), &ObjectName::new("a"), 0, data.clone(), t(0))
             .expect("write a");
@@ -188,21 +209,17 @@ fn compressed_domain_dedups_identical_plaintext_like_raw() {
             .expect("write b");
         let _ = s.flush_all(t(3)).expect("flush b");
         let second = s.space_report().expect("space").chunk_objects;
+        let got = (
+            second,
+            chunk_names_digest(&s),
+            s.registry().counter("engine.fp.full_hash_bytes").get(),
+        );
         assert_eq!(
             first, second,
-            "{domain:?}: duplicate plaintext created new chunk objects"
+            "{mode}: duplicate plaintext created new chunk objects"
         );
-        chunk_objects.push(second);
-        full_hash_bytes.push(s.registry().counter("engine.fp.full_hash_bytes").get());
+        assert_eq!(got, (objects, digest, hashed), "{mode}: chunk names moved");
     }
-    assert_eq!(
-        chunk_objects[0], chunk_objects[1],
-        "Raw and Compressed domains must agree on the dedup outcome"
-    );
-    assert!(
-        full_hash_bytes[1] <= full_hash_bytes[0],
-        "compressed-domain full hashing touched more bytes than raw-domain: {full_hash_bytes:?}"
-    );
 }
 
 /// VM images share a compressible OS region: with the plane on, the same

@@ -416,21 +416,22 @@ fn every_crash_point_recovers_compressed() {
     audit_config_with(config, "compressed", compress_workload());
 }
 
-/// Compressed-domain fingerprinting stacked on the tiered pipeline: the
-/// riskiest recovery path, because `rebuild_index` must re-sign chunks
-/// over their *stored* (compressed) bytes to reproduce the same weak
-/// signatures and fingerprints the pre-crash pipeline assigned.
+/// Compression stacked on the tiered fingerprint and a bounded tiered
+/// index — the configuration the wall-clock benchmark measures. The
+/// riskiest recovery path: `rebuild_index` must decompress every
+/// compressed chunk to re-sign it over the raw bytes the pre-crash
+/// pipeline signed, and a weak-named candidate is upgraded by hashing
+/// those raw bytes.
 #[test]
-fn every_crash_point_recovers_compressed_domain_tiered() {
+fn every_crash_point_recovers_compressed_tiered() {
     let config = DedupConfig::with_chunk_size(CS)
         .compress()
-        .compress_domain(dedup_core::FingerprintDomain::Compressed)
         .tiered_fingerprint()
         .tiered_index(dedup_core::TieredIndexConfig {
             hot_capacity: 4,
             ..Default::default()
         });
-    audit_config_with(config, "compressed-domain-tiered", compress_workload());
+    audit_config_with(config, "compressed-tiered", compress_workload());
 }
 
 /// The no-crash baseline of every audit above: a store that never died

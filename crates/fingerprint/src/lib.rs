@@ -46,14 +46,6 @@ const LANE_SEEDS: [u64; 4] = [
 /// memoization shortcut, never correctness).
 const WEAK_MARKER: u64 = 0x7765_616b_2d66_7031; // "weak-fp1"
 
-/// XOR'd into lane 1 by [`Fingerprint::into_compressed_domain`] to keep
-/// compressed-stored chunk names disjoint from raw-stored ones. Without it
-/// a raw chunk whose bytes happen to equal some other chunk's *compressed*
-/// stream would collide with it in the chunk pool and dedup falsely —
-/// silent corruption on read. Lane 3 is untouched so [`Fingerprint::is_weak`]
-/// is unaffected.
-const COMPRESSED_MARKER: u64 = 0x636f_6d70_2d66_7031; // "comp-fp1"
-
 /// A 256-bit content fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Fingerprint(pub [u64; 4]);
@@ -106,19 +98,6 @@ impl Fingerprint {
     /// rather than computed from content.
     pub fn is_weak(&self) -> bool {
         self.0[3] == WEAK_MARKER
-    }
-
-    /// Maps a fingerprint computed over a chunk's *compressed* bytes into
-    /// the compressed-domain namespace (post-compression fingerprinting).
-    ///
-    /// Chunks stored compressed and chunks stored raw live in disjoint
-    /// chunk-pool namespaces: equal stored bytes dedup only when their
-    /// stored *format* also matches, so a raw chunk can never be conflated
-    /// with a compressed stream that happens to contain the same bytes.
-    /// Lane 3 is left alone, so weak fingerprints stay recognisable.
-    pub fn into_compressed_domain(mut self) -> Self {
-        self.0[1] ^= COMPRESSED_MARKER;
-        self
     }
 
     /// The mint sequence number of a weak fingerprint, `None` for a
@@ -344,28 +323,6 @@ mod tests {
             assert!(!fp.is_weak());
             assert_eq!(fp.weak_seq(), None);
         }
-    }
-
-    #[test]
-    fn compressed_domain_separates_namespaces() {
-        let fp = Fingerprint::of(b"stored bytes");
-        let tagged = fp.into_compressed_domain();
-        assert_ne!(fp, tagged, "domains must be disjoint");
-        assert_eq!(
-            tagged.into_compressed_domain(),
-            fp,
-            "tagging is an involution"
-        );
-        assert!(!tagged.is_weak(), "lane 3 untouched");
-        assert_eq!(
-            Fingerprint::from_object_name(&tagged.to_object_name()),
-            Some(tagged)
-        );
-        // Equal compressed bytes still dedup within the compressed domain.
-        assert_eq!(
-            Fingerprint::of(b"stored bytes").into_compressed_domain(),
-            tagged
-        );
     }
 
     #[test]

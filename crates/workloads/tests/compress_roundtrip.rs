@@ -42,10 +42,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The stream format is frozen: stored pools hold these bytes, and
-/// compressed-domain chunk names are hashes of them. These are the
-/// streams the byte-at-a-time reference encoder produced; any encoder
-/// change that moves one byte fails here.
+/// Stored pools hold these bytes, so the encoder's output changes only on
+/// purpose. These are the streams the byte-at-a-time reference encoder
+/// produced; any encoder change that moves one byte fails here.
 #[test]
 fn streams_are_pinned() {
     let vm = VmImageSpec {
