@@ -128,7 +128,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     g.bench_function("write_flush_cycle_128k", |b| {
         let cluster = ClusterBuilder::new().build();
-        let mut store = DedupStore::with_default_pools(
+        let store = DedupStore::with_default_pools(
             cluster,
             DedupConfig::with_chunk_size(32 * 1024).cache_policy(CachePolicy::EvictAll),
         );

@@ -127,7 +127,7 @@ pub mod chunk_sweep {
         let mut rows = Vec::new();
         for chunk_kib in [4u32, 8, 16, 32, 64, 128] {
             let cluster = ClusterBuilder::new().build();
-            let mut store = DedupStore::new(
+            let store = DedupStore::new(
                 cluster,
                 PoolConfig::replicated("metadata", 2),
                 PoolConfig::replicated("chunks", 2),

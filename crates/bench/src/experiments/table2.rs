@@ -28,7 +28,7 @@ pub fn run() {
     let mut rows = Vec::new();
     for &(chunk_kib, paper_ideal, paper_actual) in PAPER {
         let cluster = ClusterBuilder::new().build();
-        let mut store = DedupStore::new(
+        let store = DedupStore::new(
             cluster,
             PoolConfig::replicated("metadata", 2),
             PoolConfig::replicated("chunks", 2),

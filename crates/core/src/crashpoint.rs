@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn reference_run_exposes_points_and_each_is_killable() {
         let config = DedupConfig::with_chunk_size(8 * 1024);
-        let (mut s, backend) = wal_store(CrashTopology::default(), config.clone());
+        let (s, backend) = wal_store(CrashTopology::default(), config.clone());
         let name = ObjectName::new("obj");
         let data = vec![1u8; 16 * 1024];
         let _ = s

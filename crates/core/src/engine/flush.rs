@@ -1,11 +1,13 @@
 //! The background flush: stage → fingerprint → commit (see
-//! [`crate::pipeline`]), and the tick / flush-all drivers over it.
+//! `crate::pipeline`), and the tick / flush-all entry points over it.
+//! Every entry point takes `&self` and holds the flush mutex for one
+//! pass; stage and commit lock only the object they work on.
 
 use std::time::Instant;
 
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint, SIG_SAMPLE_BYTES};
-use dedup_obs::Severity;
+use dedup_obs::{Histogram, Severity};
 use dedup_sim::{CostExpr, SimDuration, SimTime};
 use dedup_store::{ClientId, ObjectName, Timed, TxOp};
 
@@ -14,18 +16,18 @@ use crate::chunkmap::ChunkMapEntry;
 use crate::chunkpool::{ChunkPool, ChunkStoreOutcome};
 use crate::config::CachePolicy;
 use crate::error::DedupError;
-use crate::pipeline::{record_stage_wall, StagedBatch, StagedChunk, StagedObject};
+use crate::pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
 use crate::refs::BackRef;
 
 impl DedupStore {
     /// Flushes one metadata object's dirty chunks (engine steps 1–6 of
-    /// §4.4.1).
+    /// §4.4.1). An object not queued for deduplication is left alone.
     ///
     /// # Errors
     ///
     /// Fails if the store does.
     pub fn flush_object(
-        &mut self,
+        &self,
         name: &ObjectName,
         now: SimTime,
     ) -> Result<Timed<FlushReport>, DedupError> {
@@ -40,11 +42,12 @@ impl DedupStore {
     /// Fails if the store does (an injected crash is *not* an error: the
     /// report has `aborted = true`).
     pub fn flush_object_with_failure(
-        &mut self,
+        &self,
         name: &ObjectName,
         now: SimTime,
         failure: Option<FailurePoint>,
     ) -> Result<Timed<FlushReport>, DedupError> {
+        let _pass = self.flush_pass.lock();
         let mut batch = StagedBatch::default();
         self.stage_object(&mut batch, name, now, self.config.cache_policy)?;
         self.fingerprint_and_commit(batch, failure)
@@ -57,14 +60,24 @@ impl DedupStore {
     /// [`DirtyTicket`](crate::queue::DirtyTicket) ties the snapshot to the
     /// current write epoch so the commit can detect racing mutations. A
     /// candidate with no dirty chunks left is retired from the queue, a
-    /// hot one requeued at the back; `batch` counts both.
+    /// hot one requeued at the back; `batch` counts both. A name that is
+    /// not queued stages nothing.
+    ///
+    /// Holds the object's shard read lock throughout, so no foreground
+    /// mutation lands between the chunk-map load and the ticket. The guard
+    /// is taken raw: the `service.shard.*` series count foreground ops
+    /// only.
     fn stage_object(
-        &mut self,
+        &self,
         batch: &mut StagedBatch,
         name: &ObjectName,
         now: SimTime,
         policy: CachePolicy,
     ) -> Result<(), DedupError> {
+        let _shard = self.shards[self.shard_of(name)].read();
+        let Some(ticket) = self.dirty.lock().ticket(name) else {
+            return Ok(());
+        };
         let entries = self.load_chunk_map(name)?;
         let dirty: Vec<ChunkMapEntry> = entries.iter().copied().filter(|e| e.dirty).collect();
         if dirty.is_empty() {
@@ -94,9 +107,10 @@ impl DedupStore {
             // (2) Read the cached dirty chunk from the metadata object,
             // merging any punched sub-ranges from the previous chunk object
             // (deferred read-modify-write). The snapshot is a shared view
-            // of the stored replica unless a merge forced a copy: a racing
-            // foreground write detaches the replica's buffer (CoW) and the
-            // dirty-queue epoch ticket discards the snapshot at commit.
+            // of the stored replica unless a merge forced a copy: a
+            // foreground write after stage detaches the replica's buffer
+            // (CoW) and the dirty-queue epoch ticket discards the snapshot
+            // at commit.
             let (content, read_costs, _) =
                 self.read_patched(ClientId::INTERNAL, name, e.offset, e.len as u64, &e)?;
             let merged = read_costs.len() > 1;
@@ -106,9 +120,9 @@ impl DedupStore {
             // Tiered pipeline: compute the cheap signature now and probe
             // the index. A miss means no stored chunk can possibly match,
             // so stage 2 skips the full fingerprint for this chunk. The
-            // probe is only a hint — commit re-probes under the lock, so a
-            // candidate appearing later (e.g. stored by an earlier chunk
-            // of this very batch) is still caught.
+            // probe is only a hint — commit re-probes, so a candidate
+            // appearing later (e.g. stored by an earlier chunk of this
+            // very batch) is still caught.
             let (sig, fingerprint_wanted) = if self.config.tiered_fingerprint {
                 let s = ChunkSig::of(&content);
                 let wanted = !self.chunks.index().candidates(&s, now).is_empty();
@@ -129,7 +143,7 @@ impl DedupStore {
         }
         batch.objects.push(StagedObject {
             name: name.clone(),
-            ticket: self.dirty.lock().ticket(name),
+            ticket,
             meta_node,
             keep_cached,
             staged_at: now,
@@ -147,14 +161,8 @@ impl DedupStore {
     ///
     /// A background tick is `stage_batch(config.flush_batch_size, now,
     /// true, config.cache_policy)`; an empty batch means idle or throttled.
-    /// Callers holding the engine behind a lock stage here, release it to
-    /// fingerprint, then reacquire it for [`DedupStore::commit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the store does.
-    pub fn stage_batch(
-        &mut self,
+    fn stage_batch(
+        &self,
         max_objects: usize,
         now: SimTime,
         rate_controlled: bool,
@@ -186,45 +194,45 @@ impl DedupStore {
         self.metrics
             .flush_batch_size
             .set(batch.objects.len() as i64);
-        record_stage_wall(
-            &self.metrics.stage_wall_ns,
-            self.tracer(),
-            "flush.stage",
-            start,
-        );
+        self.record_stage_wall(&self.metrics.stage_wall_ns, "flush.stage", start);
         Ok(batch)
     }
 
-    /// Pipeline stages 2+3 under one borrow.
+    /// Pipeline stages 2+3: fingerprints `batch` with no engine lock held
+    /// (across [`DedupStore::fingerprint_parallelism`] threads), then
+    /// commits it.
     fn fingerprint_and_commit(
-        &mut self,
+        &self,
         mut batch: StagedBatch,
         failure: Option<FailurePoint>,
     ) -> Result<Timed<FlushReport>, DedupError> {
         if !batch.objects.is_empty() {
-            self.fingerprint_stage()(&mut batch);
+            let start = Instant::now();
+            let parallelism = self.fingerprint_parallelism();
+            fingerprint_batch(&mut batch, parallelism, &self.config.compression);
+            self.record_stage_wall(
+                &self.metrics.fingerprint_wall_ns,
+                "flush.fingerprint",
+                start,
+            );
         }
         self.commit_batch(batch, failure)
     }
 
     /// Pipeline stage 3: commits a fingerprinted batch. Each object's
-    /// ticket is re-validated first; objects whose write epoch moved while
-    /// the lock was released are skipped (they stay dirty and queued for a
-    /// later pass). Returns the aggregate report and the virtual-time cost
-    /// of the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the store does (an injected crash is *not* an error: the
-    /// report has `aborted = true`).
-    pub fn commit_batch(
-        &mut self,
+    /// ticket is re-validated first; objects whose write epoch moved since
+    /// stage are skipped (they stay dirty and queued for a later pass).
+    /// Returns the aggregate report and the virtual-time cost of the whole
+    /// batch.
+    fn commit_batch(
+        &self,
         batch: StagedBatch,
         failure: Option<FailurePoint>,
     ) -> Result<Timed<FlushReport>, DedupError> {
         let start = Instant::now();
         let mut total = FlushReport {
             skipped_hot: batch.skipped_hot > 0,
+            clean_retired: batch.clean,
             ..Default::default()
         };
         let mut costs: Vec<CostExpr> = Vec::new();
@@ -239,26 +247,26 @@ impl DedupStore {
                 }
             }
         }
-        record_stage_wall(
-            &self.metrics.commit_wall_ns,
-            self.tracer(),
-            "flush.commit",
-            start,
-        );
+        self.record_stage_wall(&self.metrics.commit_wall_ns, "flush.commit", start);
         Ok(Timed::new(total, CostExpr::seq(costs)))
     }
 
     /// Commits one staged object (engine steps 3–6 of §4.4.1). Returns
     /// `None` when the staged ticket no longer matches — a foreground
-    /// write, truncate, or delete raced the unlocked fingerprint stage and
-    /// the snapshot is stale.
+    /// write, truncate, or delete landed after stage and the snapshot is
+    /// stale.
+    ///
+    /// Holds the object's shard write lock (raw, like stage's) from the
+    /// ticket check through the map transaction and the release: a
+    /// foreground write landing in between would otherwise be overwritten
+    /// by this commit's `SetOmap`/`PunchHole`.
     ///
     /// The per-chunk cost sequence is assembled exactly as the classic
     /// serial flush did — reads, fingerprint CPU on the metadata node,
     /// deref, inter-node hop, store, final transact — so virtual-time
     /// results are unchanged by the pipeline split.
     fn commit_staged(
-        &mut self,
+        &self,
         staged: StagedObject,
         failure: Option<FailurePoint>,
     ) -> Result<Option<Timed<FlushReport>>, DedupError> {
@@ -270,19 +278,18 @@ impl DedupStore {
             staged_at,
             chunks,
         } = staged;
-        if let Some(ticket) = ticket {
-            if !self.dirty.lock().check(&name, ticket) {
-                self.metrics.stage_conflicts.inc();
-                if let Some(ev) = self.events() {
-                    ev.emit(
-                        Severity::Warn,
-                        "engine.flush",
-                        "stage_conflict",
-                        vec![("object", name.as_str().to_string())],
-                    );
-                }
-                return Ok(None);
+        let _shard = self.shards[self.shard_of(&name)].write();
+        if !self.dirty.lock().check(&name, ticket) {
+            self.metrics.stage_conflicts.inc();
+            if let Some(ev) = self.events() {
+                ev.emit(
+                    Severity::Warn,
+                    "engine.flush",
+                    "stage_conflict",
+                    vec![("object", name.as_str().to_string())],
+                );
             }
+            return Ok(None);
         }
         let mut report = FlushReport::default();
         let mut costs: Vec<CostExpr> = Vec::new();
@@ -300,8 +307,8 @@ impl DedupStore {
             let merged = chunk.merged;
             costs.extend(chunk.read_costs);
             if self.config.compression.enabled && !content.is_empty() {
-                // The encode attempt ran in stage 2 with the lock
-                // released; like fingerprinting, its CPU bill lands on
+                // The encode attempt ran in stage 2 with no engine lock
+                // held; like fingerprinting, its CPU bill lands on
                 // the metadata node here so parallelism never perturbs
                 // virtual-time results. The bill covers the raw bytes
                 // whether or not the compressed form was kept.
@@ -334,10 +341,9 @@ impl DedupStore {
             }
             // (3) Resolve the chunk's target name. Classic mode: the full
             // fingerprint was computed in stage 2 (possibly on a worker
-            // thread with the engine lock released); its CPU cost is
-            // charged to the metadata node here, exactly as the serial
-            // engine did. Tiered mode (stage 1 signed every chunk):
-            // re-probe the signature under the lock and pay the full
+            // thread); its CPU cost is charged to the metadata node here,
+            // exactly as the serial engine did. Tiered mode (stage 1
+            // signed every chunk): re-probe the signature and pay the full
             // fingerprint only on a candidate collision — a miss proves
             // global uniqueness and the chunk stores under a minted weak
             // name, never hashed in full.
@@ -461,6 +467,18 @@ impl DedupStore {
         Ok(Some(Timed::new(report, CostExpr::seq(costs))))
     }
 
+    /// Records one pipeline stage's wall-clock time since `start`: into its
+    /// histogram, and as a span on the tracer's wall track when one is
+    /// attached.
+    fn record_stage_wall(&self, histogram: &Histogram, span: &str, start: Instant) {
+        let elapsed = start.elapsed().as_nanos() as u64;
+        histogram.record(elapsed);
+        if let Some(t) = self.tracer() {
+            let end = t.wall_now_ns();
+            t.wall_span(span, end.saturating_sub(elapsed), end);
+        }
+    }
+
     fn record_flush_report(&self, report: &FlushReport) {
         self.metrics.chunks_flushed.add(report.chunks_flushed);
         self.metrics.chunks_deduped.add(report.chunks_deduped);
@@ -474,13 +492,14 @@ impl DedupStore {
     /// chunk deduplicates against (or stores under) while paying the full
     /// fingerprint only when a signature collision forces it.
     ///
-    /// The candidate probe runs *under the engine lock* and therefore sees
-    /// every chunk stored so far — including by earlier chunks of this
-    /// very batch — so an empty candidate set is proof no stored chunk can
-    /// share this content: every store registers its signature before the
-    /// chunk becomes visible, and post-process mode has no racing stores
-    /// while the lock is held. Such chunks skip full hashing forever and
-    /// store under a minted weak name.
+    /// The candidate probe runs *under the flush mutex* and therefore sees
+    /// every chunk any flush stored so far — including earlier chunks of
+    /// this very batch — so an empty candidate set is proof no stored
+    /// chunk can share this content: every store registers its signature
+    /// before the chunk becomes visible, and in post-process mode only
+    /// flushes store chunks. Such chunks skip full hashing forever and
+    /// store under a minted weak name (DESIGN.md §12 prices the inline
+    /// mode exception: at most a duplicate chunk object).
     ///
     /// Returns the target fingerprint plus the signature for
     /// [`ChunkPool::store`] to index on creation.
@@ -588,7 +607,8 @@ impl DedupStore {
     /// # Errors
     ///
     /// Fails if the store does.
-    pub fn dedup_tick(&mut self, now: SimTime) -> Result<Option<Timed<FlushReport>>, DedupError> {
+    pub fn dedup_tick(&self, now: SimTime) -> Result<Option<Timed<FlushReport>>, DedupError> {
+        let _pass = self.flush_pass.lock();
         let batch = self.stage_batch(
             self.config.flush_batch_size,
             now,
@@ -608,7 +628,7 @@ impl DedupStore {
     /// # Errors
     ///
     /// Fails if the store does.
-    pub fn flush_next(&mut self, now: SimTime) -> Result<Option<Timed<FlushReport>>, DedupError> {
+    pub fn flush_next(&self, now: SimTime) -> Result<Option<Timed<FlushReport>>, DedupError> {
         let front = self.dirty.lock().front();
         front.map(|name| self.flush_object(&name, now)).transpose()
     }
@@ -621,7 +641,7 @@ impl DedupStore {
     /// # Errors
     ///
     /// Fails if the store does.
-    pub fn flush_all(&mut self, now: SimTime) -> Result<Timed<FlushReport>, DedupError> {
+    pub fn flush_all(&self, now: SimTime) -> Result<Timed<FlushReport>, DedupError> {
         /// Objects staged per internal pass; bounds staged memory.
         const FLUSH_ALL_BATCH: usize = 64;
         // Hotness is overridden for this pass only; the configuration is
@@ -633,6 +653,7 @@ impl DedupStore {
         let mut total = FlushReport::default();
         let mut costs = Vec::new();
         loop {
+            let _pass = self.flush_pass.lock();
             let before = self.dirty.lock().len();
             if before == 0 {
                 break;
@@ -663,7 +684,7 @@ mod tests {
 
     #[test]
     fn flush_dedups_identical_objects() {
-        let mut s = store();
+        let s = store();
         let data = patterned(4 * CS as usize, 7);
         for i in 0..5 {
             let name = ObjectName::new(format!("obj-{i}"));
@@ -718,7 +739,7 @@ mod tests {
 
     #[test]
     fn hot_object_skips_dedup_until_cool() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("hot");
         let data = patterned(CS as usize, 13);
         // Touch the object in several hitset intervals: hot.
@@ -736,7 +757,7 @@ mod tests {
 
     #[test]
     fn overwrite_reclaims_unreferenced_chunks() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let old = patterned(CS as usize, 17);
         let _ = s.write(ClientId(0), &name, 0, &old, t(0)).expect("write");
@@ -758,7 +779,7 @@ mod tests {
 
     #[test]
     fn partial_write_to_evicted_chunk_prereads() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 23);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -783,8 +804,7 @@ mod tests {
         // the length of the chunk object backing it; the next flush's
         // deferred read-modify-write must clamp its hole reads to the old
         // chunk's extent (the tail is sparse zeros), not read past EOF.
-        let mut s =
-            store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll));
+        let s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll));
         let name = ObjectName::new("obj");
         let data = patterned(4096, 71);
         let _ = s
@@ -804,7 +824,7 @@ mod tests {
 
     #[test]
     fn dedup_tick_honours_rate_control() {
-        let mut s = store_with(DedupConfig::with_chunk_size(CS).watermarks(Watermarks {
+        let s = store_with(DedupConfig::with_chunk_size(CS).watermarks(Watermarks {
             low_iops: 10.0,
             high_iops: 100.0,
             mid_ratio: 1_000,
@@ -837,7 +857,7 @@ mod tests {
 
     #[test]
     fn tail_chunk_shorter_than_chunk_size() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize + 777, 61);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -858,7 +878,7 @@ mod tests {
     #[test]
     fn identical_content_same_object_offsets_dedup() {
         // One object whose chunks repeat internally.
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let block = patterned(CS as usize, 67);
         let mut data = block.clone();
@@ -876,7 +896,7 @@ mod tests {
 
     #[test]
     fn unchanged_dirty_chunk_is_not_rewritten() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 71);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -897,7 +917,7 @@ mod tests {
             hit_count: 1,
             ..HitSetConfig::default()
         };
-        let mut s = store_with(cfg);
+        let s = store_with(cfg);
         let name = ObjectName::new("obj");
         let _ = s
             .write(ClientId(0), &name, 0, patterned(CS as usize, 73), t(0))
@@ -910,7 +930,7 @@ mod tests {
     fn flush_all_overrides_hotness_without_rewriting_the_config() {
         // HotnessAware by default; two writes in distinct intervals make
         // the object hot, so a plain flush skips it ...
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("hot");
         let data = patterned(CS as usize, 97);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -943,7 +963,7 @@ mod tests {
         // fingerprint pool width is wall-clock only, so the serial and the
         // 4-wide flush must agree on what was done and what it cost.
         let flush = |workers: usize| {
-            let mut s = store_with(
+            let s = store_with(
                 DedupConfig::with_chunk_size(CS)
                     .cache_policy(CachePolicy::EvictAll)
                     .flush_parallelism(workers)
@@ -963,5 +983,190 @@ mod tests {
         assert_eq!(serial.0.chunks_created, 15, "five distinct objects");
         assert!(!serial.1.is_nop());
         assert_eq!(serial, parallel);
+    }
+
+    /// Reads `name` whole and compares it with `expect` (`None`: deleted).
+    fn assert_reads(s: &DedupStore, name: &ObjectName, expect: &Option<Vec<u8>>, now: SimTime) {
+        match expect {
+            Some(data) => {
+                let r = s
+                    .read(ClientId(0), name, 0, data.len() as u64, now)
+                    .expect("read");
+                assert_eq!(r.value, *data);
+                assert_eq!(
+                    s.cluster().stat(s.metadata_pool(), name).expect("stat"),
+                    Some(data.len() as u64),
+                    "object length"
+                );
+            }
+            None => assert!(s.read(ClientId(0), name, 0, 1, now).is_err(), "deleted"),
+        }
+    }
+
+    /// A foreground write, shrinking truncate or delete that lands between
+    /// stage and commit moves the object's ticket: the commit discards the
+    /// stale snapshot instead of writing it over the op.
+    #[test]
+    fn foreground_op_between_stage_and_commit_discards_the_snapshot() {
+        #[derive(Debug)]
+        enum Op {
+            Write,
+            Shrink,
+            Delete,
+        }
+        let cs = CS as usize;
+        for op in [Op::Write, Op::Shrink, Op::Delete] {
+            let mut s =
+                store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll));
+            let x = ObjectName::new("x");
+            let old = patterned(2 * cs, 1);
+            let _ = s.write(ClientId(0), &x, 0, &old, t(0)).expect("write");
+            let _ = s.flush_all(t(1)).expect("flush");
+            let new = patterned(2 * cs, 2);
+            let _ = s.write(ClientId(0), &x, 0, &new, t(2)).expect("rewrite");
+
+            let conflicts = s.metrics.stage_conflicts.get();
+            let batch = s
+                .stage_batch(1, t(3), false, CachePolicy::EvictAll)
+                .expect("stage");
+            assert_eq!(batch.objects.len(), 1, "{op:?}: x staged");
+            let expect = match op {
+                Op::Write => {
+                    let patch = patterned(cs, 3);
+                    let _ = s
+                        .write(ClientId(0), &x, CS as u64, &patch, t(4))
+                        .expect("write");
+                    let mut e = new.clone();
+                    e[cs..].copy_from_slice(&patch);
+                    Some(e)
+                }
+                Op::Shrink => {
+                    let _ = s
+                        .truncate(ClientId(0), &x, CS as u64 / 2, t(4))
+                        .expect("truncate");
+                    Some(new[..cs / 2].to_vec())
+                }
+                Op::Delete => {
+                    let _ = s.delete(ClientId(0), &x).expect("delete");
+                    None
+                }
+            };
+            let rep = s.fingerprint_and_commit(batch, None).expect("commit");
+            assert_eq!(
+                s.metrics.stage_conflicts.get(),
+                conflicts + 1,
+                "{op:?}: conflict counted"
+            );
+            assert_eq!(rep.value.chunks_flushed, 0, "{op:?}: nothing committed");
+            assert_reads(&s, &x, &expect, t(5));
+
+            let _ = s.flush_all(t(6)).expect("flush");
+            assert_eq!(s.dirty_len(), 0, "{op:?}");
+            assert_reads(&s, &x, &expect, t(7));
+            assert!(s.verify_references().expect("verify").is_empty(), "{op:?}");
+            let _ = s.gc_chunk_pool().expect("gc");
+            assert!(s.find_leaked_chunks().expect("leaks").is_empty(), "{op:?}");
+        }
+    }
+
+    /// A flush blocks on the shard of the object it works on and nowhere
+    /// else: stage waits out a shard writer, commit waits out a shard
+    /// reader, and ops on another shard run all the while.
+    #[test]
+    fn flush_locks_one_shard_not_the_store() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        const WAIT: Duration = Duration::from_millis(150);
+        let s = Arc::new(store());
+        let x = ObjectName::new("x");
+        let y = (0..)
+            .map(|i| ObjectName::new(format!("y{i}")))
+            .find(|y| s.shard_of(y) != s.shard_of(&x))
+            .expect("a name on another shard");
+        let (data_x, data_y) = (patterned(2 * CS as usize, 5), patterned(CS as usize, 6));
+        let _ = s.write(ClientId(0), &x, 0, &data_x, t(0)).expect("write x");
+        let _ = s.write(ClientId(0), &y, 0, &data_y, t(0)).expect("write y");
+
+        // While `flush` is blocked, another shard serves a write and a
+        // read, and the flush does not return.
+        let other_shard_serves = |done: &mpsc::Receiver<FlushReport>, now: SimTime| {
+            let _ = s.write(ClientId(1), &y, 0, &data_y, now).expect("write y");
+            let r = s
+                .read(ClientId(1), &y, 0, data_y.len() as u64, now)
+                .expect("read y");
+            assert_eq!(r.value, data_y);
+            assert!(
+                done.recv_timeout(WAIT).is_err(),
+                "flush returned while x's shard was held"
+            );
+        };
+
+        let writer = s.shards[s.shard_of(&x)].write();
+        let (tx, done) = mpsc::channel();
+        let flusher = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let rep = s.flush_all(t(100)).expect("flush");
+                tx.send(rep.value).expect("report");
+            })
+        };
+        // Stage needs x's shard read lock: blocked by the writer.
+        other_shard_serves(&done, t(1));
+        // Readers may stage alongside; commit needs the write lock.
+        let reader = parking_lot::RwLockWriteGuard::downgrade(writer);
+        other_shard_serves(&done, t(2));
+        drop(reader);
+
+        let rep = done.recv().expect("flush finished");
+        flusher.join().expect("flusher");
+        assert_eq!(rep.chunks_flushed, 3, "x's two chunks and y's one");
+        assert_eq!(s.dirty_len(), 0);
+        let r = s
+            .read(ClientId(0), &x, 0, data_x.len() as u64, t(200))
+            .expect("read x");
+        assert_eq!(r.value, data_x);
+    }
+
+    /// Whole flush passes queue on the flush mutex — the lock a tiered
+    /// commit's "signature miss proves uniqueness" rests on.
+    #[test]
+    fn flush_passes_queue_on_the_flush_mutex() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        let s = Arc::new(store());
+        let x = ObjectName::new("x");
+        let _ = s
+            .write(ClientId(0), &x, 0, patterned(2 * CS as usize, 8), t(0))
+            .expect("write");
+        let pass = s.flush_pass.lock();
+        let (tx, done) = mpsc::channel();
+        let flushers: Vec<_> = [true, false]
+            .into_iter()
+            .map(|all| {
+                let (s, tx) = (Arc::clone(&s), tx.clone());
+                std::thread::spawn(move || {
+                    let rep = if all {
+                        s.flush_all(t(100)).expect("flush").value
+                    } else {
+                        let tick = s.dedup_tick(t(100)).expect("tick");
+                        tick.map(|t| t.value).unwrap_or_default()
+                    };
+                    tx.send(rep.chunks_flushed).expect("report");
+                })
+            })
+            .collect();
+        assert!(
+            done.recv_timeout(Duration::from_millis(150)).is_err(),
+            "a flush ran while another pass held the flush mutex"
+        );
+        drop(pass);
+        let flushed: u64 = done.iter().take(2).sum();
+        for f in flushers {
+            f.join().expect("flusher");
+        }
+        assert_eq!(flushed, 2, "x's two chunks, flushed once");
+        assert_eq!(s.dirty_len(), 0);
     }
 }

@@ -36,7 +36,6 @@ use crate::config::DedupConfig;
 use crate::error::DedupError;
 use crate::hitset::SharedHitSet;
 use crate::metrics::EngineMetrics;
-use crate::pipeline::{fingerprint_batch, record_stage_wall, StagedBatch};
 use crate::queue::DirtyQueue;
 use crate::ratecontrol::RateController;
 use crate::refs::BackRef;
@@ -72,6 +71,8 @@ pub struct FlushReport {
     pub skipped_hot: bool,
     /// The flush was aborted by an injected failure.
     pub aborted: bool,
+    /// Queued objects found to have no dirty chunks left and retired.
+    pub clean_retired: u64,
 }
 
 impl FlushReport {
@@ -85,6 +86,7 @@ impl FlushReport {
         self.chunks_evicted += other.chunks_evicted;
         self.skipped_hot |= other.skipped_hot;
         self.aborted |= other.aborted;
+        self.clean_retired += other.clean_retired;
     }
 }
 
@@ -133,20 +135,23 @@ pub fn shard_index(name: &ObjectName, shards: usize) -> usize {
 /// # Locking model (see DESIGN.md §9)
 ///
 /// Foreground ops ([`write`](DedupStore::write), [`read`](DedupStore::read),
-/// [`truncate`](DedupStore::truncate), [`delete`](DedupStore::delete)) take
-/// `&self`: each acquires the shard lock owning its object
-/// ([`shard_index`]) in reader-writer mode — mutations take the shard
-/// *write* lock, reads take the shard *read* lock, so ops on distinct
-/// objects run in parallel, concurrent reads of the same shard (one hot
-/// object included) run in parallel, and a mutation excludes everything
-/// else on its shard. Cross-object state sits behind its own fine-grained
-/// locks (dirty queue, atomic-bit hitset, rate controller, registry
-/// counters), and the chunk-pool refcount read-modify-write is serialized
-/// per fingerprint by the chunk pool's own stripe array. Background flush, GC, recovery,
-/// and admin keep `&mut self`, which statically guarantees whole-store
-/// exclusion. Lock order: shard (read or write) → {dirty | hitset | rate}
-/// → chunk stripe → OSD locks; no level is re-entered and at most one
-/// lock of each array is held at a time.
+/// [`truncate`](DedupStore::truncate), [`delete`](DedupStore::delete)) and
+/// the background flush ([`dedup_tick`](DedupStore::dedup_tick),
+/// [`flush_all`](DedupStore::flush_all) and the rest of that family) take
+/// `&self`. Per-object state is only touched under the shard lock owning
+/// the object ([`shard_index`]) in reader-writer mode: mutations and a
+/// flush commit take the shard *write* lock, reads and a flush stage take
+/// the shard *read* lock. Ops on distinct objects run in parallel,
+/// concurrent reads of the same shard (one hot object included) run in
+/// parallel, and a mutation excludes everything else on its shard. One
+/// flush mutex serialises whole flush passes. Cross-object state sits
+/// behind its own fine-grained locks (dirty queue, atomic-bit hitset, rate
+/// controller, registry counters), and the chunk-pool refcount
+/// read-modify-write is serialized per fingerprint by the chunk pool's own
+/// stripe array. GC, recovery and admin keep `&mut self`, which statically
+/// guarantees whole-store exclusion. Lock order: flush → shard (read or
+/// write) → {dirty | hitset | rate} → chunk stripe → OSD locks; no level
+/// is re-entered and at most one lock of each array is held at a time.
 pub struct DedupStore {
     cluster: Cluster,
     metadata_pool: PoolId,
@@ -159,6 +164,10 @@ pub struct DedupStore {
     /// to `i`. Reader-writer: mutations hold the write side, reads share
     /// the read side.
     shards: Vec<RwLock<()>>,
+    /// Held for one whole flush pass (stage → fingerprint → commit), so
+    /// passes never interleave: a tiered commit's signature miss then
+    /// proves no other flush stored the content (DESIGN.md §12).
+    flush_pass: Mutex<()>,
     dirty: Mutex<DirtyQueue>,
     hitset: SharedHitSet,
     rate: Mutex<RateController>,
@@ -191,6 +200,7 @@ impl DedupStore {
             chunks: ChunkPool::new(chunk_pool, &config, metrics.clone()),
             chunker: FixedChunker::new(config.chunk_size),
             shards: (0..shard_count).map(|_| RwLock::new(())).collect(),
+            flush_pass: Mutex::new(()),
             dirty: Mutex::new(DirtyQueue::new()),
             hitset: SharedHitSet::new(config.hitset),
             rate: Mutex::new(RateController::new(config.watermarks)),
@@ -319,25 +329,6 @@ impl DedupStore {
                 .map(|n| n.get())
                 .unwrap_or(1),
             n => n,
-        }
-    }
-
-    /// Pipeline stage 2 as a value: [`fingerprint_batch`] with this
-    /// engine's knobs captured, timed into this engine's instruments. The
-    /// engine's own flushes run it under their borrow;
-    /// [`crate::DedupService`]'s worker keeps one and runs it with the
-    /// store lock released.
-    pub(crate) fn fingerprint_stage(&self) -> impl Fn(&mut StagedBatch) + Send + 'static {
-        let parallelism = self.fingerprint_parallelism();
-        let compression = self.config.compression;
-        let (wall_ns, tracer) = (
-            self.metrics.fingerprint_wall_ns.clone(),
-            self.tracer().cloned(),
-        );
-        move |batch| {
-            let start = Instant::now();
-            fingerprint_batch(batch, parallelism, &compression);
-            record_stage_wall(&wall_ns, tracer.as_ref(), "flush.fingerprint", start);
         }
     }
 

@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn eviction_frees_metadata_pool_space() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(8 * CS as usize, 9);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn keep_all_policy_serves_from_cache_after_flush() {
-        let mut s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::KeepAll));
+        let s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::KeepAll));
         let name = ObjectName::new("obj");
         let data = patterned(4 * CS as usize, 11);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -414,7 +414,7 @@ mod tests {
         // Write, flush (evict), then overwrite only the middle 1 KiB and
         // read the whole chunk BEFORE the next flush: resident bytes come
         // from the cache, the rest from the old chunk object.
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 83);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -444,8 +444,7 @@ mod tests {
         // it *before* the next flush must clamp the fallback reads to
         // that extent, exactly as the flush's merge does (the two share
         // `read_patched`); it used to fail with `ReadOutOfRange`.
-        let mut s =
-            store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll));
+        let s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll));
         let name = ObjectName::new("obj");
         let data = patterned(4096, 71);
         let _ = s
@@ -465,7 +464,7 @@ mod tests {
     fn kept_cache_is_completed_after_merge_flush() {
         // KeepAll: after a partial write + flush, the cached copy must be
         // fully resident again (no holes left behind).
-        let mut s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::KeepAll));
+        let s = store_with(DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::KeepAll));
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 91);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
@@ -520,7 +519,7 @@ mod promotion_tests {
 
     #[test]
     fn hot_reads_promote_back_into_cache() {
-        let mut s = adaptive_store();
+        let s = adaptive_store();
         let name = ObjectName::new("obj");
         let data = patterned(4 * CS as usize, 41);
         let _ = s
@@ -580,7 +579,7 @@ mod promotion_tests {
     #[test]
     fn evict_all_policy_never_promotes() {
         let cluster = ClusterBuilder::new().build();
-        let mut s = DedupStore::with_default_pools(
+        let s = DedupStore::with_default_pools(
             cluster,
             DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
         );
@@ -606,7 +605,7 @@ mod promotion_tests {
 
     #[test]
     fn promoted_then_rewritten_chunk_flushes_correctly() {
-        let mut s = adaptive_store();
+        let s = adaptive_store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 47);
         let _ = s

@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn delete_dereferences_everything() {
-        let mut s = store();
+        let s = store();
         let data = patterned(2 * CS as usize, 19);
         let a = ObjectName::new("a");
         let b = ObjectName::new("b");
@@ -461,7 +461,7 @@ mod truncate_tests {
 
     #[test]
     fn truncate_drops_whole_chunks_and_their_references() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(4 * CS as usize, 1);
         let _ = s
@@ -501,7 +501,7 @@ mod truncate_tests {
 
     #[test]
     fn truncate_mid_chunk_rededups_the_boundary() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(2 * CS as usize, 5);
         let _ = s
@@ -528,7 +528,7 @@ mod truncate_tests {
 
     #[test]
     fn truncate_to_zero_then_delete_reclaims_everything() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let _ = s
             .write(
@@ -552,7 +552,7 @@ mod truncate_tests {
 
     #[test]
     fn zero_extension_is_sparse_and_reads_zero() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 9);
         let _ = s

@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn queue_stall_needs_two_probes_without_progress() {
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let now = SimTime::from_secs(1);
         let _ = s
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn compression_probe_inactive_when_disabled_and_quiet_when_paying() {
         // Disabled plane: never reports, whatever the data looks like.
-        let mut s = store();
+        let s = store();
         let name = ObjectName::new("obj");
         let _ = s
             .write(ClientId(0), &name, 0, vec![0u8; 1 << 21], SimTime::ZERO)
@@ -332,7 +332,7 @@ mod tests {
         assert!(compression_health(&s).is_none());
 
         // Enabled on compressible data: the ratio is good, stay quiet.
-        let mut s = store_with(DedupConfig::with_chunk_size(4096).compress());
+        let s = store_with(DedupConfig::with_chunk_size(4096).compress());
         let _ = s
             .write(ClientId(0), &name, 0, vec![0u8; 1 << 21], SimTime::ZERO)
             .expect("write");
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn compression_probe_degrades_on_incompressible_workload() {
-        let mut s = store_with(DedupConfig::with_chunk_size(4096).compress());
+        let s = store_with(DedupConfig::with_chunk_size(4096).compress());
         // Pseudorandom payload: no repeated windows for the compressor
         // to exploit, so every chunk falls back to raw storage.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;

@@ -151,8 +151,12 @@ impl HitSet {
         if interval > self.head_interval {
             return false;
         }
-        let slot = (interval as usize) % self.ring.len();
-        self.ring[slot].1.insert(key);
+        // An interval that rolled out of the ring is dropped: its slot now
+        // holds a newer interval, which a late access must not count in.
+        let (held, filter) = &self.ring[(interval as usize) % self.ring.len()];
+        if *held == interval {
+            filter.insert(key);
+        }
         true
     }
 
@@ -174,10 +178,8 @@ impl HitSet {
 
     /// Records an access to `key` at `now`.
     pub fn access(&mut self, key: &[u8], now: SimTime) {
-        let interval = self.interval_of(now);
-        self.roll_to(interval);
-        let slot = (interval as usize) % self.ring.len();
-        self.ring[slot].1.insert(key);
+        self.roll_to(self.interval_of(now));
+        self.record_current(key, now);
     }
 
     /// Number of retained intervals in which `key` was (probably) accessed.
@@ -342,6 +344,23 @@ mod tests {
             h.access(b"obj", SimTime::from_nanos(100));
         }
         assert_eq!(h.hit_count(b"obj", SimTime::from_nanos(200)), 1);
+    }
+
+    #[test]
+    fn late_access_to_a_rolled_out_interval_is_dropped() {
+        // 90 s shares a ring slot with 98 s once the head reaches 100 s;
+        // the late access must not count as a hit in the newer interval.
+        let mut h = HitSet::new(config());
+        h.access(b"obj", SimTime::from_secs(100));
+        h.access(b"obj", SimTime::from_secs(90));
+        assert_eq!(h.hit_count(b"obj", SimTime::from_secs(100)), 1);
+        assert!(!h.is_hot(b"obj", SimTime::from_secs(100)));
+
+        let s = SharedHitSet::new(config());
+        s.access(b"obj", SimTime::from_secs(100));
+        s.access(b"obj", SimTime::from_secs(90));
+        assert_eq!(s.hit_count(b"obj", SimTime::from_secs(100)), 1);
+        assert!(!s.is_hot(b"obj", SimTime::from_secs(100)));
     }
 
     #[test]

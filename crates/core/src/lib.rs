@@ -33,7 +33,7 @@
 //!
 //! # fn main() -> Result<(), dedup_core::DedupError> {
 //! let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
-//! let mut store = DedupStore::with_default_pools(cluster, DedupConfig::default());
+//! let store = DedupStore::with_default_pools(cluster, DedupConfig::default());
 //!
 //! let name = ObjectName::new("hello");
 //! let data = vec![42u8; 64 * 1024];
@@ -57,7 +57,6 @@ pub mod engine;
 mod health;
 pub mod hitset;
 pub mod index;
-pub mod pipeline;
 pub mod queue;
 pub mod ratecontrol;
 pub mod refs;
@@ -67,6 +66,7 @@ pub mod stats;
 mod chunkpool;
 mod error;
 mod metrics;
+mod pipeline;
 
 pub use baseline::{global_ratio, local_ratio, RatioAnalysis};
 pub use bloom::BloomConfig;
@@ -84,7 +84,6 @@ pub use engine::{
 pub use error::DedupError;
 pub use hitset::{BloomFilter, HitSet};
 pub use index::{build_index, CandidateRef, ChunkIndex, IndexStats, TieredIndex};
-pub use pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
 pub use queue::{DirtyQueue, DirtyTicket};
 pub use ratecontrol::RateController;
 pub use refs::{BackRef, COMPRESS_XATTR, REFCOUNT_XATTR, REF_ENTRY_BYTES};

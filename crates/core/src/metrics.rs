@@ -37,16 +37,16 @@ pub(crate) struct EngineMetrics {
     /// Objects staged per flush-pipeline pass (last batch).
     pub flush_batch_size: Gauge,
     /// Wall-clock nanoseconds spent staging a flush batch (pipeline
-    /// stage 1, engine lock held).
+    /// stage 1, each object under its shard read lock).
     pub stage_wall_ns: Histogram,
     /// Wall-clock nanoseconds spent fingerprinting a flush batch
-    /// (pipeline stage 2, lock-free in the service).
+    /// (pipeline stage 2, no engine lock held).
     pub fingerprint_wall_ns: Histogram,
     /// Wall-clock nanoseconds spent committing a flush batch (pipeline
-    /// stage 3, engine lock held).
+    /// stage 3, each object under its shard write lock).
     pub commit_wall_ns: Histogram,
     /// Staged objects thrown away at commit because a foreground
-    /// mutation raced the unlocked fingerprint stage.
+    /// mutation landed between stage and commit.
     pub stage_conflicts: Counter,
     /// Dirty chunks processed by flushes.
     pub chunks_flushed: Counter,

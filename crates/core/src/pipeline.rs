@@ -1,24 +1,25 @@
 //! The batched **stage → fingerprint → commit** flush pipeline.
 //!
 //! The paper's background dedup engine (§4.4.1) reads every dirty chunk,
-//! fingerprints it, and commits it to the chunk pool. Executing that
-//! serially under one engine lock makes CPU-heavy hashing serialize with
-//! foreground I/O. The pipeline splits a flush into three stages:
+//! fingerprints it, and commits it to the chunk pool. A flush pass runs
+//! that in three stages, each holding only the locks it needs
+//! (DESIGN.md §7, §9):
 //!
-//! 1. **Stage** (engine lock held): pop a batch of admitted dirty
-//!    objects, read their dirty-chunk contents — including deferred
-//!    read-modify-write merges from the previous chunk objects — and
-//!    snapshot each object's [`DirtyTicket`].
-//! 2. **Fingerprint** (no engine state needed): encode and hash every
-//!    staged chunk, optionally across a scoped worker pool
-//!    ([`fingerprint_batch`]). [`DedupService`](crate::DedupService)
-//!    runs this with the engine lock *released*, so foreground I/O keeps
-//!    flowing while hashes crunch.
-//! 3. **Commit** (engine lock reacquired): dereference old chunks, store
-//!    or reference new ones, and transact the chunk-map updates. Each
-//!    object's ticket is re-checked first; a foreground mutation that
-//!    raced stage 2 invalidates the staged snapshot and the object simply
-//!    stays dirty for a later pass.
+//! 1. **Stage**: pop a batch of admitted dirty objects and, under each
+//!    object's shard *read* lock, read its dirty-chunk contents —
+//!    including deferred read-modify-write merges from the previous chunk
+//!    objects — and take its [`DirtyTicket`].
+//! 2. **Fingerprint** (no engine lock): encode and hash every staged
+//!    chunk, optionally across a scoped worker pool
+//!    ([`fingerprint_batch`]).
+//! 3. **Commit**: under each object's shard *write* lock, re-check the
+//!    ticket, dereference old chunks, store or reference new ones, and
+//!    transact the chunk-map update. A foreground mutation that landed
+//!    after stage invalidates the snapshot; the object simply stays dirty
+//!    for a later pass.
+//!
+//! Foreground ops on every object, the staged ones included, run between
+//! the stages. Whole passes are serialised by the engine's flush mutex.
 //!
 //! **Virtual-time cost accounting is unchanged.** The timing plane still
 //! charges fingerprinting to the metadata node's CPU via the engine's
@@ -26,11 +27,8 @@
 //! `CostExpr` sequence the serial implementation produced — only
 //! wall-clock time improves. Figure and table outputs are bit-identical.
 
-use std::time::Instant;
-
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint};
-use dedup_obs::{Histogram, Tracer};
 use dedup_sim::{CostExpr, SimTime};
 use dedup_store::ObjectName;
 use parking_lot::Mutex;
@@ -48,7 +46,7 @@ use crate::queue::DirtyTicket;
 /// the buffer's copy-on-write), so a flush batch holds no deep copies of
 /// chunk data unless a deferred read-modify-write merge forced one.
 #[derive(Debug)]
-pub struct StagedChunk {
+pub(crate) struct StagedChunk {
     pub(crate) entry: ChunkMapEntry,
     pub(crate) content: Bytes,
     pub(crate) read_costs: Vec<CostExpr>,
@@ -60,7 +58,7 @@ pub struct StagedChunk {
     pub(crate) sig: Option<ChunkSig>,
     /// Whether stage 2 must compute the full fingerprint. Classic mode:
     /// always. Tiered mode: only when the stage-time signature probe
-    /// found a candidate collision (commit re-probes under the lock, so a
+    /// found a candidate collision (commit re-probes the index, so a
     /// collision that appears later is still caught — this flag is purely
     /// a work-avoidance hint, never a correctness gate).
     pub(crate) fingerprint_wanted: bool,
@@ -82,11 +80,11 @@ impl StagedChunk {
 
 /// One metadata object staged for flushing.
 #[derive(Debug)]
-pub struct StagedObject {
+pub(crate) struct StagedObject {
     pub(crate) name: ObjectName,
-    /// `None` when staged and committed under one `&mut` borrow (no
-    /// interleaving possible); `Some` when the commit must re-validate.
-    pub(crate) ticket: Option<DirtyTicket>,
+    /// The object's queue slot and write epoch at stage; commit re-checks
+    /// it.
+    pub(crate) ticket: DirtyTicket,
     pub(crate) meta_node: usize,
     pub(crate) keep_cached: bool,
     /// Virtual time the snapshot was staged; feeds the chunk index's
@@ -95,22 +93,10 @@ pub struct StagedObject {
     pub(crate) chunks: Vec<StagedChunk>,
 }
 
-impl StagedObject {
-    /// The object this staging snapshot belongs to.
-    pub fn name(&self) -> &ObjectName {
-        &self.name
-    }
-
-    /// Staged dirty chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-}
-
 /// A batch of staged objects plus bookkeeping about queue candidates that
 /// produced no staged work.
 #[derive(Debug, Default)]
-pub struct StagedBatch {
+pub(crate) struct StagedBatch {
     pub(crate) objects: Vec<StagedObject>,
     /// Candidates skipped because the hitset says they are hot (they were
     /// requeued at the back).
@@ -121,35 +107,10 @@ pub struct StagedBatch {
 }
 
 impl StagedBatch {
-    /// Objects staged for fingerprint + commit.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Whether the batch contains nothing at all — no staged objects, no
     /// hot skips, no clean retirements.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.objects.is_empty() && self.skipped_hot == 0 && self.clean == 0
-    }
-
-    /// Total dirty chunks staged across the batch.
-    pub fn chunk_count(&self) -> usize {
-        self.objects.iter().map(|o| o.chunks.len()).sum()
-    }
-
-    /// Hot candidates skipped (and requeued) while staging.
-    pub fn skipped_hot(&self) -> u64 {
-        self.skipped_hot
-    }
-
-    /// Clean candidates retired while staging.
-    pub fn clean(&self) -> u64 {
-        self.clean
-    }
-
-    /// Staged objects, in commit order.
-    pub fn objects(&self) -> &[StagedObject] {
-        &self.objects
     }
 }
 
@@ -157,8 +118,7 @@ impl StagedBatch {
 /// every staged chunk in `batch` — one pass per chunk, across one scoped
 /// pool of up to `parallelism` worker threads.
 ///
-/// Needs no engine state, so callers holding a [`crate::DedupStore`]
-/// behind a lock can (and should) run it with the lock released. The
+/// Needs no engine state, so it runs with no engine lock held. The
 /// virtual-time CPU cost of hashing and compressing is *not* recorded
 /// here — the commit stage charges it to the metadata node exactly as the
 /// serial engine did, so parallelism never perturbs simulated results;
@@ -172,8 +132,8 @@ impl StagedBatch {
 /// ([`StagedChunk::stored`]). Fingerprints cover the raw content either
 /// way. Tiered mode leaves `fingerprint_wanted` false for chunks whose
 /// stage-time signature probe proved no stored chunk can match — those
-/// skip hashing entirely; commit re-probes under the lock.
-pub fn fingerprint_batch(
+/// skip hashing entirely; commit re-probes the index.
+pub(crate) fn fingerprint_batch(
     batch: &mut StagedBatch,
     parallelism: usize,
     compression: &CompressionConfig,
@@ -218,31 +178,18 @@ pub fn fingerprint_batch(
     });
 }
 
-/// Records one pipeline stage's wall-clock time since `start`: into its
-/// histogram, and as a span on the tracer's wall track when one is
-/// attached.
-pub(crate) fn record_stage_wall(
-    histogram: &Histogram,
-    tracer: Option<&Tracer>,
-    span: &str,
-    start: Instant,
-) {
-    let elapsed = start.elapsed().as_nanos() as u64;
-    histogram.record(elapsed);
-    if let Some(t) = tracer {
-        let end = t.wall_now_ns();
-        t.wall_span(span, end.saturating_sub(elapsed), end);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::DirtyQueue;
 
     fn staged(name: &str, contents: &[&[u8]]) -> StagedObject {
+        let name = ObjectName::new(name);
+        let mut queue = DirtyQueue::new();
+        queue.mark(&name);
         StagedObject {
-            name: ObjectName::new(name),
-            ticket: None,
+            ticket: queue.ticket(&name).expect("queued"),
+            name,
             meta_node: 0,
             keep_cached: false,
             staged_at: SimTime::ZERO,
@@ -284,7 +231,6 @@ mod tests {
             ],
             ..Default::default()
         };
-        assert_eq!(batch.chunk_count(), 3);
         for parallelism in [1, 4] {
             for obj in &mut batch.objects {
                 for c in &mut obj.chunks {

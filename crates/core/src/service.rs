@@ -1,24 +1,23 @@
 //! A thread-safe service wrapper around [`DedupStore`] with a background
 //! deduplication worker — the embedding surface a real deployment uses.
 //!
-//! [`DedupStore`]'s foreground ops take `&self` and serialize per object
-//! through the engine's namespace shards (see
-//! [`shard_index`](crate::shard_index) and DESIGN.md §9). [`DedupService`]
-//! shares one store between any number of client threads behind a
-//! [`parking_lot::RwLock`]: foreground reads/writes/truncates/deletes take
-//! the *read* side — so ops on distinct objects run concurrently, gated
-//! only by their shard locks — while whole-store exclusion (flush stage and
-//! commit, [`DedupService::with_store`] administration, shutdown) takes
-//! the *write* side. The paper's background engine runs on a dedicated
-//! worker thread fed virtual-time ticks over a [`crossbeam::channel`].
-//! Rate control and hotness still apply.
+//! [`DedupStore`]'s foreground ops and its background flush take `&self`
+//! and serialize per object through the engine's namespace shards (see
+//! [`shard_index`](crate::shard_index) and DESIGN.md §9).
+//! [`DedupService`] shares one store between any number of client threads
+//! behind a [`parking_lot::RwLock`]: foreground reads/writes/truncates/
+//! deletes and the worker's flush passes take the *read* side — so ops on
+//! distinct objects run concurrently, gated only by their shard locks —
+//! while whole-store exclusion ([`DedupService::with_store`]
+//! administration, shutdown) takes the *write* side. The paper's
+//! background engine runs on a dedicated worker thread fed virtual-time
+//! ticks over a [`crossbeam::channel`]. Rate control and hotness still
+//! apply.
 //!
-//! The worker drives the engine's **stage → fingerprint → commit**
-//! pipeline (see [`crate::pipeline`]): dirty chunks are staged and
-//! committed with the store write-locked, but the CPU-heavy fingerprint
-//! stage runs with the lock *released* — across
-//! [`DedupConfig`](crate::DedupConfig)::`flush_parallelism` worker threads
-//! — so foreground reads and writes keep flowing while hashes crunch.
+//! The worker calls [`DedupStore::dedup_tick`] until a pass makes no
+//! progress. Each pass stages, fingerprints and commits one batch (see
+//! `crate::pipeline`); stage and commit lock only the object they work
+//! on, so foreground ops keep flowing throughout.
 //!
 //! Queued ticks are **coalesced**: when several `Tick` commands are
 //! waiting, the worker collapses them into one pass at the latest virtual
@@ -139,7 +138,7 @@ impl DedupService {
         });
         // The worker publishes its progress into the stack's shared
         // registry, so snapshots show background activity too.
-        let (ticks, coalesced, flushes, errors, stage2, tracer, events) = {
+        let (ticks, coalesced, flushes, errors, tracer, events) = {
             let s = store.read();
             let r = s.registry();
             (
@@ -147,9 +146,6 @@ impl DedupService {
                 r.counter("service.worker.coalesced_ticks"),
                 r.counter("service.worker.flushes"),
                 r.counter("service.worker.errors"),
-                // Captured once: config is immutable while the service
-                // owns the store.
-                s.fingerprint_stage(),
                 s.tracer().cloned(),
                 s.events().cloned(),
             )
@@ -203,9 +199,8 @@ impl DedupService {
                                 }
                             }
                             // Each worker tick is a wall-clock op on this
-                            // thread's track; the engine adds stage/commit
-                            // spans inside it while fingerprinting lands
-                            // here (the lock-released stretch).
+                            // thread's track; the engine adds stage,
+                            // fingerprint and commit spans inside it.
                             let tick_ctx = tracer.as_ref().map(|t| {
                                 t.begin_wall_op(
                                     "service.tick",
@@ -213,33 +208,12 @@ impl DedupService {
                                 )
                             });
                             // Drain as much as rate control admits at this
-                            // instant, one pipeline pass per iteration:
-                            // stage under the lock, fingerprint with the
-                            // lock *released* (foreground threads
-                            // interleave here), commit under the lock.
+                            // instant, one pipeline pass per iteration.
                             loop {
-                                let staged = {
-                                    let mut s = worker_store.write();
-                                    let (max, policy) =
-                                        (s.config().flush_batch_size, s.config().cache_policy);
-                                    s.stage_batch(max, now, true, policy)
-                                };
-                                let mut batch = match staged {
-                                    Ok(batch) if batch.is_empty() => break,
-                                    Ok(batch) => batch,
-                                    Err(e) => {
-                                        record_worker_error(&worker_state, &errors, &events, e);
-                                        break;
-                                    }
-                                };
-                                let clean = batch.clean();
-                                stage2(&mut batch);
-                                let committed = {
-                                    let mut s = worker_store.write();
-                                    s.commit_batch(batch, None)
-                                };
-                                match committed {
-                                    Ok(t) => {
+                                let pass = worker_store.read().dedup_tick(now);
+                                match pass {
+                                    Ok(None) => break,
+                                    Ok(Some(t)) => {
                                         flushes.inc();
                                         // A pass that neither flushed chunks
                                         // nor retired clean queue entries
@@ -247,7 +221,8 @@ impl DedupService {
                                         // requeued over and over) makes no
                                         // progress: looping on it would spin
                                         // this thread forever.
-                                        if t.value.chunks_flushed == 0 && clean == 0 {
+                                        if t.value.chunks_flushed == 0 && t.value.clean_retired == 0
+                                        {
                                             break;
                                         }
                                     }
@@ -369,7 +344,7 @@ impl DedupService {
 
     /// Runs a closure with exclusive access to the store (reports,
     /// snapshots, administration): takes the store *write* lock, draining
-    /// all in-flight foreground ops first.
+    /// all in-flight foreground ops and the worker's flush pass first.
     pub fn with_store<R>(&self, f: impl FnOnce(&mut DedupStore) -> R) -> R {
         f(&mut self.store().write())
     }

@@ -340,7 +340,7 @@ mod tests {
         use dedup_store::{ClientId, ClusterBuilder, ObjectName};
 
         let cluster = ClusterBuilder::new().build();
-        let mut s = crate::engine::DedupStore::with_default_pools(
+        let s = crate::engine::DedupStore::with_default_pools(
             cluster,
             DedupConfig::with_chunk_size(8 * 1024).cache_policy(CachePolicy::EvictAll),
         );
@@ -401,7 +401,7 @@ mod tests {
         use dedup_store::{ClientId, ClusterBuilder, IoCtx, ObjectName, TxOp};
 
         let cluster = ClusterBuilder::new().build();
-        let mut s = crate::engine::DedupStore::with_default_pools(
+        let s = crate::engine::DedupStore::with_default_pools(
             cluster,
             DedupConfig::with_chunk_size(8 * 1024),
         );

@@ -68,7 +68,7 @@ fn incompressible_workload_copies_nothing_extra() {
     let name = ObjectName::new("rand");
 
     let run = |config: DedupConfig| {
-        let mut s = store_with(config);
+        let s = store_with(config);
         let _ = s
             .write(ClientId(0), &name, 0, data.clone(), t(0))
             .expect("write");
@@ -134,7 +134,7 @@ fn reads_byte_identical_across_modes_and_mixed_pools() {
     ];
     for (i, config) in configs.into_iter().enumerate() {
         let compress_on = i > 0;
-        let mut s = store_with(config);
+        let s = store_with(config);
         let _ = s
             .write(ClientId(0), &name, 0, data.clone(), t(0))
             .expect("write");
@@ -198,7 +198,7 @@ fn identical_plaintext_dedups_under_pinned_raw_names() {
             .tiered_fingerprint(),
     ];
     for ((mode, objects, digest, hashed), config) in PINNED.into_iter().zip(configs) {
-        let mut s = store_with(config);
+        let s = store_with(config);
         let _ = s
             .write(ClientId(0), &ObjectName::new("a"), 0, data.clone(), t(0))
             .expect("write a");
@@ -235,7 +235,7 @@ fn vm_images_store_at_least_thirty_percent_fewer_chunk_bytes() {
     };
     let images = spec.all_images();
     let run = |config: DedupConfig| {
-        let mut s = store_with(config);
+        let s = store_with(config);
         for img in &images {
             let _ = s
                 .write(
@@ -276,7 +276,7 @@ fn vm_images_store_at_least_thirty_percent_fewer_chunk_bytes() {
 /// (the metrics-doc drift test relies on unconditional registration).
 #[test]
 fn capacity_sample_reports_compression_plane() {
-    let mut s = store_with(DedupConfig::with_chunk_size(CS).compress());
+    let s = store_with(DedupConfig::with_chunk_size(CS).compress());
     let _ = s
         .write(ClientId(0), &ObjectName::new("m"), 0, mixed_payload(), t(0))
         .expect("write");

@@ -11,7 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's testbed shape: 4 nodes x 4 OSDs, 32 KiB chunks,
     // post-processing dedup with watermark rate control.
     let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
-    let mut store = DedupStore::with_default_pools(cluster, DedupConfig::default());
+    let store = DedupStore::with_default_pools(cluster, DedupConfig::default());
 
     // Ten "backup" objects: each is 256 KiB, and most of the content is
     // shared with the others (think nightly snapshots of the same volume).

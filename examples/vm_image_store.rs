@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterBuilder::new().build();
     // Metadata pool replicated for latency; chunk pool erasure-coded and
     // compressed for capacity (pools choose their own redundancy, §4.2).
-    let mut store = DedupStore::new(
+    let store = DedupStore::new(
         cluster,
         PoolConfig::replicated("metadata", 2),
         PoolConfig::erasure("chunks", 2, 1).with_compression(),

@@ -11,7 +11,7 @@ use global_dedup::workloads::fio::FioSpec;
 fn loaded_store(flush: bool) -> (DedupStore, global_dedup::workloads::Dataset) {
     let dataset = FioSpec::new(8 << 20, 0.5).dataset();
     let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
-    let mut store = DedupStore::with_default_pools(
+    let store = DedupStore::with_default_pools(
         cluster,
         DedupConfig::with_chunk_size(32 * 1024).cache_policy(CachePolicy::EvictAll),
     );

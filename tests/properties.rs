@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn store_matches_reference_model(steps in proptest::collection::vec(step_strategy(), 1..60)) {
         let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
-        let mut store = DedupStore::with_default_pools(
+        let store = DedupStore::with_default_pools(
             cluster,
             DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
         );

@@ -1,7 +1,8 @@
 //! Multi-threaded stress test for [`DedupService`]: writer threads,
 //! reader threads, a delete/truncate churn mix, and the background flush
-//! worker race across the sharded foreground data plane while the
-//! pipeline stages, fingerprints (lock released), and commits batches.
+//! worker race across the sharded foreground data plane. The worker's
+//! passes take the store lock's read side like foreground ops, and each
+//! pass stages and commits an object under that object's shard lock only.
 //! The invariants:
 //!
 //! - no deadlock or worker livelock (the test terminates),
@@ -22,6 +23,12 @@
 //! reads must be torn-free and the writer keeps read-your-writes even
 //! while sharing its shard's lock with readers. A proptest additionally
 //! checks that concurrent same-shard readers all see identical bytes.
+//!
+//! A third regime races two `&self` flushers on one store whose objects
+//! share content, classic and tiered: reads stay byte-exact, nothing
+//! dangles or leaks, and the store ends with as many chunk objects as one
+//! serial `flush_all` leaves — the flush mutex keeps a tiered signature
+//! miss a proof of uniqueness.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -386,7 +393,7 @@ fn thread_count_changes_neither_stats_nor_space() {
             }
         });
         assert_eq!(svc.worker_errors(), 0);
-        let mut store = svc.shutdown();
+        let store = svc.shutdown();
         let _ = store.flush_all(SimTime::from_secs(3600)).expect("flush");
         assert!(store.verify_references().expect("scrub").is_empty());
         (store.stats(), store.space_report().expect("space report"))
@@ -399,6 +406,95 @@ fn thread_count_changes_neither_stats_nor_space() {
     );
     assert!(serial.1.chunk_objects > 0 && serial.1.chunk_bytes < serial.1.logical_bytes);
     assert_eq!(serial, parallel);
+}
+
+/// Two flushers — one ticking, one flushing everything — race a reader on
+/// one store, in several fresh rounds. Adjacent objects hold the same
+/// content, unique to the pair, so the two flushers keep committing the
+/// first copy of a content side by side: the flush mutex must serialise
+/// their passes so that no content is stored twice.
+#[test]
+fn racing_flushers_store_each_content_once() {
+    const OBJECTS: usize = 64;
+    const CHUNKS: usize = 2;
+    const RACES: usize = 8;
+    // `patterned` ignores the seed's low bit, hence the shift.
+    let content = |obj: usize| -> Vec<u8> {
+        (0..CHUNKS)
+            .flat_map(|c| patterned(CS as usize, ((obj / 2 * CHUNKS + c) as u64) << 1))
+            .collect()
+    };
+    let name = |obj: usize| ObjectName::new(format!("obj-{obj}"));
+    let now = SimTime::from_secs(3600);
+    let assert_reads = |s: &DedupStore| {
+        for obj in 0..OBJECTS {
+            let r = s
+                .read(ClientId(9), &name(obj), 0, (CHUNKS as u64) * CS as u64, now)
+                .expect("read");
+            assert_eq!(r.value, content(obj), "obj-{obj} not byte-exact");
+        }
+    };
+    for tiered in [false, true] {
+        let build = || {
+            let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
+            let mut config = DedupConfig::with_chunk_size(CS)
+                .cache_policy(CachePolicy::EvictAll)
+                .foreground_shards(SHARDS);
+            if tiered {
+                config = config.tiered_fingerprint();
+            }
+            let s = DedupStore::with_default_pools(cluster, config);
+            for obj in 0..OBJECTS {
+                let _ = s
+                    .write(ClientId(0), &name(obj), 0, content(obj), SimTime::ZERO)
+                    .expect("write");
+            }
+            s
+        };
+
+        let serial = build();
+        let _ = serial.flush_all(now).expect("serial flush");
+        let serial_chunks = serial.space_report().expect("report").chunk_objects;
+        assert_eq!(serial_chunks, (OBJECTS / 2 * CHUNKS) as u64);
+
+        for race in 0..RACES {
+            let mut raced = build();
+            let barrier = std::sync::Barrier::new(3);
+            std::thread::scope(|scope| {
+                let (s, barrier) = (&raced, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    while s.dedup_tick(now).expect("tick").is_some() {}
+                    let _ = s.flush_all(now).expect("flush after ticks");
+                });
+                scope.spawn(move || {
+                    barrier.wait();
+                    let _ = s.flush_all(now).expect("flush");
+                });
+                scope.spawn(move || {
+                    barrier.wait();
+                    assert_reads(s);
+                });
+            });
+            let label = format!("tiered={tiered} race={race}");
+            assert_eq!(raced.dirty_len(), 0, "{label}: queue drained");
+            assert_reads(&raced);
+            assert!(
+                raced.verify_references().expect("scrub").is_empty(),
+                "{label}: dangling chunk references"
+            );
+            let _ = raced.gc_chunk_pool().expect("gc");
+            assert!(
+                raced.find_leaked_chunks().expect("leaks").is_empty(),
+                "{label}: leaked chunks"
+            );
+            assert_eq!(
+                raced.space_report().expect("report").chunk_objects,
+                serial_chunks,
+                "{label}: racing flushers stored a content twice"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -38,7 +38,7 @@ fn patterned(len: usize, seed: u64) -> Vec<u8> {
 fn foreground_read_hot_path_is_zero_copy() {
     let cluster = ClusterBuilder::new().nodes(4).osds_per_node(2).build();
     let config = DedupConfig::with_chunk_size(64 * 1024);
-    let mut store = DedupStore::with_default_pools(cluster, config);
+    let store = DedupStore::with_default_pools(cluster, config);
     let copied = store.registry().counter("engine.bytes_copied");
     let shared = store.registry().counter("engine.bytes_shared");
 
@@ -95,7 +95,7 @@ fn foreground_read_hot_path_is_zero_copy() {
 fn data_plane_cycle_shares_at_least_half_its_bytes() {
     let cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
     let config = DedupConfig::with_chunk_size(64 * 1024).cache_policy(CachePolicy::EvictAll);
-    let mut store = DedupStore::with_default_pools(cluster, config);
+    let store = DedupStore::with_default_pools(cluster, config);
     let copied = store.registry().counter("engine.bytes_copied");
     let shared = store.registry().counter("engine.bytes_shared");
 
