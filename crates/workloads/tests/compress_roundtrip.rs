@@ -91,6 +91,48 @@ fn streams_are_pinned() {
     assert_eq!(got.iter().map(|g| g.1).sum::<usize>(), TOTAL_LEN);
 }
 
+/// The streams an encoder whose match-table slots carry each position's
+/// 4-byte key could get wrong: windows whose bits equal an all-ones empty
+/// slot, a repeat whose key still sits in the table at a distance past the
+/// 64 KiB offset limit, and inputs longer than one offset window.
+#[test]
+fn long_and_sentinel_streams_are_pinned() {
+    let mut ff_runs = unique_block(32 * 1024, 11, 1);
+    for (k, start) in (0..ff_runs.len() - 64).step_by(811).enumerate() {
+        ff_runs[start..start + k % 40 + 1].fill(0xFF);
+    }
+    // One block at 8 KiB, again 40 KiB later, again 70 KiB after that.
+    let block = unique_block(4096, 12, 1);
+    let mut far = unique_block(160 * 1024, 13, 1);
+    for at in [8 * 1024, 48 * 1024, 118 * 1024] {
+        far[at..at + 4096].copy_from_slice(&block);
+    }
+    let corpus: Vec<(&str, Vec<u8>)> = vec![
+        ("0xFF x 32 KiB", vec![0xFF; 32 * 1024]),
+        ("random with 0xFF runs", ff_runs),
+        ("repeats at 40 and 70 KiB", far),
+        (
+            "compressible 64 KiB + 1",
+            compressible_block(64 * 1024 + 1, 14, 1),
+        ),
+    ];
+    const PINNED: [(&str, usize, u64); 4] = [
+        ("0xFF x 32 KiB", 133, 0xd6d3_e84e_ae87_04da),
+        ("random with 0xFF runs", 32_332, 0x1de3_93b6_3fce_372f),
+        ("repeats at 40 and 70 KiB", 160_393, 0xaf42_47e4_af32_2e7f),
+        ("compressible 64 KiB + 1", 33_136, 0xaf96_0473_ed6f_76a9),
+    ];
+    let got: Vec<(&str, usize, u64)> = corpus
+        .iter()
+        .map(|(name, data)| {
+            check(data);
+            let packed = compress(data);
+            (*name, packed.len(), fnv1a(&packed))
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
