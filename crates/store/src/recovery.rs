@@ -215,7 +215,8 @@ impl Cluster {
     ///
     /// Fails for unknown pools.
     pub fn scrub(&self, pool: PoolId) -> Result<Vec<ScrubFinding>, StoreError> {
-        let redundancy = self.state(pool)?.config.redundancy;
+        let st = self.state(pool)?;
+        let redundancy = st.config.redundancy;
         let mut findings = Vec::new();
         for name in self.list_objects(pool)? {
             let mut report = |detail: String| {
@@ -256,6 +257,11 @@ impl Cluster {
                     },
                 }
             }
+            if let Some(codec) = &st.codec {
+                if let Err(detail) = self.gather_shards(codec, pool, &name, &acting) {
+                    report(detail);
+                }
+            }
         }
         self.metrics.scrub_runs.inc();
         self.metrics.scrub_findings.add(findings.len() as u64);
@@ -284,7 +290,10 @@ impl Cluster {
                 let Ok(acting) = self.acting(pool, &name) else {
                     continue;
                 };
-                let (shards, _) = self.gather_shards(codec, pool, &name, &acting);
+                // Shards that disagree on the length are the light scrub's.
+                let Ok((shards, _)) = self.gather_shards(codec, pool, &name, &acting) else {
+                    continue;
+                };
                 let data: Option<Vec<&[u8]>> = shards[..k].iter().map(|s| s.as_deref()).collect();
                 let Some(data) = data else { continue };
                 let Ok(parity) = codec.encode(&data) else {
@@ -566,6 +575,42 @@ mod tests {
                 .any(|f| f.name == name && f.detail.contains("parity")),
             "parity corruption missed: {findings:?}"
         );
+    }
+
+    /// One shard of a 100-byte 2+1 object records another length, shorter
+    /// or longer, at each rank: every read is refused with a typed error
+    /// and the light scrub reports it once. Reads used to serve a short
+    /// object or fail depending on which device was visited last.
+    #[test]
+    fn ec_shards_disagreeing_on_length_are_refused_and_scrubbed() {
+        for rank in 0..3 {
+            for lie in [60u64, 1000] {
+                let mut c = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
+                let ctx = IoCtx::new(c.create_pool(PoolConfig::erasure("e", 2, 1)));
+                let name = ObjectName::new("obj");
+                let _ = c.write_full(&ctx, &name, vec![9u8; 100]).expect("write");
+                let osd = c.acting(ctx.pool, &name).expect("acting")[rank];
+                corrupt(&c, osd, ctx.pool, &name, |obj| {
+                    if let Payload::Shard {
+                        ref mut object_len, ..
+                    } = obj.payload
+                    {
+                        *object_len = lie;
+                    }
+                });
+                let case = format!("rank {rank}, length {lie}");
+                for read in [c.read_full(&ctx, &name), c.read_at(&ctx, &name, 0, 100)] {
+                    let err = read.map(|t| t.value.len()).expect_err(&case);
+                    assert!(
+                        matches!(err, StoreError::Inconsistent { .. }),
+                        "{case}: {err}"
+                    );
+                }
+                let findings = c.scrub(ctx.pool).expect("scrub");
+                assert_eq!(findings.len(), 1, "{case}: {findings:?}");
+                assert_eq!(c.deep_scrub(ctx.pool).expect("deep scrub"), findings);
+            }
+        }
     }
 
     #[test]
