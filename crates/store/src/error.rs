@@ -33,11 +33,13 @@ pub enum StoreError {
         /// Actual object size.
         object_size: u64,
     },
-    /// An object grew past the per-object size cap (guards runaway offsets).
+    /// An object grew past the per-object size cap (guards runaway
+    /// offsets), or a transaction's WAL frame past the `u32::MAX + 4`
+    /// bytes its length header can describe.
     ObjectTooLarge {
         /// Size the operation would have produced.
         requested: u64,
-        /// Configured cap.
+        /// Configured cap, or the frame limit.
         cap: u64,
     },
     /// An erasure-coded object could not be read or rebuilt.
