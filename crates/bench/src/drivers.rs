@@ -15,28 +15,23 @@ use rand::{Rng, SeedableRng};
 
 use crate::systems::StorageSystem;
 
-/// Latency histogram handles into the system's registry, split by op
-/// kind, so metrics sidecars carry driver-observed percentiles.
+/// The write-latency histogram handle into the system's registry, so
+/// metrics sidecars carry driver-observed write percentiles.
 struct DriverMetrics {
     write_latency: Histogram,
-    read_latency: Histogram,
 }
 
 impl DriverMetrics {
     fn new(system: &dyn StorageSystem) -> Self {
-        let registry = system.registry();
         DriverMetrics {
-            write_latency: registry.histogram("driver.write_latency_ns"),
-            read_latency: registry.histogram("driver.read_latency_ns"),
+            write_latency: system.registry().histogram("driver.write_latency_ns"),
         }
     }
 
     fn record(&self, is_write: bool, issued: SimTime, done: SimTime) {
-        let lat = done.saturating_since(issued).as_nanos();
         if is_write {
-            self.write_latency.record(lat);
-        } else {
-            self.read_latency.record(lat);
+            self.write_latency
+                .record(done.saturating_since(issued).as_nanos());
         }
     }
 }

@@ -2,15 +2,18 @@
 //! materializes every lazily registered series, and checks the
 //! documentation against the registry in both directions — a series
 //! that registers but is not documented fails, and a documented series
-//! that no longer registers fails.
+//! that no longer registers fails. Every documented stack series must
+//! also name, in its `read by` cell, a file of this repository that
+//! reads it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
 use dedup_bench::drivers::{run_closed_loop, OpSpec};
 use dedup_bench::systems::{BackgroundMode, DedupSystem, StorageSystem};
 use dedup_core::{CachePolicy, DedupConfig, DedupService, DedupStore};
-use dedup_obs::{sample_flow_engine, sample_resources, Tracer};
-use dedup_sim::{FlowEngine, SimTime};
+use dedup_obs::{sample_resources, Tracer};
+use dedup_sim::SimTime;
 use dedup_store::{ClientId, ClusterBuilder};
 
 const CHUNK: u32 = 4096;
@@ -21,7 +24,7 @@ fn config() -> DedupConfig {
 
 /// Every metric name the stack can register, materialized into live
 /// registries: the engine+cluster registry (eager series plus the lazy
-/// driver/trace/capacity/sim samples) and a service worker's registry.
+/// driver/trace/sim samples) and a service worker's registry.
 fn registered_names() -> BTreeSet<String> {
     let mut names = BTreeSet::new();
 
@@ -42,14 +45,9 @@ fn registered_names() -> BTreeSet<String> {
     let now = stats.elapsed;
     let _ = sys.store_mut().flush_all(now).expect("flush_all");
 
-    // capacity.* (including the per-pool labelled series).
-    sys.store()
-        .sample_capacity(now)
-        .expect("capacity sample on a healthy store");
-    // sim.resource.* / sim.flow.*.
+    // sim.resource.*.
     let registry = sys.store().registry().clone();
     sample_resources(&registry, &sys.cluster().perf().pool, now);
-    sample_flow_engine(&registry, &FlowEngine::new(), &sys.cluster().perf().pool);
 
     for snap in registry.snapshot(now) {
         names.insert(snap.name);
@@ -70,12 +68,18 @@ fn registered_names() -> BTreeSet<String> {
     names
 }
 
-/// Backticked series names from `METRICS.md` table rows, split into the
-/// enforced sections and the experiment-local appendix.
-fn documented_names() -> (BTreeSet<String>, BTreeSet<String>) {
-    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS.md"))
+/// What `METRICS.md` documents: each enforced series with the contents
+/// of its `read by` cell (backticks stripped), and the experiment-local
+/// appendix's names.
+struct Documented {
+    enforced: BTreeMap<String, String>,
+    local: BTreeSet<String>,
+}
+
+fn documented() -> Documented {
+    let doc = std::fs::read_to_string(repo_root().join("METRICS.md"))
         .expect("METRICS.md at the repository root");
-    let mut enforced = BTreeSet::new();
+    let mut enforced = BTreeMap::new();
     let mut local = BTreeSet::new();
     let mut in_local = false;
     for line in doc.lines() {
@@ -83,7 +87,7 @@ fn documented_names() -> (BTreeSet<String>, BTreeSet<String>) {
             in_local = line.contains("Experiment-local");
             continue;
         }
-        // Table rows look like `| `name` | type | ... |`.
+        // Table rows look like `| `name` | type | labels | meaning | `reader` |`.
         let Some(rest) = line.strip_prefix("| `") else {
             continue;
         };
@@ -93,16 +97,23 @@ fn documented_names() -> (BTreeSet<String>, BTreeSet<String>) {
         if in_local {
             local.insert(name.to_string());
         } else {
-            enforced.insert(name.to_string());
+            let cells: Vec<&str> = line.trim_end_matches('|').split('|').collect();
+            let read_by = cells.last().map_or("", |c| c.trim().trim_matches('`'));
+            enforced.insert(name.to_string(), read_by.to_string());
         }
     }
-    (enforced, local)
+    Documented { enforced, local }
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 #[test]
 fn metrics_doc_matches_registry() {
     let registered = registered_names();
-    let (documented, local) = documented_names();
+    let Documented { enforced, local } = documented();
+    let documented: BTreeSet<String> = enforced.keys().cloned().collect();
     assert!(
         documented.len() > 50,
         "METRICS.md parse collapsed: only {} names found",
@@ -127,5 +138,21 @@ fn metrics_doc_matches_registry() {
     assert!(
         leaked.is_empty(),
         "experiment-local series leaked into the stack registry: {leaked:?}"
+    );
+}
+
+#[test]
+fn every_documented_series_names_an_existing_reader() {
+    let root = repo_root();
+    let unread: Vec<String> = documented()
+        .enforced
+        .into_iter()
+        // An empty cell joins to the root directory, not a file.
+        .filter(|(_, read_by)| !root.join(read_by).is_file())
+        .map(|(name, read_by)| format!("{name} -> {read_by:?}"))
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "METRICS.md rows whose `read by` cell is empty or names no file: {unread:?}"
     );
 }

@@ -224,11 +224,6 @@ pub struct DedupConfig {
     pub hitset: HitSetConfig,
     /// CPU cost of fingerprinting.
     pub fingerprint_cost: FingerprintCostModel,
-    /// False-positive reference counting (paper §4.6's noted optimisation):
-    /// releasing a reference performs no synchronous I/O; counts
-    /// over-approximate until [`crate::DedupStore::gc_chunk_pool`] validates
-    /// back references and reclaims unreferenced chunks.
-    pub lazy_dereference: bool,
     /// Worker threads used to fingerprint a staged flush batch (the
     /// pipeline's stage 2). `0` means "use the host's available
     /// parallelism". This is a wall-clock knob only: the virtual timing
@@ -276,7 +271,6 @@ impl Default for DedupConfig {
             watermarks: Watermarks::default(),
             hitset: HitSetConfig::default(),
             fingerprint_cost: FingerprintCostModel::default(),
-            lazy_dereference: false,
             flush_parallelism: 0,
             flush_batch_size: 1,
             foreground_shards: 16,
@@ -317,13 +311,6 @@ impl DedupConfig {
     /// Overrides the watermarks.
     pub fn watermarks(mut self, watermarks: Watermarks) -> Self {
         self.watermarks = watermarks;
-        self
-    }
-
-    /// Enables false-positive reference counting (deferred de-reference +
-    /// garbage collection).
-    pub fn lazy_dereference(mut self) -> Self {
-        self.lazy_dereference = true;
         self
     }
 
@@ -436,7 +423,6 @@ mod tests {
             watermarks: _,
             hitset: _,
             fingerprint_cost: _,
-            lazy_dereference: _,
             flush_parallelism: _,
             flush_batch_size: _,
             foreground_shards: _,

@@ -4,13 +4,12 @@
 //! [`MemWalBackend`] and read its fsync journal — every durable write the
 //! backend performed (WAL appends, segment writes, MANIFEST replaces, log
 //! truncations) is one *crash point*. Then, for each point, rebuild an
-//! identically-shaped cluster, re-run the workload with a
-//! [`CrashPlan`](dedup_store::CrashPlan) that kills the backend at exactly
-//! that write (cleanly, or tearing the record mid-frame), and drive
-//! [`DedupStore::recover_after_crash`]. The harness in
-//! `tests/crash_recovery.rs` asserts that every point recovers to a state
-//! with no dangling chunk references, no leaked chunks, and all committed
-//! writes readable.
+//! identically-shaped cluster, re-run the workload with a [`CrashPlan`]
+//! that kills the backend at exactly that write (cleanly, or tearing the
+//! record mid-frame), and drive [`DedupStore::recover_after_crash`]. The
+//! harness in `tests/crash_recovery.rs` asserts that every point recovers
+//! to a state with no dangling chunk references, no leaked chunks, and all
+//! committed writes readable.
 //!
 //! Determinism is what makes "crash at every point" exhaustive rather than
 //! probabilistic: the same topology and op sequence produce the same

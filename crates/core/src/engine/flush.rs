@@ -114,9 +114,6 @@ impl DedupStore {
             let (content, read_costs, _) =
                 self.read_patched(ClientId::INTERNAL, name, e.offset, e.len as u64, &e)?;
             let merged = read_costs.len() > 1;
-            if merged {
-                self.metrics.deferred_rmw_merges.inc();
-            }
             // Tiered pipeline: compute the cheap signature now and probe
             // the index. A miss means no stored chunk can possibly match,
             // so stage 2 skips the full fingerprint for this chunk. The
@@ -483,8 +480,6 @@ impl DedupStore {
         self.metrics.chunks_flushed.add(report.chunks_flushed);
         self.metrics.chunks_deduped.add(report.chunks_deduped);
         self.metrics.chunks_created.add(report.chunks_created);
-        self.metrics.chunks_reclaimed.add(report.chunks_reclaimed);
-        self.metrics.chunks_evicted.add(report.chunks_evicted);
         self.publish_index_health();
     }
 
@@ -516,11 +511,7 @@ impl DedupStore {
         self.metrics.fp_sig_calls.inc();
         let sig_cost = self.fingerprint_cost(meta_node, SIG_SAMPLE_BYTES.min(len));
         costs.push(self.label("flush.sig_cpu", sig_cost));
-        let probe_start = Instant::now();
         let cands = self.chunks.index().candidates(&sig, staged_at);
-        self.metrics
-            .index_probe_ns
-            .record(probe_start.elapsed().as_nanos() as u64);
         if cands.is_empty() && staged_fp.is_none() {
             self.metrics.fp_skipped_unique.inc();
             self.metrics.fp_weak_stored.inc();
@@ -564,17 +555,13 @@ impl DedupStore {
         costs.push(self.label("flush.fingerprint_cpu", fp_cost));
     }
 
-    /// Publishes the chunk index's health gauges: Bloom fill ratio (with a
-    /// one-shot warning counter on crossing 0.5), resident memory, tier
-    /// populations, and migration counts.
+    /// Publishes the chunk index's cold-tier population and emits the
+    /// one-shot `engine.bloom/overfill` warning when the Bloom fill ratio
+    /// first crosses 0.5.
     pub(super) fn publish_index_health(&self) {
         let index = self.chunks.index();
         let fill = index.bloom_fill_ratio();
-        self.metrics
-            .bloom_fill_ratio
-            .set((fill * 1_000_000.0) as i64);
         if self.chunks.bloom_newly_overfull(fill) {
-            self.metrics.bloom_overfill.inc();
             if let Some(ev) = self.events() {
                 ev.emit(
                     Severity::Warn,
@@ -585,22 +572,14 @@ impl DedupStore {
             }
         }
         self.metrics
-            .index_resident_bytes
-            .set(index.resident_bytes() as i64);
-        let stats = index.stats();
-        self.metrics
-            .index_hot_entries
-            .set(stats.hot_candidates as i64);
-        self.metrics
             .index_cold_entries
-            .set(stats.cold_records as i64);
-        self.metrics.index_promotions.set(stats.promotions as i64);
-        self.metrics.index_demotions.set(stats.demotions as i64);
+            .set(index.stats().cold_records as i64);
     }
 
     /// One background-engine step: honours rate control, pops up to
-    /// [`DedupConfig::flush_batch_size`] of the oldest dirty objects, and
-    /// flushes them through the stage → fingerprint → commit pipeline.
+    /// [`DedupConfig::flush_batch_size`](crate::DedupConfig::flush_batch_size)
+    /// of the oldest dirty objects, and flushes them through the stage →
+    /// fingerprint → commit pipeline.
     /// Returns `None` when idle or throttled. At the default batch size of
     /// 1 this behaves exactly like the classic one-object tick.
     ///

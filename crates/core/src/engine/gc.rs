@@ -10,11 +10,13 @@ use crate::error::DedupError;
 use crate::refs::BackRef;
 
 impl DedupStore {
-    /// Garbage-collects the chunk pool (the companion of
-    /// [`DedupConfig::lazy_dereference`]): every chunk object's back
+    /// Garbage-collects the chunk pool: every chunk object's back
     /// references are validated against the live chunk maps; stale
     /// references are dropped, counts corrected, and unreferenced chunks
-    /// deleted. Safe to run at any time in any mode.
+    /// deleted. Releases run synchronously after each map commit, so what
+    /// this reclaims is whatever a crash between the map commit and the
+    /// release — or between a chunk store and the map commit — stranded.
+    /// Safe to run at any time.
     ///
     /// # Errors
     ///
@@ -117,6 +119,7 @@ impl DedupStore {
 mod gc_tests {
     use super::*;
     use crate::config::{CachePolicy, DedupConfig};
+    use crate::engine::FailurePoint;
     use dedup_sim::SimTime;
     use dedup_store::{ClusterBuilder, IoCtx};
 
@@ -134,19 +137,17 @@ mod gc_tests {
             .collect()
     }
 
-    fn lazy_store() -> DedupStore {
+    fn store() -> DedupStore {
         let cluster = ClusterBuilder::new().build();
         DedupStore::with_default_pools(
             cluster,
-            DedupConfig::with_chunk_size(CS)
-                .cache_policy(CachePolicy::EvictAll)
-                .lazy_dereference(),
+            DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
         )
     }
 
     #[test]
-    fn lazy_deref_defers_reclaim_until_gc() {
-        let mut s = lazy_store();
+    fn gc_reclaims_the_chunk_a_crash_before_the_map_commit_strands() {
+        let mut s = store();
         let name = ObjectName::new("obj");
         let v1 = patterned(CS as usize, 1);
         let v2 = patterned(CS as usize, 2);
@@ -157,11 +158,18 @@ mod gc_tests {
         let _ = s
             .write(ClientId(0), &name, 0, &v2, SimTime::from_secs(20))
             .expect("w");
-        let _ = s.flush_all(SimTime::from_secs(30)).expect("flush");
-        // Lazy mode: the v1 chunk lingers with a stale back reference.
+        let rep = s
+            .flush_object_with_failure(
+                &name,
+                SimTime::from_secs(5000),
+                Some(FailurePoint::AfterChunkStore),
+            )
+            .expect("flush");
+        assert!(rep.value.aborted);
+        // The v2 chunk landed with a back reference the map never took.
         assert_eq!(s.space_report().expect("r").chunk_objects, 2);
         let gc = s.gc_chunk_pool().expect("gc");
-        assert_eq!(gc.value.chunks_reclaimed, 1, "v1 chunk collected");
+        assert_eq!(gc.value.chunks_reclaimed, 1, "v2 chunk collected");
         assert_eq!(gc.value.chunks_examined, 2);
         assert_eq!(s.space_report().expect("r").chunk_objects, 1);
         // Data still reads correctly after GC.
@@ -171,7 +179,7 @@ mod gc_tests {
                 &name,
                 0,
                 v2.len() as u64,
-                SimTime::from_secs(40),
+                SimTime::from_secs(5001),
             )
             .expect("read");
         assert_eq!(r.value, v2);
@@ -179,7 +187,7 @@ mod gc_tests {
 
     #[test]
     fn gc_corrects_overcounted_shared_chunks() {
-        let mut s = lazy_store();
+        let mut s = store();
         let data = patterned(CS as usize, 3);
         for i in 0..3 {
             let _ = s
@@ -192,33 +200,41 @@ mod gc_tests {
                 )
                 .expect("w");
         }
-        let _ = s.flush_all(SimTime::from_secs(10)).expect("flush");
-        // Delete one referrer: lazy mode leaves the count at 3.
-        let _ = s
-            .delete(ClientId(0), &ObjectName::new("o0"))
-            .expect("delete");
+        for i in 1..3 {
+            let _ = s
+                .flush_object(&ObjectName::new(format!("o{i}")), SimTime::from_secs(10))
+                .expect("flush");
+        }
+        // A dedup hit that crashes before o0's map commit: the count goes
+        // to 3 while only o1 and o2 reference the chunk.
+        let rep = s
+            .flush_object_with_failure(
+                &ObjectName::new("o0"),
+                SimTime::from_secs(10),
+                Some(FailurePoint::AfterChunkStore),
+            )
+            .expect("flush");
+        assert!(rep.value.aborted);
+        assert_eq!(rep.value.chunks_deduped, 1);
         let gc = s.gc_chunk_pool().expect("gc");
         assert_eq!(gc.value.stale_refs_dropped, 1);
         assert_eq!(gc.value.counts_corrected, 1);
         assert_eq!(gc.value.chunks_reclaimed, 0, "still referenced by o1/o2");
-        // Remaining referrers read fine; deleting them + GC empties the pool.
+        // With the count corrected to 2, deleting both live referrers
+        // releases the chunk; GC finds nothing left over.
         for i in 1..3 {
             let _ = s
                 .delete(ClientId(0), &ObjectName::new(format!("o{i}")))
                 .expect("delete");
         }
-        let gc = s.gc_chunk_pool().expect("gc");
-        assert_eq!(gc.value.chunks_reclaimed, 1);
         assert_eq!(s.space_report().expect("r").chunk_objects, 0);
+        let gc = s.gc_chunk_pool().expect("gc");
+        assert_eq!(gc.value.chunks_reclaimed, 0);
     }
 
     #[test]
-    fn gc_is_a_noop_when_strict_refcounting() {
-        let cluster = ClusterBuilder::new().build();
-        let mut s = DedupStore::with_default_pools(
-            cluster,
-            DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
-        );
+    fn gc_is_a_noop_on_a_consistent_store() {
+        let mut s = store();
         let data = patterned(2 * CS as usize, 5);
         let _ = s
             .write(ClientId(0), &ObjectName::new("a"), 0, &data, SimTime::ZERO)
@@ -232,13 +248,9 @@ mod gc_tests {
 
     #[test]
     fn verify_references_detects_catastrophic_loss() {
-        // Strict mode store; wipe BOTH replicas of a chunk object behind
-        // the engine's back and let the reference scrub find it.
-        let cluster = ClusterBuilder::new().build();
-        let mut s = DedupStore::with_default_pools(
-            cluster,
-            DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
-        );
+        // Wipe BOTH replicas of a chunk object behind the engine's back
+        // and let the reference scrub find it.
+        let mut s = store();
         let data = patterned(CS as usize, 7);
         let name = ObjectName::new("obj");
         let _ = s

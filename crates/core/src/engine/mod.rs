@@ -7,7 +7,7 @@
 //! object omap/xattr), *post-processing* with watermark rate control, and a
 //! hotness-aware cache manager.
 //!
-//! The chunk-object format lives behind [`crate::chunkpool`]; this module
+//! The chunk-object format lives behind `crate::chunkpool`; this module
 //! holds the store itself and what every path shares, and the paths are
 //! plain `impl DedupStore` blocks in `write`, `read`, `flush`, `gc` and
 //! `recover`.
@@ -476,9 +476,13 @@ impl DedupStore {
     }
 
     /// Runs `commit` — the transaction that makes `name`'s new chunk map
-    /// durable — appends its cost, and only then releases `releases`,
-    /// back-filling each reserved cost slot (tagged `deref_label` when
-    /// given). Returns how many chunk objects the releases reclaimed.
+    /// durable — appends its cost, and only then releases `releases`
+    /// synchronously (paper §4.6: decrement the count, drop the back
+    /// reference, delete the chunk at zero), back-filling each reserved
+    /// cost slot (tagged `deref_label` when given). Returns how many chunk
+    /// objects the releases reclaimed. A crash between the two steps
+    /// leaves stale back references and overcounts that
+    /// [`DedupStore::gc_chunk_pool`] repairs.
     fn commit_then_release(
         &self,
         name: &ObjectName,
@@ -488,12 +492,6 @@ impl DedupStore {
         commit: impl FnOnce() -> Result<CostExpr, DedupError>,
     ) -> Result<u64, DedupError> {
         costs.push(commit()?);
-        if self.config.lazy_dereference {
-            // False-positive refcounting: skip the synchronous round trip;
-            // the stale back references stay until the garbage collector
-            // validates them against the live chunk map.
-            return Ok(0);
-        }
         let cctx = self.chunk_ctx(ClientId::INTERNAL);
         let mut reclaimed = 0;
         for (slot, fp, offset) in releases.0 {
@@ -522,9 +520,10 @@ pub(crate) fn primary_node(
 /// Chunk references an op drops from an object's chunk map, held back
 /// until that map is durable. The crash-ordering rule — commit the recipe,
 /// *then* release the old chunks — lives in
-/// [`DedupStore::commit_then_release`], the only consumer: a crash in
-/// between strands a chunk (GC's back-reference validation reclaims it)
-/// instead of deleting one the durable map still points at.
+/// [`DedupStore::commit_then_release`], the only consumer, which always
+/// releases synchronously: a crash in between strands a chunk or
+/// overcounts it (GC's back-reference validation repairs both) instead of
+/// deleting one the durable map still points at.
 #[derive(Default)]
 struct Releases(Vec<(usize, Fingerprint, u64)>);
 

@@ -118,7 +118,17 @@ pub struct HitSet {
 
 impl HitSet {
     /// Creates a hitset from configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.interval_secs` or `config.intervals` is zero: a
+    /// zero-width interval has no index and an empty ring has no slot.
     pub fn new(config: HitSetConfig) -> Self {
+        assert!(
+            config.interval_secs > 0,
+            "hitset interval_secs must be positive"
+        );
+        assert!(config.intervals > 0, "hitset intervals must be positive");
         let ring = (0..config.intervals)
             .map(|i| (i as u64, BloomFilter::new(config.bloom_bits, 4)))
             .collect();
@@ -308,6 +318,37 @@ mod tests {
             }
         }
         assert_eq!(f.insertions(), 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "hitset interval_secs must be positive")]
+    fn zero_width_interval_is_refused_when_the_store_is_built() {
+        use crate::config::DedupConfig;
+        use crate::engine::DedupStore;
+        let config = DedupConfig {
+            hitset: HitSetConfig {
+                interval_secs: 0,
+                ..HitSetConfig::default()
+            },
+            ..DedupConfig::default()
+        };
+        let _ = DedupStore::with_default_pools(dedup_store::ClusterBuilder::new().build(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "hitset intervals must be positive")]
+    fn empty_heat_ring_is_refused_when_the_index_is_built() {
+        use crate::config::{DedupConfig, TieredIndexConfig};
+        use crate::engine::DedupStore;
+        let index = TieredIndexConfig {
+            heat: HitSetConfig {
+                intervals: 0,
+                ..TieredIndexConfig::default().heat
+            },
+            ..TieredIndexConfig::default()
+        };
+        let config = DedupConfig::default().tiered_index(index);
+        let _ = DedupStore::with_default_pools(dedup_store::ClusterBuilder::new().build(), config);
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub(crate) struct EngineMetrics {
     pub hot_skips: Counter,
     /// Objects currently queued for background deduplication.
     pub flush_queue_depth: Gauge,
-    /// Dirty chunks whose flush merged punched sub-ranges from the
-    /// previous chunk object (the deferred read-modify-write).
-    pub deferred_rmw_merges: Counter,
     /// Objects staged per flush-pipeline pass (last batch).
     pub flush_batch_size: Gauge,
     /// Wall-clock nanoseconds spent staging a flush batch (pipeline
@@ -54,10 +51,6 @@ pub(crate) struct EngineMetrics {
     pub chunks_deduped: Counter,
     /// New chunk objects created by flushes.
     pub chunks_created: Counter,
-    /// Chunk objects deleted when their refcount reached zero.
-    pub chunks_reclaimed: Counter,
-    /// Cached copies evicted (hole-punched) from metadata objects.
-    pub chunks_evicted: Counter,
     /// Unreferenced chunks reclaimed by GC passes.
     pub gc_chunks_reclaimed: Counter,
     /// Stale back references dropped by GC passes.
@@ -102,13 +95,6 @@ pub(crate) struct EngineMetrics {
     /// Chunk-pool existence probes the Bloom filter could not rule out
     /// (full probe performed).
     pub bloom_misses: Counter,
-    /// Bloom filter fill ratio in parts-per-million (set-bit fraction of
-    /// the bit array).
-    pub bloom_fill_ratio: Gauge,
-    /// Warnings emitted when the Bloom fill ratio crossed 0.5 — the point
-    /// where false positives start climbing steeply. One increment per
-    /// crossing (reset by an index rebuild).
-    pub bloom_overfill: Counter,
     /// Chunks run through the inline compressor on the flush path.
     pub compress_attempted_chunks: Counter,
     /// Raw bytes run through the inline compressor on the flush path.
@@ -142,18 +128,8 @@ pub(crate) struct EngineMetrics {
     pub fp_upgrades: Counter,
     /// Chunks stored under minted weak names (never fully hashed).
     pub fp_weak_stored: Counter,
-    /// Wall-clock nanoseconds per chunk-index candidate probe.
-    pub index_probe_ns: Histogram,
-    /// Estimated resident bytes of the chunk index.
-    pub index_resident_bytes: Gauge,
-    /// Candidate entries resident in the index's hot tier.
-    pub index_hot_entries: Gauge,
     /// Records across the index's cold sorted runs.
     pub index_cold_entries: Gauge,
-    /// Lifetime cold→hot promotions in the tiered index.
-    pub index_promotions: Gauge,
-    /// Lifetime hot→cold demotions in the tiered index.
-    pub index_demotions: Gauge,
 }
 
 impl EngineMetrics {
@@ -185,7 +161,6 @@ impl EngineMetrics {
             promotions: registry.counter("engine.promotions"),
             hot_skips: registry.counter("engine.hot_skips"),
             flush_queue_depth: registry.gauge("engine.flush.queue_depth"),
-            deferred_rmw_merges: registry.counter("engine.flush.deferred_rmw_merges"),
             flush_batch_size: registry.gauge("engine.flush.batch_size"),
             stage_wall_ns: registry.histogram("engine.flush.stage_wall_ns"),
             fingerprint_wall_ns: registry.histogram("engine.flush.fingerprint_wall_ns"),
@@ -194,8 +169,6 @@ impl EngineMetrics {
             chunks_flushed: registry.counter("engine.flush.chunks_flushed"),
             chunks_deduped: registry.counter("engine.flush.chunks_deduped"),
             chunks_created: registry.counter("engine.flush.chunks_created"),
-            chunks_reclaimed: registry.counter("engine.flush.chunks_reclaimed"),
-            chunks_evicted: registry.counter("engine.flush.chunks_evicted"),
             gc_chunks_reclaimed: registry.counter("engine.gc.chunks_reclaimed"),
             gc_stale_refs_dropped: registry.counter("engine.gc.stale_refs_dropped"),
             rate_admitted: registry.counter("rate.admitted"),
@@ -205,8 +178,6 @@ impl EngineMetrics {
             bytes_shared: registry.counter("engine.bytes_shared"),
             bloom_hits: registry.counter("engine.chunkmap.bloom_hits"),
             bloom_misses: registry.counter("engine.chunkmap.bloom_misses"),
-            bloom_fill_ratio: registry.gauge("engine.chunkmap.bloom_fill_ratio"),
-            bloom_overfill: registry.counter("engine.chunkmap.bloom_overfill_warnings"),
             compress_attempted_chunks: registry.counter("engine.compress.attempted_chunks"),
             compress_attempted_bytes: registry.counter("engine.compress.attempted_bytes"),
             compress_stored_chunks: registry.counter("engine.compress.stored_chunks"),
@@ -221,12 +192,7 @@ impl EngineMetrics {
             fp_skipped_unique: registry.counter("engine.fp.skipped_unique"),
             fp_upgrades: registry.counter("engine.fp.upgrades"),
             fp_weak_stored: registry.counter("engine.fp.weak_chunks_stored"),
-            index_probe_ns: registry.histogram("engine.index.probe_wall_ns"),
-            index_resident_bytes: registry.gauge("engine.index.resident_bytes"),
-            index_hot_entries: registry.gauge("engine.index.hot_entries"),
             index_cold_entries: registry.gauge("engine.index.cold_entries"),
-            index_promotions: registry.gauge("engine.index.promotions"),
-            index_demotions: registry.gauge("engine.index.demotions"),
             foreground_ops: registry.meter("rate.foreground_ops", rate_window),
             registry,
         }

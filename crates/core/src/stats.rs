@@ -165,8 +165,7 @@ impl DedupStore {
 /// One point on a capacity / dedup-effectiveness curve: the space report
 /// plus a refcount-distribution summary and the fingerprint-tier and GC
 /// counters that explain *why* the ratio moved. Produced by
-/// [`DedupStore::sample_capacity`], which also publishes the figures as
-/// registry gauges so external scrapers see the same numbers.
+/// [`DedupStore::sample_capacity`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CapacitySample {
     /// Virtual time of the sample, nanoseconds.
@@ -204,10 +203,9 @@ impl CapacitySample {
 }
 
 impl DedupStore {
-    /// Takes a [`CapacitySample`] at `now` and publishes it to the
-    /// registry as `capacity.*` gauges (per-pool logical/stored bytes,
-    /// dedup-ratio series in ppm, refcount summary). Emits an `info`
-    /// `capacity/sample` event when an event log is attached.
+    /// Takes a [`CapacitySample`] at `now` (space report, refcount
+    /// summary, compression census). Emits an `info` `capacity/sample`
+    /// event when an event log is attached.
     ///
     /// Costs one pool scan (shared by the refcount histogram and the
     /// compression report); intended for per-segment sampling, not per-op.
@@ -229,45 +227,6 @@ impl DedupStore {
             .map(|(_, n)| n)
             .sum();
         let max_refcount = refcounts.keys().next_back().copied().unwrap_or(0);
-
-        let reg = self.registry();
-        for pool in [self.metadata_pool(), self.chunk_pool()] {
-            let name = self.cluster().pool_config(pool)?.name.clone();
-            let usage = self.cluster().usage(pool)?;
-            let labels = [("pool", name.as_str())];
-            reg.gauge_with("capacity.pool.logical_bytes", &labels)
-                .set(usage.logical_bytes as i64);
-            reg.gauge_with("capacity.pool.stored_bytes", &labels)
-                .set(usage.stored_bytes as i64);
-        }
-        reg.gauge("capacity.logical_bytes")
-            .set(space.logical_bytes as i64);
-        reg.gauge("capacity.stored_data_bytes")
-            .set(space.stored_data_bytes() as i64);
-        reg.gauge("capacity.stored_total_bytes")
-            .set(space.stored_total_bytes() as i64);
-        reg.gauge("capacity.dedup_ratio_ppm")
-            .set((space.actual_ratio_percent() * 10_000.0) as i64);
-        reg.gauge("capacity.ideal_ratio_ppm")
-            .set((space.ideal_ratio_percent() * 10_000.0) as i64);
-        reg.gauge("capacity.chunks_unique")
-            .set(unique_chunks as i64);
-        reg.gauge("capacity.chunks_shared")
-            .set(shared_chunks as i64);
-        reg.gauge("capacity.max_refcount").set(max_refcount as i64);
-
-        reg.gauge("capacity.compress.compressed_chunks")
-            .set(compression.compressed_chunks as i64);
-        reg.gauge("capacity.compress.raw_chunks")
-            .set(compression.raw_chunks as i64);
-        reg.gauge("capacity.compress.logical_bytes")
-            .set(compression.compressed_logical_bytes as i64);
-        reg.gauge("capacity.compress.stored_bytes")
-            .set(compression.compressed_stored_bytes as i64);
-        reg.gauge("capacity.compress.saved_bytes")
-            .set(compression.saved_bytes() as i64);
-        reg.gauge("capacity.compress.ratio_ppm")
-            .set(compression.ratio_ppm() as i64);
 
         let sample = CapacitySample {
             at_ns: now.as_nanos(),
@@ -374,7 +333,7 @@ mod tests {
         assert_eq!(hist.values().sum::<u64>(), 2);
 
         // The capacity sample agrees with the histogram and the space
-        // report, and publishes the gauge series.
+        // report.
         let sample = s
             .sample_capacity(SimTime::from_secs(11))
             .expect("capacity sample");
@@ -382,14 +341,6 @@ mod tests {
         assert_eq!(sample.shared_chunks, 1);
         assert_eq!(sample.max_refcount, 5);
         assert_eq!(sample.space, s.space_report().expect("space"));
-        let ratio = s.registry().gauge("capacity.dedup_ratio_ppm").get();
-        assert_eq!(
-            ratio,
-            (sample.dedup_ratio_percent() * 10_000.0) as i64,
-            "gauge mirrors the sample"
-        );
-        let logical = s.registry().gauge("capacity.logical_bytes").get();
-        assert_eq!(logical as u64, sample.space.logical_bytes);
     }
 
     #[test]

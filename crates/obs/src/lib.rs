@@ -11,10 +11,9 @@
 //!   p50/p95/p99, sliding-window rate meters over virtual time), plus a
 //!   JSON-lines snapshot export used as the metrics sidecar format by the
 //!   figure binaries.
-//! - [`probe`] — free functions sampling simulator state (per-resource
-//!   utilisation, flow-engine queue depth and per-resource in-flight leg
-//!   backlog) into a registry without the simulator depending on this
-//!   crate.
+//! - [`probe`] — a free function sampling per-resource utilisation from
+//!   the simulator into a registry without the simulator depending on
+//!   this crate.
 //! - [`trace`] — per-op causal tracing: a [`Tracer`] implements the
 //!   simulator's `TraceSink` so every cost-DAG leg an engine executes
 //!   becomes a span (with queueing and service time separated), grouped
@@ -49,7 +48,7 @@ pub mod trace;
 pub use chrome::{render, validate_chrome_trace};
 pub use events::{Event, EventLog, Severity};
 pub use health::{HealthFinding, HealthReport, HealthStatus};
-pub use probe::{sample_flow_engine, sample_resources};
+pub use probe::sample_resources;
 pub use registry::{
     Counter, Gauge, Histogram, Labels, Meter, MetricSnapshot, Registry, SnapshotValue,
 };

@@ -1,62 +1,26 @@
 //! Probes that sample simulator state into a [`Registry`].
 //!
 //! The simulator crate stays free of metric plumbing: instead of
-//! `dedup-sim` depending on this crate, these free functions read the
-//! public introspection surface of [`ResourcePool`] and [`FlowEngine`] and
-//! publish it as labelled gauges. Call them at snapshot points (end of an
-//! experiment, periodic sampling in a driver loop).
+//! `dedup-sim` depending on this crate, this free function reads the
+//! public introspection surface of [`ResourcePool`] and publishes it as
+//! labelled gauges. Call it at snapshot points (the end of an experiment,
+//! as the figure sidecars do).
 
-use dedup_sim::{FlowEngine, ResourcePool, SimTime};
+use dedup_sim::{ResourcePool, SimTime};
 
 use crate::registry::Registry;
 
-/// Publishes per-resource utilisation and queueing state as gauges.
-///
-/// For every resource in `pool`, labelled by its spec name:
-///
-/// - `sim.resource.utilization_ppm` — busy time over wall time up to
-///   `until`, in parts per million (gauges are integers);
-/// - `sim.resource.bytes_served` — total bytes through the serial section;
-/// - `sim.resource.requests` — requests served;
-/// - `sim.resource.mean_wait_ns` / `sim.resource.max_wait_ns` — queueing
-///   delay.
+/// Publishes `sim.resource.utilization_ppm` for every resource in `pool`,
+/// labelled by its spec name: busy time over wall time up to `until`, in
+/// parts per million (gauges are integers).
 pub fn sample_resources(registry: &Registry, pool: &ResourcePool, until: SimTime) {
     for (_, resource) in pool.iter() {
-        let name = resource.spec().name.as_str();
-        let labels: &[(&str, &str)] = &[("resource", name)];
         registry
-            .gauge_with("sim.resource.utilization_ppm", labels)
+            .gauge_with(
+                "sim.resource.utilization_ppm",
+                &[("resource", resource.spec().name.as_str())],
+            )
             .set((resource.utilization(until) * 1_000_000.0) as i64);
-        registry
-            .gauge_with("sim.resource.bytes_served", labels)
-            .set(resource.bytes_served() as i64);
-        registry
-            .gauge_with("sim.resource.requests", labels)
-            .set(resource.requests() as i64);
-        registry
-            .gauge_with("sim.resource.mean_wait_ns", labels)
-            .set(resource.mean_wait().as_nanos() as i64);
-        registry
-            .gauge_with("sim.resource.max_wait_ns", labels)
-            .set(resource.max_wait().as_nanos() as i64);
-    }
-}
-
-/// Publishes flow-engine queue depth: `sim.flow.in_flight` is the number
-/// of flows started but not yet completed, and for every resource in
-/// `pool` a `sim.flow.pending_legs` gauge (labelled by spec name) counts
-/// cost-DAG legs currently queued on or being served by that resource —
-/// the live backlog behind each device, as opposed to the historical wait
-/// statistics from [`sample_resources`].
-pub fn sample_flow_engine(registry: &Registry, engine: &FlowEngine, pool: &ResourcePool) {
-    registry
-        .gauge("sim.flow.in_flight")
-        .set(engine.in_flight() as i64);
-    for (id, resource) in pool.iter() {
-        let name = resource.spec().name.as_str();
-        registry
-            .gauge_with("sim.flow.pending_legs", &[("resource", name)])
-            .set(engine.pending_legs(id) as i64);
     }
 }
 
@@ -64,7 +28,7 @@ pub fn sample_flow_engine(registry: &Registry, engine: &FlowEngine, pool: &Resou
 mod tests {
     use super::*;
     use crate::registry::SnapshotValue;
-    use dedup_sim::{CostExpr, ResourceSpec, SimDuration};
+    use dedup_sim::{ResourceSpec, SimDuration};
 
     #[test]
     fn resource_probe_publishes_each_resource() {
@@ -78,8 +42,8 @@ mod tests {
         let registry = Registry::new();
         sample_resources(&registry, &pool, SimTime::from_secs(1));
         let snaps = registry.snapshot(SimTime::from_secs(1));
-        // 5 gauges per resource × 2 resources.
-        assert_eq!(snaps.len(), 10);
+        // One gauge per resource.
+        assert_eq!(snaps.len(), 2);
         let util = snaps
             .iter()
             .find(|s| {
@@ -91,57 +55,5 @@ mod tests {
             SnapshotValue::Gauge(v) => assert!((490_000..=510_000).contains(&v), "ppm {v}"),
             ref other => panic!("unexpected kind {other:?}"),
         }
-    }
-
-    #[test]
-    fn flow_probe_tracks_in_flight() {
-        let mut pool = ResourcePool::new();
-        let disk = pool.register(ResourceSpec::disk("d", 1 << 20, 1000));
-        let mut engine = FlowEngine::new();
-        engine.start(SimTime::ZERO, &CostExpr::transfer(disk, 4096), 1);
-        let registry = Registry::new();
-        sample_flow_engine(&registry, &engine, &pool);
-        assert_eq!(registry.gauge("sim.flow.in_flight").get(), 1);
-        while engine.advance(&mut pool).is_some() {}
-        sample_flow_engine(&registry, &engine, &pool);
-        assert_eq!(registry.gauge("sim.flow.in_flight").get(), 0);
-    }
-
-    #[test]
-    fn flow_probe_publishes_per_resource_leg_backlog() {
-        let mut pool = ResourcePool::new();
-        let disk = pool.register(ResourceSpec::disk("osd.0/disk", 1 << 20, 0));
-        let nic = pool.register(ResourceSpec::nic("node.0/nic", 1 << 30, 0));
-        let mut engine = FlowEngine::new();
-        // Three flows touch the disk, one also touches the NIC afterwards.
-        for tag in 0..3 {
-            engine.start(SimTime::ZERO, &CostExpr::transfer(disk, 1 << 20), tag);
-        }
-        engine.start(
-            SimTime::ZERO,
-            &CostExpr::seq([
-                CostExpr::transfer(disk, 1 << 20),
-                CostExpr::transfer(nic, 4096),
-            ]),
-            3,
-        );
-        let registry = Registry::new();
-        sample_flow_engine(&registry, &engine, &pool);
-        let disk_legs = registry
-            .gauge_with("sim.flow.pending_legs", &[("resource", "osd.0/disk")])
-            .get();
-        let nic_legs = registry
-            .gauge_with("sim.flow.pending_legs", &[("resource", "node.0/nic")])
-            .get();
-        assert_eq!(disk_legs, 4, "all four disk legs are live at start");
-        assert_eq!(nic_legs, 1, "the seq flow's NIC leg is pending too");
-        while engine.advance(&mut pool).is_some() {}
-        sample_flow_engine(&registry, &engine, &pool);
-        assert_eq!(
-            registry
-                .gauge_with("sim.flow.pending_legs", &[("resource", "osd.0/disk")])
-                .get(),
-            0
-        );
     }
 }

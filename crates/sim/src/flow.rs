@@ -76,9 +76,6 @@ pub struct FlowEngine {
     flows: Vec<Option<Flow>>,
     free_slots: Vec<usize>,
     in_flight: usize,
-    /// Legs started but not yet executed, indexed by resource (grown on
-    /// demand). Delays and structural nodes are not counted.
-    pending_legs: Vec<usize>,
     /// Optional trace receiver; `None` disables all reporting.
     sink: Option<Box<dyn TraceSink>>,
 }
@@ -88,7 +85,6 @@ impl fmt::Debug for FlowEngine {
         f.debug_struct("FlowEngine")
             .field("in_flight", &self.in_flight)
             .field("flows", &self.flows)
-            .field("pending_legs", &self.pending_legs)
             .field("traced", &self.sink.is_some())
             .finish_non_exhaustive()
     }
@@ -121,15 +117,6 @@ impl FlowEngine {
         self.sink.is_some()
     }
 
-    /// Number of started-but-unexecuted legs targeting `resource` right
-    /// now — per-resource contention visible without tracing.
-    pub fn pending_legs(&self, resource: ResourceId) -> usize {
-        self.pending_legs
-            .get(resource.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Time of the next pending leg, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.events.peek_time()
@@ -151,15 +138,6 @@ impl FlowEngine {
                 preds_left: 0,
                 ready_at: at,
             });
-        }
-        for node in &nodes {
-            if let Step::Transfer(r, _) | Step::Busy(r, _) = node.step {
-                let i = r.index();
-                if self.pending_legs.len() <= i {
-                    self.pending_legs.resize(i + 1, 0);
-                }
-                self.pending_legs[i] += 1;
-            }
         }
         let remaining = nodes.len();
         let flow = Flow {
@@ -254,9 +232,6 @@ impl FlowEngine {
             Step::Delay(nanos) => (ready + SimDuration::from_nanos(nanos), ready),
             Step::Nop => (ready, ready),
         };
-        if let Step::Transfer(r, _) | Step::Busy(r, _) = node.step {
-            self.pending_legs[r.index()] -= 1;
-        }
         if let Some(sink) = &self.sink {
             let record = match node.step {
                 Step::Transfer(r, bytes) => Some((Some(r), LegKind::Transfer, bytes)),
@@ -587,23 +562,6 @@ mod tests {
         traced.start(SimTime::ZERO, &tagged, 1);
         let got = traced.advance(&mut traced_pool).expect("flow");
         assert_eq!(got.at, expect.at);
-    }
-
-    #[test]
-    fn pending_legs_track_per_resource_backlog() {
-        let (mut pool, a, b) = pool2();
-        let mut engine = FlowEngine::new();
-        let cost = CostExpr::seq([
-            CostExpr::transfer(a, 1 << 20),
-            CostExpr::transfer(b, 1 << 20),
-        ]);
-        engine.start(SimTime::ZERO, &cost, 1);
-        engine.start(SimTime::ZERO, &CostExpr::transfer(a, 1 << 20), 2);
-        assert_eq!(engine.pending_legs(a), 2);
-        assert_eq!(engine.pending_legs(b), 1);
-        while engine.advance(&mut pool).is_some() {}
-        assert_eq!(engine.pending_legs(a), 0);
-        assert_eq!(engine.pending_legs(b), 0);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use dedup_obs::Severity;
 use dedup_placement::{OsdId, PoolId};
@@ -195,7 +194,6 @@ impl Cluster {
             w.backend.truncate_log(osd)?;
         }
         w.epoch.store(epoch, Ordering::Relaxed);
-        self.metrics.wal_checkpoints.inc();
         self.emit(Severity::Info, "cluster.wal", "checkpoint", || {
             vec![
                 ("epoch", report.epoch.to_string()),
@@ -214,14 +212,13 @@ impl Cluster {
     /// and pools as the one that crashed.
     ///
     /// Replay drives the normal I/O paths, so cluster throughput counters
-    /// include replayed work; `wal.records_replayed` tracks it separately.
+    /// include replayed work; the returned report counts it separately.
     ///
     /// # Errors
     ///
     /// Fails on corrupt checkpoint state (a segment named by the MANIFEST
     /// that is missing or undecodable); no-op without an attached WAL.
     pub fn wal_recover(&mut self) -> Result<WalRecoveryReport, StoreError> {
-        let start = Instant::now();
         let Some(w) = &self.wal else {
             return Ok(WalRecoveryReport::default());
         };
@@ -232,9 +229,6 @@ impl Cluster {
         let replayed = self.wal_replay(w);
         w.logging.store(true, Ordering::Relaxed);
         let report = replayed?;
-        self.metrics
-            .wal_recovery_wall_ns
-            .record(start.elapsed().as_nanos() as u64);
         self.emit(Severity::Info, "cluster.wal", "recovered", || {
             vec![
                 ("checkpoint_records", report.checkpoint_records.to_string()),
@@ -261,7 +255,6 @@ impl Cluster {
             let (records, torn) = decode_records(&w.backend.read_log(osd));
             if torn {
                 report.torn_tails_dropped += 1;
-                self.metrics.wal_torn_dropped.inc();
                 self.emit(Severity::Warn, "cluster.wal", "torn_tail_dropped", || {
                     vec![("osd", osd.to_string())]
                 });
@@ -286,9 +279,6 @@ impl Cluster {
             }
         }
         report.last_seq = max_seq + 1;
-        self.metrics
-            .wal_records_replayed
-            .add(report.checkpoint_records + report.log_records_replayed);
         w.next_seq.store(max_seq + 1, Ordering::Relaxed);
         w.epoch.store(epoch, Ordering::Relaxed);
         Ok(report)

@@ -247,8 +247,6 @@ impl Cluster {
                 self.perf.client_to_node(ctx.client, primary_node, len),
             ),
         ]);
-        self.metrics.reads.inc();
-        self.metrics.read_bytes.add(slice.len() as u64);
         Ok(Timed::new(slice, cost))
     }
 

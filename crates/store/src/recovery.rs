@@ -65,10 +65,6 @@ impl Cluster {
                 self.recover_object(pool, &name, &mut report, &mut costs)?;
             }
         }
-        self.metrics.recovery_runs.inc();
-        self.metrics.recovery_examined.add(report.objects_examined);
-        self.metrics.recovery_repaired.add(report.objects_repaired);
-        self.metrics.recovery_bytes_moved.add(report.bytes_moved);
         if report.objects_repaired > 0 || report.strays_removed > 0 {
             self.emit(Severity::Info, "cluster.recovery", "repairs", || {
                 vec![
@@ -263,8 +259,6 @@ impl Cluster {
                 }
             }
         }
-        self.metrics.scrub_runs.inc();
-        self.metrics.scrub_findings.add(findings.len() as u64);
         Ok(findings)
     }
 }
@@ -281,9 +275,6 @@ impl Cluster {
     /// Fails for unknown pools.
     pub fn deep_scrub(&self, pool: PoolId) -> Result<Vec<ScrubFinding>, StoreError> {
         let mut findings = self.scrub(pool)?;
-        // The shallow pass above already counted itself; record only the
-        // extra content-level findings below.
-        let shallow_findings = findings.len();
         if let Some(codec) = &self.state(pool)?.codec {
             let k = codec.data_shards();
             for name in self.list_objects(pool)? {
@@ -315,9 +306,6 @@ impl Cluster {
                 }
             }
         }
-        self.metrics
-            .scrub_findings
-            .add((findings.len() - shallow_findings) as u64);
         Ok(findings)
     }
 }

@@ -427,7 +427,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Strategy for vectors; built by [`vec`].
+    /// Strategy for vectors; built by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,
