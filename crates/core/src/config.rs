@@ -224,11 +224,13 @@ pub struct DedupConfig {
     pub hitset: HitSetConfig,
     /// CPU cost of fingerprinting.
     pub fingerprint_cost: FingerprintCostModel,
-    /// Worker threads used to fingerprint a staged flush batch (the
-    /// pipeline's stage 2). `0` means "use the host's available
-    /// parallelism". This is a wall-clock knob only: the virtual timing
-    /// plane keeps charging fingerprint CPU to the metadata node as if
-    /// serial, so simulated results are identical at any setting.
+    /// Threads a flush pass runs stage 2 (encode and fingerprint) on: the
+    /// committing thread plus `flush_parallelism − 1` helpers, which
+    /// overlap stage 2 with the pass's serial, in-order commit. `1` runs
+    /// the pass serially on one thread; `0` means "use the host's
+    /// available parallelism". This is a wall-clock knob only: the virtual
+    /// timing plane keeps charging fingerprint CPU to the metadata node as
+    /// if serial, so simulated results are identical at any setting.
     pub flush_parallelism: usize,
     /// Maximum dirty objects staged per background flush pass
     /// ([`crate::DedupStore::dedup_tick`] admits up to this many per
@@ -314,8 +316,8 @@ impl DedupConfig {
         self
     }
 
-    /// Overrides the fingerprint worker-pool width (`0` = available
-    /// cores).
+    /// Overrides how many threads a flush pass runs stage 2 on, the
+    /// committing thread included (`0` = available cores).
     pub fn flush_parallelism(mut self, workers: usize) -> Self {
         self.flush_parallelism = workers;
         self

@@ -3,7 +3,7 @@
 //! Every entry point takes `&self` and holds the flush mutex for one
 //! pass; stage and commit lock only the object they work on.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint, SIG_SAMPLE_BYTES};
@@ -16,7 +16,7 @@ use crate::chunkmap::ChunkMapEntry;
 use crate::chunkpool::{ChunkPool, ChunkStoreOutcome};
 use crate::config::CachePolicy;
 use crate::error::DedupError;
-use crate::pipeline::{fingerprint_batch, StagedBatch, StagedChunk, StagedObject};
+use crate::pipeline::{stage2_and_commit, StagedBatch, StagedChunk, StagedObject};
 use crate::refs::BackRef;
 
 impl DedupStore {
@@ -191,39 +191,30 @@ impl DedupStore {
         self.metrics
             .flush_batch_size
             .set(batch.objects.len() as i64);
-        self.record_stage_wall(&self.metrics.stage_wall_ns, "flush.stage", start);
+        self.record_stage_wall(
+            &self.metrics.stage_wall_ns,
+            "flush.stage",
+            start.elapsed(),
+            Duration::ZERO,
+        );
         Ok(batch)
     }
 
-    /// Pipeline stages 2+3: fingerprints `batch` with no engine lock held
-    /// (across [`DedupStore::fingerprint_parallelism`] threads), then
-    /// commits it.
+    /// Pipeline stages 2+3, overlapped ([`stage2_and_commit`]): encodes
+    /// and fingerprints `batch` with no engine lock held, on
+    /// [`DedupStore::fingerprint_parallelism`] threads, while this thread
+    /// commits its objects in batch order. Each object's ticket is
+    /// re-validated first; objects whose write epoch moved since stage are
+    /// skipped (they stay dirty and queued for a later pass). Returns the
+    /// aggregate report and the virtual-time cost of the whole batch.
+    ///
+    /// The pass's wall time is split between the two histograms on every
+    /// exit path, errors included: `commit_wall_ns` is this thread's time
+    /// inside commit, `fingerprint_wall_ns` the rest — stage-2 work it ran
+    /// or waited for, the part of stage 2 commit did not hide.
     fn fingerprint_and_commit(
         &self,
         mut batch: StagedBatch,
-        failure: Option<FailurePoint>,
-    ) -> Result<Timed<FlushReport>, DedupError> {
-        if !batch.objects.is_empty() {
-            let start = Instant::now();
-            let parallelism = self.fingerprint_parallelism();
-            fingerprint_batch(&mut batch, parallelism, &self.config.compression);
-            self.record_stage_wall(
-                &self.metrics.fingerprint_wall_ns,
-                "flush.fingerprint",
-                start,
-            );
-        }
-        self.commit_batch(batch, failure)
-    }
-
-    /// Pipeline stage 3: commits a fingerprinted batch. Each object's
-    /// ticket is re-validated first; objects whose write epoch moved since
-    /// stage are skipped (they stay dirty and queued for a later pass).
-    /// Returns the aggregate report and the virtual-time cost of the whole
-    /// batch.
-    fn commit_batch(
-        &self,
-        batch: StagedBatch,
         failure: Option<FailurePoint>,
     ) -> Result<Timed<FlushReport>, DedupError> {
         let start = Instant::now();
@@ -233,18 +224,41 @@ impl DedupStore {
             ..Default::default()
         };
         let mut costs: Vec<CostExpr> = Vec::new();
-        for staged in batch.objects {
-            if let Some(t) = self.commit_staged(staged, failure)? {
+        let mut in_commit = Duration::ZERO;
+        let passed: Result<(), DedupError> = stage2_and_commit(
+            &mut batch.objects,
+            self.fingerprint_parallelism(),
+            &self.config.compression,
+            |staged| {
+                let commit_start = Instant::now();
+                let committed = self.commit_staged(staged, failure);
+                in_commit += commit_start.elapsed();
+                let Some(t) = committed? else {
+                    return Ok(true);
+                };
                 total.absorb(&t.value);
                 costs.push(t.cost);
-                if t.value.aborted {
-                    // An injected crash kills the engine: nothing after it
-                    // commits.
-                    break;
-                }
-            }
+                // An injected crash kills the engine: nothing after it
+                // commits.
+                Ok(!t.value.aborted)
+            },
+        );
+        if !batch.objects.is_empty() {
+            let exposed = start.elapsed().saturating_sub(in_commit);
+            self.record_stage_wall(
+                &self.metrics.fingerprint_wall_ns,
+                "flush.fingerprint",
+                exposed,
+                in_commit,
+            );
         }
-        self.record_stage_wall(&self.metrics.commit_wall_ns, "flush.commit", start);
+        self.record_stage_wall(
+            &self.metrics.commit_wall_ns,
+            "flush.commit",
+            in_commit,
+            Duration::ZERO,
+        );
+        passed?;
         Ok(Timed::new(total, CostExpr::seq(costs)))
     }
 
@@ -264,19 +278,20 @@ impl DedupStore {
     /// results are unchanged by the pipeline split.
     fn commit_staged(
         &self,
-        staged: StagedObject,
+        staged: &mut StagedObject,
         failure: Option<FailurePoint>,
     ) -> Result<Option<Timed<FlushReport>>, DedupError> {
+        let chunks = std::mem::take(&mut staged.chunks);
         let StagedObject {
-            name,
+            ref name,
             ticket,
             meta_node,
             keep_cached,
             staged_at,
-            chunks,
-        } = staged;
-        let _shard = self.shards[self.shard_of(&name)].write();
-        if !self.dirty.lock().check(&name, ticket) {
+            ..
+        } = *staged;
+        let _shard = self.shards[self.shard_of(name)].write();
+        if !self.dirty.lock().check(name, ticket) {
             self.metrics.stage_conflicts.inc();
             if let Some(ev) = self.events() {
                 ev.emit(
@@ -441,8 +456,8 @@ impl DedupStore {
         }
         report.derefs = releases.0.len() as u64;
         report.chunks_reclaimed =
-            self.commit_then_release(&name, &mut costs, releases, Some("flush.deref"), || {
-                let t = self.cluster.transact(&ctx, &name, ops)?;
+            self.commit_then_release(name, &mut costs, releases, Some("flush.deref"), || {
+                let t = self.cluster.transact(&ctx, name, ops)?;
                 Ok(self.label("flush.map_update", t.cost))
             })?;
         if chunks_compressed > 0 {
@@ -459,19 +474,26 @@ impl DedupStore {
                 );
             }
         }
-        self.update_dirty(|dirty| dirty.remove(&name));
+        self.update_dirty(|dirty| dirty.remove(name));
         self.record_flush_report(&report);
         Ok(Some(Timed::new(report, CostExpr::seq(costs))))
     }
 
-    /// Records one pipeline stage's wall-clock time since `start`: into its
+    /// Records `elapsed` of one pipeline stage's wall-clock time: into its
     /// histogram, and as a span on the tracer's wall track when one is
-    /// attached.
-    fn record_stage_wall(&self, histogram: &Histogram, span: &str, start: Instant) {
-        let elapsed = start.elapsed().as_nanos() as u64;
+    /// attached, ending `before_now` ago (a pass's fingerprint and commit
+    /// shares are interleaved; their spans are laid end to end).
+    fn record_stage_wall(
+        &self,
+        histogram: &Histogram,
+        span: &str,
+        elapsed: Duration,
+        before_now: Duration,
+    ) {
+        let elapsed = elapsed.as_nanos() as u64;
         histogram.record(elapsed);
         if let Some(t) = self.tracer() {
-            let end = t.wall_now_ns();
+            let end = t.wall_now_ns().saturating_sub(before_now.as_nanos() as u64);
             t.wall_span(span, end.saturating_sub(elapsed), end);
         }
     }
@@ -936,32 +958,179 @@ mod tests {
         );
     }
 
+    /// The chunk pool's object names, sorted.
+    fn chunk_names(s: &DedupStore) -> Vec<ObjectName> {
+        let mut names = s.cluster().list_objects(s.chunk_pool()).expect("list");
+        names.sort();
+        names
+    }
+
+    /// Chunk size of the batch-conformance tests: large enough that a
+    /// chunk's stage 2 outlasts a helper thread's start.
+    const BLOCK: u32 = 4 * CS;
+
+    /// `BLOCK` bytes of `patterned` content, with `flip` a byte changed
+    /// outside the signature's sampled windows (head, middle, tail): the
+    /// same `ChunkSig`, different content.
+    fn block(seed: u64, flip: bool) -> Vec<u8> {
+        let mut b = patterned(BLOCK as usize, seed);
+        if flip {
+            b[100] ^= 0xff;
+        }
+        b
+    }
+
     #[test]
     fn fingerprint_parallelism_changes_neither_report_nor_cost() {
-        // Duplicate and unique objects across several batches: the
-        // fingerprint pool width is wall-clock only, so the serial and the
-        // 4-wide flush must agree on what was done and what it cost.
-        let flush = |workers: usize| {
+        // Two flush_all rounds in 4-object batches. Round one: each batch
+        // opens with an 8-chunk object followed by a 1-chunk one, so at
+        // two or more workers the second object's stage 2 often finishes
+        // first; objects 2k and 2k+1 share a chunk neither has stored
+        // (same batch); first chunks repeat every fifth object, so later
+        // batches hit chunks earlier batches stored, weak-named in tiered
+        // mode (the upgrade path); object 6's last chunk has the same
+        // signature as its first but other content. Round two overwrites
+        // objects 3 and 4, releasing old chunks (two are reclaimed), and
+        // adds a collider. The width is wall-clock only: every setting
+        // must agree on what was done, what it cost and what the chunk
+        // pool holds.
+        let flush = |workers: usize, tiered: bool| {
+            let mut config = DedupConfig::with_chunk_size(BLOCK)
+                .cache_policy(CachePolicy::EvictAll)
+                .flush_parallelism(workers)
+                .flush_batch_size(4);
+            if tiered {
+                config = config.tiered_fingerprint();
+            }
+            let s = store_with(config);
+            assert_eq!(s.fingerprint_parallelism(), workers);
+            let put = |i: u64, blocks: &[Vec<u8>], now: SimTime| {
+                let name = ObjectName::new(format!("obj-{i:02}"));
+                let _ = s
+                    .write(ClientId(0), &name, 0, blocks.concat(), now)
+                    .expect("write");
+            };
+            for i in 0..12u64 {
+                let mut blocks = vec![block(50 + i / 2, false)];
+                if i % 4 != 1 {
+                    blocks.insert(0, block(i % 5, false));
+                    blocks.push(block(100 + i, i == 6));
+                }
+                if i % 4 == 0 {
+                    blocks.extend((0..5).map(|j| block(300 + 10 * i + j, false)));
+                }
+                if i == 6 {
+                    blocks.push(block(1, true));
+                }
+                put(i, &blocks, t(0));
+            }
+            let first = s.flush_all(t(10)).expect("flush");
+            put(
+                3,
+                &[block(200, false), block(50, false), block(202, false)],
+                t(20),
+            );
+            put(4, &[block(201, false), block(3, true)], t(20));
+            let second = s.flush_all(t(30)).expect("flush");
+            let upgrades = s.metrics.fp_upgrades.get();
+            (
+                (first.value, first.cost),
+                (second.value, second.cost),
+                chunk_names(&s),
+                upgrades,
+            )
+        };
+        for tiered in [false, true] {
+            let serial = flush(1, tiered);
+            let ((first, cost), (second, _), names, upgrades) = &serial;
+            assert_eq!((first.chunks_flushed, first.chunks_created), (46, 36));
+            assert!(!cost.is_nop());
+            assert_eq!(second.chunks_flushed, 5);
+            assert_eq!((second.derefs, second.chunks_reclaimed), (5, 2), "releases");
+            assert_eq!(names.len(), 36 + 4 - 2);
+            assert_eq!(*upgrades > 0, tiered, "weak-named candidates upgraded");
+            for workers in [2, 4] {
+                assert_eq!(
+                    serial,
+                    flush(workers, tiered),
+                    "{workers} workers, tiered {tiered}"
+                );
+            }
+        }
+    }
+
+    /// Four staged objects (each with the same three chunks): at two
+    /// workers, a pass that crashes after a chunk store or fails inside a
+    /// commit leaves the store as the serial pass does.
+    #[test]
+    fn abort_and_error_mid_batch_leave_what_the_serial_pass_leaves() {
+        let staged = |workers: usize| {
             let s = store_with(
-                DedupConfig::with_chunk_size(CS)
+                DedupConfig::with_chunk_size(BLOCK)
                     .cache_policy(CachePolicy::EvictAll)
                     .flush_parallelism(workers)
                     .flush_batch_size(4),
             );
-            for i in 0..12u64 {
-                let data = patterned(3 * CS as usize, i % 5);
+            for i in 0..4u64 {
+                let data = [block(i, false), block(9, false), block(10 + i, false)].concat();
                 let name = ObjectName::new(format!("obj-{i}"));
                 let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
             }
-            assert_eq!(s.fingerprint_parallelism(), workers);
-            let f = s.flush_all(t(10)).expect("flush");
-            (f.value, f.cost)
+            let batch = s
+                .stage_batch(4, t(10), false, CachePolicy::EvictAll)
+                .expect("stage");
+            assert_eq!(batch.objects.len(), 4);
+            (s, batch)
         };
-        let (serial, parallel) = (flush(1), flush(4));
-        assert_eq!(serial.0.chunks_flushed, 36);
-        assert_eq!(serial.0.chunks_created, 15, "five distinct objects");
-        assert!(!serial.1.is_nop());
-        assert_eq!(serial, parallel);
+
+        let crash = |workers: usize| {
+            let (s, batch) = staged(workers);
+            let rep = s
+                .fingerprint_and_commit(batch, Some(FailurePoint::AfterChunkStore))
+                .expect("crash is not an error");
+            assert!(rep.value.aborted);
+            ((rep.value, rep.cost), s.dirty_len(), chunk_names(&s))
+        };
+        let serial = crash(1);
+        assert_eq!(serial.1, 4, "the crashed object stays queued");
+        assert_eq!(serial.2.len(), 1, "one chunk stored before the crash");
+        assert_eq!(serial, crash(2));
+
+        // Foreground writes move the first two objects' tickets, so their
+        // commits are skipped and the third object's is the first to
+        // reach the cluster — with every OSD down.
+        let (mut s, batch) = staged(2);
+        for i in 0..2u64 {
+            let name = ObjectName::new(format!("obj-{i}"));
+            let _ = s
+                .write(ClientId(0), &name, 0, block(i, false), t(11))
+                .expect("write");
+        }
+        let osds = s.cluster().map().osd_count() as u32;
+        for i in 0..osds {
+            s.cluster_mut().mark_down(dedup_placement::OsdId(i));
+        }
+        let m = &s.metrics;
+        let walls = || (m.fingerprint_wall_ns.count(), m.commit_wall_ns.count());
+        let (conflicts, before) = (m.stage_conflicts.get(), walls());
+        // Returning at all means every helper was joined.
+        assert!(s.fingerprint_and_commit(batch, None).is_err());
+        assert_eq!(m.stage_conflicts.get(), conflicts + 2);
+        assert_eq!(
+            walls(),
+            (before.0 + 1, before.1 + 1),
+            "the failed pass is timed"
+        );
+        assert_eq!(s.dirty_len(), 4, "every uncommitted object stays queued");
+        assert!(chunk_names(&s).is_empty());
+
+        for i in 0..osds {
+            s.cluster_mut().revive_osd(dedup_placement::OsdId(i));
+        }
+        let rep = s.flush_all(t(20)).expect("flush").value;
+        assert_eq!(rep.chunks_flushed, 12);
+        assert_eq!(s.dirty_len(), 0);
+        assert!(s.verify_references().expect("verify").is_empty());
     }
 
     /// Reads `name` whole and compares it with `expect` (`None`: deleted).

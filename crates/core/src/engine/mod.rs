@@ -320,7 +320,8 @@ impl DedupStore {
         self.dirty.lock().len()
     }
 
-    /// Worker threads the fingerprint stage will use: the configured
+    /// Threads a flush pass runs stage 2 on — the committing thread and
+    /// one fewer helpers: the configured
     /// [`DedupConfig::flush_parallelism`], with `0` resolved to the host's
     /// available parallelism.
     pub fn fingerprint_parallelism(&self) -> usize {

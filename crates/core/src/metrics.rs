@@ -36,11 +36,13 @@ pub(crate) struct EngineMetrics {
     /// Wall-clock nanoseconds spent staging a flush batch (pipeline
     /// stage 1, each object under its shard read lock).
     pub stage_wall_ns: Histogram,
-    /// Wall-clock nanoseconds spent fingerprinting a flush batch
-    /// (pipeline stage 2, no engine lock held).
+    /// Wall-clock nanoseconds a flush pass's committing thread spent on
+    /// pipeline stage 2 (no engine lock held), running jobs or waiting
+    /// for helpers: the part of stage 2 commit did not hide.
     pub fingerprint_wall_ns: Histogram,
-    /// Wall-clock nanoseconds spent committing a flush batch (pipeline
-    /// stage 3, each object under its shard write lock).
+    /// Wall-clock nanoseconds a flush pass's committing thread spent
+    /// inside commit (pipeline stage 3, each object under its shard write
+    /// lock). With `fingerprint_wall_ns`, the pass's wall time.
     pub commit_wall_ns: Histogram,
     /// Staged objects thrown away at commit because a foreground
     /// mutation landed between stage and commit.

@@ -10,13 +10,22 @@
 //!    including deferred read-modify-write merges from the previous chunk
 //!    objects — and take its [`DirtyTicket`].
 //! 2. **Fingerprint** (no engine lock): encode and hash every staged
-//!    chunk, optionally across a scoped worker pool
-//!    ([`fingerprint_batch`]).
+//!    chunk, one job per chunk on a shared queue in batch order.
 //! 3. **Commit**: under each object's shard *write* lock, re-check the
 //!    ticket, dereference old chunks, store or reference new ones, and
 //!    transact the chunk-map update. A foreground mutation that landed
 //!    after stage invalidates the snapshot; the object simply stays dirty
 //!    for a later pass.
+//!
+//! Stages 2 and 3 overlap inside a pass ([`stage2_and_commit`]): scoped
+//! helper threads run stage-2 jobs while the calling thread commits each
+//! object, in batch order, as soon as its chunks are done, and runs
+//! stage-2 jobs itself while the next object is not ready. Commit stays
+//! serial, so the overlap changes when work happens, never what it does.
+//! The engine's `fingerprint_wall_ns` histogram is the committer's time
+//! on stage 2 (work it ran or waited for: the part commit did not hide),
+//! `commit_wall_ns` its time inside commit; together they are the pass's
+//! wall time.
 //!
 //! Foreground ops on every object, the staged ones included, run between
 //! the stages. Whole passes are serialised by the engine's flush mutex.
@@ -27,11 +36,13 @@
 //! `CostExpr` sequence the serial implementation produced — only
 //! wall-clock time improves. Figure and table outputs are bit-identical.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
 use bytes::Bytes;
 use dedup_fingerprint::{ChunkSig, Fingerprint};
 use dedup_sim::{CostExpr, SimTime};
 use dedup_store::ObjectName;
-use parking_lot::Mutex;
 
 use crate::chunkmap::ChunkMapEntry;
 use crate::config::CompressionConfig;
@@ -114,16 +125,12 @@ impl StagedBatch {
     }
 }
 
-/// Stage 2: encodes (when inline compression is on) and fingerprints
-/// every staged chunk in `batch` — one pass per chunk, across one scoped
-/// pool of up to `parallelism` worker threads.
-///
-/// Needs no engine state, so it runs with no engine lock held. The
-/// virtual-time CPU cost of hashing and compressing is *not* recorded
-/// here — the commit stage charges it to the metadata node exactly as the
-/// serial engine did, so parallelism never perturbs simulated results;
-/// each chunk's outcome depends on that chunk alone, so results are
-/// bit-identical at any parallelism.
+/// What stage 2 made of one chunk: the kept compressed form and the full
+/// fingerprint, each `None` when not produced.
+type Stage2Out = (Option<Bytes>, Option<Fingerprint>);
+
+/// Stage 2 of one chunk: the encode attempt (when inline compression is
+/// on) and the full fingerprint (when wanted).
 ///
 /// With compression enabled, every non-empty chunk is compressed; the
 /// compressed form is kept only if
@@ -133,49 +140,193 @@ impl StagedBatch {
 /// way. Tiered mode leaves `fingerprint_wanted` false for chunks whose
 /// stage-time signature probe proved no stored chunk can match — those
 /// skip hashing entirely; commit re-probes the index.
-pub(crate) fn fingerprint_batch(
-    batch: &mut StagedBatch,
+fn stage2(content: &Bytes, fingerprint_wanted: bool, compression: &CompressionConfig) -> Stage2Out {
+    let encoded = (compression.enabled && !content.is_empty())
+        .then(|| dedup_compress::compress(content))
+        .filter(|enc| {
+            enc.len() as u64 * 1_000_000 <= content.len() as u64 * compression.max_ratio_ppm
+        })
+        .map(Bytes::from);
+    (
+        encoded,
+        fingerprint_wanted.then(|| Fingerprint::of(content)),
+    )
+}
+
+impl StagedChunk {
+    /// Whether stage 2 has anything to do for this chunk. Chunks with
+    /// nothing to do (compression off, hash unwanted) make no job, so a
+    /// batch of them starts no thread.
+    fn has_stage2_work(&self, compression: &CompressionConfig) -> bool {
+        compression.enabled || self.fingerprint_wanted
+    }
+
+    fn set_stage2(&mut self, (encoded, fingerprint): Stage2Out) {
+        self.encoded = encoded;
+        self.fingerprint = fingerprint;
+    }
+}
+
+/// One stage-2 job for a helper thread: a chunk's position in the batch
+/// and a shared view of its content.
+struct Job {
+    object: usize,
+    chunk: usize,
+    content: Bytes,
+    fingerprint_wanted: bool,
+}
+
+/// The committer's side of a helped pass: the shared job queue (`jobs`
+/// in batch order, `next` the first unclaimed one), the helpers' results,
+/// and how many of each object's jobs are not yet applied.
+struct Helped<'a> {
+    jobs: &'a [Job],
+    next: &'a AtomicUsize,
+    done: mpsc::Receiver<(usize, Stage2Out)>,
+    pending: Vec<usize>,
+}
+
+/// Claims the next stage-2 job off the shared queue.
+fn claim(jobs: &[Job], next: &AtomicUsize) -> Option<usize> {
+    let k = next.fetch_add(1, Ordering::Relaxed);
+    (k < jobs.len()).then_some(k)
+}
+
+/// How the committer gets an object's stage 2 done: alone, in place, or
+/// with helper threads pulling from the same queue.
+enum Lane<'a> {
+    Serial,
+    Helped(Helped<'a>),
+}
+
+impl Lane<'_> {
+    /// Returns once every chunk of `objects[i]` has its stage-2 result.
+    /// Helped, the committer applies finished results and, while the
+    /// object is still waiting, runs the next queued job itself — for
+    /// this object or a later one — and blocks only when every job is
+    /// claimed.
+    fn finish(&mut self, objects: &mut [StagedObject], i: usize, compression: &CompressionConfig) {
+        let h = match self {
+            Lane::Serial => {
+                for c in &mut objects[i].chunks {
+                    if c.has_stage2_work(compression) {
+                        c.set_stage2(stage2(&c.content, c.fingerprint_wanted, compression));
+                    }
+                }
+                return;
+            }
+            Lane::Helped(h) => h,
+        };
+        while h.pending[i] > 0 {
+            let (k, out) = match h.done.try_recv() {
+                Ok(result) => result,
+                Err(_) => match claim(h.jobs, h.next) {
+                    Some(k) => {
+                        let job = &h.jobs[k];
+                        (k, stage2(&job.content, job.fingerprint_wanted, compression))
+                    }
+                    None => h.done.recv().expect("a stage-2 helper panicked"),
+                },
+            };
+            let job = &h.jobs[k];
+            h.pending[job.object] -= 1;
+            objects[job.object].chunks[job.chunk].set_stage2(out);
+        }
+    }
+}
+
+/// Pipeline stages 2 and 3 of one pass, overlapped: runs stage 2 over
+/// every staged chunk of `objects` and calls `commit` on each object in
+/// batch order as soon as all of its chunks are done.
+///
+/// Stage 2 needs no engine state, so it runs with no engine lock held.
+/// Its jobs — one per chunk with work, in batch order — sit on one shared
+/// queue. `parallelism − 1` scoped helper threads pull from it while the
+/// calling thread commits; whenever the next object in order is not ready
+/// the committer pulls a job itself instead of blocking, so stage 2 gets
+/// every thread while nothing can commit, and a one-object pass keeps
+/// chunk-level parallelism. At parallelism 1 (or with at most one job)
+/// the pass is serial: no thread, no channel, no allocation.
+///
+/// Commit stays serial and in batch order whatever the width, and each
+/// chunk's stage-2 outcome depends on that chunk alone, so what a pass
+/// does and what it costs in virtual time are identical at any
+/// parallelism. The CPU cost of hashing and compressing is *not*
+/// recorded here: commit charges it to the metadata node exactly as the
+/// serial engine did.
+///
+/// `commit` returns `Ok(false)` to end the pass early (an injected crash);
+/// an `Err` ends it too and is returned. Either way every helper is
+/// joined before this returns, and the objects after the last committed
+/// one are left as staged.
+pub(crate) fn stage2_and_commit<E>(
+    objects: &mut [StagedObject],
     parallelism: usize,
     compression: &CompressionConfig,
-) {
-    let process = |chunk: &mut StagedChunk| {
-        if compression.enabled && !chunk.content.is_empty() {
-            let enc = dedup_compress::compress(&chunk.content);
-            if enc.len() as u64 * 1_000_000
-                <= chunk.content.len() as u64 * compression.max_ratio_ppm
-            {
-                chunk.encoded = Some(Bytes::from(enc));
+    mut commit: impl FnMut(&mut StagedObject) -> Result<bool, E>,
+) -> Result<(), E> {
+    let mut commit_in_order = |objects: &mut [StagedObject], lane: &mut Lane| {
+        for i in 0..objects.len() {
+            lane.finish(objects, i, compression);
+            if !commit(&mut objects[i])? {
+                break;
             }
         }
-        if chunk.fingerprint_wanted {
-            chunk.fingerprint = Some(Fingerprint::of(&chunk.content));
-        }
+        Ok(())
     };
-    // Chunks with nothing to do (compression off, hash unwanted) are left
-    // out, so a batch of them spawns no threads.
-    let chunks: Vec<&mut StagedChunk> = batch
-        .objects
-        .iter_mut()
-        .flat_map(|o| o.chunks.iter_mut())
-        .filter(|c| compression.enabled || c.fingerprint_wanted)
-        .collect();
-    let workers = parallelism.max(1).min(chunks.len());
-    if workers <= 1 {
-        chunks.into_iter().for_each(process);
-        return;
+    let work = objects
+        .iter()
+        .flat_map(|o| &o.chunks)
+        .filter(|c| c.has_stage2_work(compression))
+        .count();
+    let helpers = parallelism.saturating_sub(1).min(work.saturating_sub(1));
+    if helpers == 0 {
+        return commit_in_order(objects, &mut Lane::Serial);
     }
-    // Workers pull chunks off a shared queue, so uneven chunk sizes still
-    // balance; `scope` joins them all and propagates a worker's panic.
-    let queue = Mutex::new(chunks.into_iter());
+    let mut pending = vec![0; objects.len()];
+    let mut jobs = Vec::with_capacity(work);
+    for (object, o) in objects.iter().enumerate() {
+        for (chunk, c) in o.chunks.iter().enumerate() {
+            if c.has_stage2_work(compression) {
+                pending[object] += 1;
+                jobs.push(Job {
+                    object,
+                    chunk,
+                    content: c.content.clone(),
+                    fingerprint_wanted: c.fingerprint_wanted,
+                });
+            }
+        }
+    }
+    let (jobs, next) = (&jobs[..], &AtomicUsize::new(0));
+    let (tx, done) = mpsc::channel();
+    // `scope` joins every helper before returning, on every exit path,
+    // and propagates a helper's panic.
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let next = queue.lock().next();
-                let Some(chunk) = next else { break };
-                process(chunk);
+        for _ in 0..helpers {
+            let tx = tx.clone();
+            s.spawn(move || {
+                while let Some(k) = claim(jobs, next) {
+                    let job = &jobs[k];
+                    let out = stage2(&job.content, job.fingerprint_wanted, compression);
+                    if tx.send((k, out)).is_err() {
+                        break;
+                    }
+                }
             });
         }
-    });
+        drop(tx);
+        let mut lane = Lane::Helped(Helped {
+            jobs,
+            next,
+            done,
+            pending,
+        });
+        let result = commit_in_order(objects, &mut lane);
+        // A pass that ended early leaves the rest of the queue unclaimed.
+        next.store(jobs.len(), Ordering::Relaxed);
+        result
+    })
 }
 
 #[cfg(test)]
@@ -221,62 +372,68 @@ mod tests {
         }
     }
 
+    /// Each committed object's name and its chunks' stage-2 results.
+    type Committed = Vec<(String, Vec<(Option<Fingerprint>, Option<Bytes>)>)>;
+
+    /// Runs stages 2 and 3 over `objects`, committing by recording each
+    /// object in commit order.
+    fn run(
+        objects: &mut [StagedObject],
+        parallelism: usize,
+        compression: &CompressionConfig,
+    ) -> Committed {
+        let mut committed = Vec::new();
+        stage2_and_commit::<()>(objects, parallelism, compression, |o| {
+            let results = o.chunks.iter().map(|c| (c.fingerprint, c.encoded.clone()));
+            committed.push((o.name.as_str().to_string(), results.collect()));
+            Ok(true)
+        })
+        .expect("commit");
+        committed
+    }
+
     #[test]
     fn fingerprints_every_chunk_positionally() {
-        let mut batch = StagedBatch {
-            objects: vec![
+        for parallelism in [1, 2, 4] {
+            let mut objects = vec![
                 staged("a", &[b"alpha", b"beta"]),
                 staged("b", &[b"gamma"]),
                 staged("c", &[]),
-            ],
-            ..Default::default()
-        };
-        for parallelism in [1, 4] {
-            for obj in &mut batch.objects {
-                for c in &mut obj.chunks {
-                    c.fingerprint = None;
-                }
-            }
-            fingerprint_batch(&mut batch, parallelism, &off());
+            ];
+            let fp = |c: &[u8]| (Some(Fingerprint::of(c)), None);
             assert_eq!(
-                batch.objects[0].chunks[0].fingerprint,
-                Some(Fingerprint::of(b"alpha"))
-            );
-            assert_eq!(
-                batch.objects[0].chunks[1].fingerprint,
-                Some(Fingerprint::of(b"beta"))
-            );
-            assert_eq!(
-                batch.objects[1].chunks[0].fingerprint,
-                Some(Fingerprint::of(b"gamma"))
+                run(&mut objects, parallelism, &off()),
+                vec![
+                    ("a".to_string(), vec![fp(b"alpha"), fp(b"beta")]),
+                    ("b".to_string(), vec![fp(b"gamma")]),
+                    ("c".to_string(), vec![]),
+                ],
+                "parallelism {parallelism}"
             );
         }
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut batch = StagedBatch::default();
-        fingerprint_batch(&mut batch, 8, &off());
-        assert!(batch.is_empty());
+        assert!(run(&mut [], 8, &off()).is_empty());
     }
 
     #[test]
     fn unwanted_chunks_skip_hashing() {
-        let mut batch = StagedBatch {
-            objects: vec![staged("a", &[b"alpha", b"beta", b"gamma"])],
-            ..Default::default()
-        };
-        batch.objects[0].chunks[1].fingerprint_wanted = false;
-        fingerprint_batch(&mut batch, 2, &off());
-        assert_eq!(
-            batch.objects[0].chunks[0].fingerprint,
-            Some(Fingerprint::of(b"alpha"))
-        );
-        assert_eq!(batch.objects[0].chunks[1].fingerprint, None);
-        assert_eq!(
-            batch.objects[0].chunks[2].fingerprint,
-            Some(Fingerprint::of(b"gamma"))
-        );
+        for parallelism in [1, 2] {
+            let mut objects = [staged("a", &[b"alpha", b"beta", b"gamma"])];
+            objects[0].chunks[1].fingerprint_wanted = false;
+            let committed = run(&mut objects, parallelism, &off());
+            let fps: Vec<_> = committed[0].1.iter().map(|(fp, _)| *fp).collect();
+            assert_eq!(
+                fps,
+                [
+                    Some(Fingerprint::of(b"alpha")),
+                    None,
+                    Some(Fingerprint::of(b"gamma"))
+                ]
+            );
+        }
     }
 
     #[test]
@@ -290,12 +447,9 @@ mod tests {
             })
             .collect();
         for parallelism in [1, 4] {
-            let mut batch = StagedBatch {
-                objects: vec![staged("a", &[&compressible, &random, b""])],
-                ..Default::default()
-            };
-            fingerprint_batch(&mut batch, parallelism, &on());
-            let chunks = &batch.objects[0].chunks;
+            let mut objects = [staged("a", &[&compressible, &random, b""])];
+            let _ = run(&mut objects, parallelism, &on());
+            let chunks = &objects[0].chunks;
             assert!(chunks[0].encoded.is_some(), "compressible chunk encodes");
             assert!(
                 chunks[0].stored().len() < compressible.len(),
@@ -306,6 +460,45 @@ mod tests {
             // Fingerprints still cover the raw content.
             assert_eq!(chunks[0].fingerprint, Some(Fingerprint::of(&compressible)));
             assert_eq!(chunks[1].fingerprint, Some(Fingerprint::of(&random)));
+        }
+    }
+
+    /// Commit sees the objects in batch order whatever the width, an early
+    /// stop or an error ends the pass there, and each object is complete
+    /// when committed even though later ones are still being worked on.
+    #[test]
+    fn commit_runs_in_batch_order_and_ends_where_asked() {
+        let contents: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 4096]).collect();
+        let objects = || -> Vec<StagedObject> {
+            (0..8)
+                .map(|o| {
+                    let chunks: Vec<&[u8]> =
+                        contents[o * 3..o * 3 + 3].iter().map(|c| &c[..]).collect();
+                    staged(&format!("o{o}"), &chunks)
+                })
+                .collect()
+        };
+        for parallelism in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let mut batch = objects();
+            let result = stage2_and_commit(&mut batch, parallelism, &off(), |o| {
+                assert!(o.chunks.iter().all(|c| c.fingerprint.is_some()), "complete");
+                seen.push(o.name.as_str().to_string());
+                match o.name.as_str() {
+                    "o5" => Err("commit failed"),
+                    _ => Ok(true),
+                }
+            });
+            assert_eq!(result, Err("commit failed"));
+            assert_eq!(seen, ["o0", "o1", "o2", "o3", "o4", "o5"]);
+
+            let mut seen = Vec::new();
+            let result = stage2_and_commit::<()>(&mut objects(), parallelism, &off(), |o| {
+                seen.push(o.name.as_str().to_string());
+                Ok(o.name.as_str() != "o2")
+            });
+            assert_eq!(result, Ok(()));
+            assert_eq!(seen, ["o0", "o1", "o2"], "parallelism {parallelism}");
         }
     }
 }
