@@ -1,4 +1,5 @@
-//! Crash-point enumeration for the durability plane.
+//! Crash-point enumeration for the durability plane, and the one fault
+//! injector of the crash tests.
 //!
 //! The audit methodology: run a workload once over an intact
 //! [`MemWalBackend`] and read its fsync journal — every durable write the
@@ -15,6 +16,15 @@
 //! probabilistic: the same topology and op sequence produce the same
 //! placement, the same transactions, and therefore the same journal on
 //! every run.
+//!
+//! The same injector drives the paper's consistency tests (§4.6, Fig. 9,
+//! `tests/consistency.rs`): every step of a flush that can fail is a
+//! durable write, so a test crashes a flush by arming a clean
+//! [`CrashPlan`] at [`MemWalBackend::durable_writes`] plus k — the
+//! flush's first durable write is its first chunk's store. A clean crash
+//! leaves whole frames, so such a test revives the backend
+//! (`set_crash_plan(None)`) and carries on with the same store instead
+//! of rebuilding it.
 
 use std::sync::Arc;
 

@@ -11,7 +11,7 @@ use dedup_obs::{Histogram, Severity};
 use dedup_sim::{CostExpr, SimDuration, SimTime};
 use dedup_store::{ClientId, ObjectName, Timed, TxOp};
 
-use super::{DedupStore, FailurePoint, FlushReport, Releases};
+use super::{DedupStore, FlushReport, Releases};
 use crate::chunkmap::ChunkMapEntry;
 use crate::chunkpool::{ChunkPool, ChunkStoreOutcome};
 use crate::config::CachePolicy;
@@ -31,26 +31,10 @@ impl DedupStore {
         name: &ObjectName,
         now: SimTime,
     ) -> Result<Timed<FlushReport>, DedupError> {
-        self.flush_object_with_failure(name, now, None)
-    }
-
-    /// [`DedupStore::flush_object`] with an injectable crash point for the
-    /// consistency experiments.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the store does (an injected crash is *not* an error: the
-    /// report has `aborted = true`).
-    pub fn flush_object_with_failure(
-        &self,
-        name: &ObjectName,
-        now: SimTime,
-        failure: Option<FailurePoint>,
-    ) -> Result<Timed<FlushReport>, DedupError> {
         let _pass = self.flush_pass.lock();
         let mut batch = StagedBatch::default();
         self.stage_object(&mut batch, name, now, self.config.cache_policy)?;
-        self.fingerprint_and_commit(batch, failure)
+        self.fingerprint_and_commit(batch)
     }
 
     /// Pipeline stage 1 for one dirty-queue candidate, into `batch`: the
@@ -215,7 +199,6 @@ impl DedupStore {
     fn fingerprint_and_commit(
         &self,
         mut batch: StagedBatch,
-        failure: Option<FailurePoint>,
     ) -> Result<Timed<FlushReport>, DedupError> {
         let start = Instant::now();
         let mut total = FlushReport {
@@ -231,16 +214,13 @@ impl DedupStore {
             &self.config.compression,
             |staged| {
                 let commit_start = Instant::now();
-                let committed = self.commit_staged(staged, failure);
+                let committed = self.commit_staged(staged);
                 in_commit += commit_start.elapsed();
-                let Some(t) = committed? else {
-                    return Ok(true);
-                };
-                total.absorb(&t.value);
-                costs.push(t.cost);
-                // An injected crash kills the engine: nothing after it
-                // commits.
-                Ok(!t.value.aborted)
+                if let Some(t) = committed? {
+                    total.absorb(&t.value);
+                    costs.push(t.cost);
+                }
+                Ok(())
             },
         );
         if !batch.objects.is_empty() {
@@ -279,7 +259,6 @@ impl DedupStore {
     fn commit_staged(
         &self,
         staged: &mut StagedObject,
-        failure: Option<FailurePoint>,
     ) -> Result<Option<Timed<FlushReport>>, DedupError> {
         let chunks = std::mem::take(&mut staged.chunks);
         let StagedObject {
@@ -378,12 +357,6 @@ impl DedupStore {
             };
             report.chunks_flushed += 1;
 
-            if failure == Some(FailurePoint::BeforeChunkStore) {
-                report.aborted = true;
-                self.record_flush_report(&report);
-                return Ok(Some(Timed::new(report, CostExpr::seq(costs))));
-            }
-
             // Content unchanged since the last flush keeps its reference:
             // only the dirty bit clears.
             if e.chunk_id != Some(fp) {
@@ -419,12 +392,6 @@ impl DedupStore {
                         .node_to_node(meta_node, chunk_node, stored.len() as u64);
                 costs.push(self.label("flush.chunk_hop", hop));
                 costs.push(self.label("flush.chunk_store", t.cost));
-            }
-
-            if failure == Some(FailurePoint::AfterChunkStore) {
-                report.aborted = true;
-                self.record_flush_report(&report);
-                return Ok(Some(Timed::new(report, CostExpr::seq(costs))));
             }
 
             // (6) Chunk-map update for this entry.
@@ -619,7 +586,7 @@ impl DedupStore {
         if batch.is_empty() {
             return Ok(None);
         }
-        self.fingerprint_and_commit(batch, None).map(Some)
+        self.fingerprint_and_commit(batch).map(Some)
     }
 
     /// Flushes the oldest dirty object, ignoring rate control (the
@@ -661,7 +628,7 @@ impl DedupStore {
             }
             let batch = self.stage_batch(FLUSH_ALL_BATCH, now, false, policy)?;
             let had_objects = !batch.objects.is_empty();
-            let t = self.fingerprint_and_commit(batch, None)?;
+            let t = self.fingerprint_and_commit(batch)?;
             total.absorb(&t.value);
             costs.push(t.cost);
             if !had_objects && self.dirty.lock().len() >= before {
@@ -679,7 +646,7 @@ impl DedupStore {
 mod tests {
     use super::*;
     use crate::config::{DedupConfig, HitSetConfig, Watermarks};
-    use crate::engine::testutil::{patterned, store, store_with, t, CS};
+    use crate::engine::testutil::{crash_at, patterned, store, store_with, t, wal_store_with, CS};
     use crate::refs::{decode_refcount, REFCOUNT_XATTR};
     use dedup_store::IoCtx;
 
@@ -1059,20 +1026,27 @@ mod tests {
         }
     }
 
-    /// Four staged objects (each with the same three chunks): at two
-    /// workers, a pass that crashes after a chunk store or fails inside a
-    /// commit leaves the store as the serial pass does.
+    /// Four staged objects sharing one chunk, the even ones two chunks
+    /// long and the odd ones one, with compression on so stage 2 outlasts
+    /// a helper's start: at two workers an odd object's stage 2 often ends
+    /// before the even one's before it. A pass that crashes at any of its
+    /// durable writes or fails inside a commit leaves the store as the
+    /// serial pass does.
     #[test]
     fn abort_and_error_mid_batch_leave_what_the_serial_pass_leaves() {
         let staged = |workers: usize| {
-            let s = store_with(
+            let (s, backend) = wal_store_with(
                 DedupConfig::with_chunk_size(BLOCK)
                     .cache_policy(CachePolicy::EvictAll)
+                    .compress()
                     .flush_parallelism(workers)
                     .flush_batch_size(4),
             );
             for i in 0..4u64 {
-                let data = [block(i, false), block(9, false), block(10 + i, false)].concat();
+                let data = match i % 2 {
+                    0 => [block(i, false), block(9, false)].concat(),
+                    _ => block(9, false),
+                };
                 let name = ObjectName::new(format!("obj-{i}"));
                 let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
             }
@@ -1080,26 +1054,36 @@ mod tests {
                 .stage_batch(4, t(10), false, CachePolicy::EvictAll)
                 .expect("stage");
             assert_eq!(batch.objects.len(), 4);
-            (s, batch)
+            (s, backend, batch)
         };
 
-        let crash = |workers: usize| {
-            let (s, batch) = staged(workers);
-            let rep = s
-                .fingerprint_and_commit(batch, Some(FailurePoint::AfterChunkStore))
-                .expect("crash is not an error");
-            assert!(rep.value.aborted);
-            ((rep.value, rep.cost), s.dirty_len(), chunk_names(&s))
+        // Each object's commit is its chunk stores (after the first, the
+        // shared chunk's are dedup hits) and then one map transaction.
+        let (s, backend, batch) = staged(1);
+        let before = backend.durable_writes();
+        let _ = s.fingerprint_and_commit(batch).expect("flush");
+        let writes = backend.durable_writes() - before;
+        assert_eq!(writes, 3 + 2 + 3 + 2);
+        let crash = |workers: usize, k: u64| {
+            let (s, backend, batch) = staged(workers);
+            crash_at(&backend, k);
+            assert!(s.fingerprint_and_commit(batch).is_err());
+            assert!(backend.crashed());
+            (s.dirty_len(), chunk_names(&s))
         };
-        let serial = crash(1);
-        assert_eq!(serial.1, 4, "the crashed object stays queued");
-        assert_eq!(serial.2.len(), 1, "one chunk stored before the crash");
-        assert_eq!(serial, crash(2));
+        for k in 0..writes {
+            let serial = crash(1, k);
+            if k == 1 {
+                assert_eq!(serial.0, 4, "the crashed object stays queued");
+                assert_eq!(serial.1.len(), 1, "one chunk stored before the crash");
+            }
+            assert_eq!(serial, crash(2, k), "crash at durable write {k}");
+        }
 
         // Foreground writes move the first two objects' tickets, so their
         // commits are skipped and the third object's is the first to
         // reach the cluster — with every OSD down.
-        let (mut s, batch) = staged(2);
+        let (mut s, _, batch) = staged(2);
         for i in 0..2u64 {
             let name = ObjectName::new(format!("obj-{i}"));
             let _ = s
@@ -1114,7 +1098,7 @@ mod tests {
         let walls = || (m.fingerprint_wall_ns.count(), m.commit_wall_ns.count());
         let (conflicts, before) = (m.stage_conflicts.get(), walls());
         // Returning at all means every helper was joined.
-        assert!(s.fingerprint_and_commit(batch, None).is_err());
+        assert!(s.fingerprint_and_commit(batch).is_err());
         assert_eq!(m.stage_conflicts.get(), conflicts + 2);
         assert_eq!(
             walls(),
@@ -1128,7 +1112,7 @@ mod tests {
             s.cluster_mut().revive_osd(dedup_placement::OsdId(i));
         }
         let rep = s.flush_all(t(20)).expect("flush").value;
-        assert_eq!(rep.chunks_flushed, 12);
+        assert_eq!(rep.chunks_flushed, 6);
         assert_eq!(s.dirty_len(), 0);
         assert!(s.verify_references().expect("verify").is_empty());
     }
@@ -1199,7 +1183,7 @@ mod tests {
                     None
                 }
             };
-            let rep = s.fingerprint_and_commit(batch, None).expect("commit");
+            let rep = s.fingerprint_and_commit(batch).expect("commit");
             assert_eq!(
                 s.metrics.stage_conflicts.get(),
                 conflicts + 1,

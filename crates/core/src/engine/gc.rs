@@ -118,10 +118,13 @@ impl DedupStore {
 #[cfg(test)]
 mod gc_tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::config::{CachePolicy, DedupConfig};
-    use crate::engine::FailurePoint;
+    use crate::engine::testutil::{flush_crashing_at, wal_store_with};
+    use crate::refs::{decode_refcount, REFCOUNT_XATTR};
     use dedup_sim::SimTime;
-    use dedup_store::{ClusterBuilder, IoCtx};
+    use dedup_store::{ClusterBuilder, IoCtx, MemWalBackend};
 
     const CS: u32 = 8 * 1024;
 
@@ -137,17 +140,21 @@ mod gc_tests {
             .collect()
     }
 
+    fn config() -> DedupConfig {
+        DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll)
+    }
+
     fn store() -> DedupStore {
-        let cluster = ClusterBuilder::new().build();
-        DedupStore::with_default_pools(
-            cluster,
-            DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
-        )
+        DedupStore::with_default_pools(ClusterBuilder::new().build(), config())
+    }
+
+    fn wal_store() -> (DedupStore, Arc<MemWalBackend>) {
+        wal_store_with(config())
     }
 
     #[test]
     fn gc_reclaims_the_chunk_a_crash_before_the_map_commit_strands() {
-        let mut s = store();
+        let (mut s, backend) = wal_store();
         let name = ObjectName::new("obj");
         let v1 = patterned(CS as usize, 1);
         let v2 = patterned(CS as usize, 2);
@@ -158,14 +165,8 @@ mod gc_tests {
         let _ = s
             .write(ClientId(0), &name, 0, &v2, SimTime::from_secs(20))
             .expect("w");
-        let rep = s
-            .flush_object_with_failure(
-                &name,
-                SimTime::from_secs(5000),
-                Some(FailurePoint::AfterChunkStore),
-            )
-            .expect("flush");
-        assert!(rep.value.aborted);
+        // Crash at the map commit, the flush's second durable write.
+        flush_crashing_at(&s, &backend, &name, SimTime::from_secs(5000), 1);
         // The v2 chunk landed with a back reference the map never took.
         assert_eq!(s.space_report().expect("r").chunk_objects, 2);
         let gc = s.gc_chunk_pool().expect("gc");
@@ -187,7 +188,7 @@ mod gc_tests {
 
     #[test]
     fn gc_corrects_overcounted_shared_chunks() {
-        let mut s = store();
+        let (mut s, backend) = wal_store();
         let data = patterned(CS as usize, 3);
         for i in 0..3 {
             let _ = s
@@ -207,15 +208,16 @@ mod gc_tests {
         }
         // A dedup hit that crashes before o0's map commit: the count goes
         // to 3 while only o1 and o2 reference the chunk.
-        let rep = s
-            .flush_object_with_failure(
-                &ObjectName::new("o0"),
-                SimTime::from_secs(10),
-                Some(FailurePoint::AfterChunkStore),
-            )
-            .expect("flush");
-        assert!(rep.value.aborted);
-        assert_eq!(rep.value.chunks_deduped, 1);
+        let o0 = ObjectName::new("o0");
+        flush_crashing_at(&s, &backend, &o0, SimTime::from_secs(10), 1);
+        let chunk = ObjectName::new(Fingerprint::of(&data).to_object_name());
+        let count = s
+            .cluster()
+            .get_xattr(&IoCtx::new(s.chunk_pool()), &chunk, REFCOUNT_XATTR)
+            .expect("xattr")
+            .value
+            .and_then(|v| decode_refcount(&v));
+        assert_eq!(count, Some(3), "the dedup hit landed");
         let gc = s.gc_chunk_pool().expect("gc");
         assert_eq!(gc.value.stale_refs_dropped, 1);
         assert_eq!(gc.value.counts_corrected, 1);

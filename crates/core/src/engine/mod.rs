@@ -40,18 +40,6 @@ use crate::queue::DirtyQueue;
 use crate::ratecontrol::RateController;
 use crate::refs::BackRef;
 
-/// Injectable crash points in the flush protocol, matching the failure
-/// analysis of the paper's consistency model (§4.6, Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePoint {
-    /// Crash after reading the dirty chunk but before touching the chunk
-    /// pool (paper step 3).
-    BeforeChunkStore,
-    /// Crash after the chunk object (and its reference) is stored but
-    /// before the chunk map is updated (paper steps 4→5).
-    AfterChunkStore,
-}
-
 /// Outcome of flushing one metadata object.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlushReport {
@@ -69,8 +57,6 @@ pub struct FlushReport {
     pub chunks_evicted: u64,
     /// The object was hot and deduplication was skipped entirely.
     pub skipped_hot: bool,
-    /// The flush was aborted by an injected failure.
-    pub aborted: bool,
     /// Queued objects found to have no dirty chunks left and retired.
     pub clean_retired: u64,
 }
@@ -85,7 +71,6 @@ impl FlushReport {
         self.chunks_reclaimed += other.chunks_reclaimed;
         self.chunks_evicted += other.chunks_evicted;
         self.skipped_hot |= other.skipped_hot;
-        self.aborted |= other.aborted;
         self.clean_retired += other.clean_retired;
     }
 }
@@ -572,11 +557,14 @@ pub struct GcReport {
 pub(crate) mod testutil {
     //! Fixtures shared by the engine's in-file test modules.
 
+    use std::sync::Arc;
+
     use dedup_sim::SimTime;
-    use dedup_store::ClusterBuilder;
+    use dedup_store::{ClusterBuilder, CrashPlan, MemWalBackend, ObjectName};
 
     use super::DedupStore;
     use crate::config::DedupConfig;
+    use crate::crashpoint::{wal_store, CrashTopology};
 
     pub(crate) const CS: u32 = 8 * 1024; // small chunks keep tests fast
 
@@ -599,6 +587,41 @@ pub(crate) mod testutil {
 
     pub(crate) fn store() -> DedupStore {
         store_with(DedupConfig::with_chunk_size(CS))
+    }
+
+    /// [`store_with`]'s store with a WAL attached, and the WAL's backend.
+    pub(crate) fn wal_store_with(config: DedupConfig) -> (DedupStore, Arc<MemWalBackend>) {
+        wal_store(CrashTopology::default(), config)
+    }
+
+    /// Arms a clean crash at the `k`-th durable write from now (0: the
+    /// next one).
+    pub(crate) fn crash_at(backend: &MemWalBackend, k: u64) {
+        backend.set_crash_plan(Some(CrashPlan {
+            after: backend.durable_writes() + k,
+            torn: false,
+        }));
+    }
+
+    /// Flushes `name` with the store dying cleanly at the flush's `k`-th
+    /// durable write — 0 is the first chunk's store, since nothing durable
+    /// happens before it — then revives the backend so the same store
+    /// carries on. The engine restart is the caller's
+    /// `recover_dirty_queue`.
+    pub(crate) fn flush_crashing_at(
+        s: &DedupStore,
+        backend: &MemWalBackend,
+        name: &ObjectName,
+        now: SimTime,
+        k: u64,
+    ) {
+        crash_at(backend, k);
+        assert!(
+            s.flush_object(name, now).is_err(),
+            "the crash fails the flush"
+        );
+        assert!(backend.crashed(), "crash point {k} fired");
+        backend.set_crash_plan(None);
     }
 
     pub(crate) fn t(secs: u64) -> SimTime {

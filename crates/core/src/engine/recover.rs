@@ -46,7 +46,8 @@ impl DedupStore {
     /// cluster has a WAL attached. The order is load-bearing:
     ///
     /// 1. Replay the WAL (checkpoint segments, then the committed log
-    ///    tail; torn tails are dropped by CRC).
+    ///    tail; torn tails are dropped by CRC and cut off the log, so the
+    ///    appends of steps 4 and 5 land behind whole frames).
     /// 2. Rebuild the dirty queue from the replayed chunk maps.
     /// 3. Re-seed the chunk index from the chunk pool (before any chunk
     ///    store can consult it — see [`DedupStore::rebuild_index`]).
@@ -55,8 +56,7 @@ impl DedupStore {
     /// 5. Garbage-collect the chunk pool: drops back references stranded
     ///    by a crash between chunk-pool commit and map update, corrects
     ///    refcounts, reclaims unreferenced chunks.
-    /// 6. Checkpoint, so the repaired state is the new durable baseline
-    ///    and torn log tails never sit mid-log.
+    /// 6. Checkpoint, so the repaired state is the new durable baseline.
     ///
     /// # Errors
     ///
@@ -99,22 +99,20 @@ impl DedupStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{patterned, store, t, CS};
-    use crate::engine::FailurePoint;
+    use crate::config::DedupConfig;
+    use crate::engine::testutil::{flush_crashing_at, patterned, t, wal_store_with, CS};
     use crate::refs::{decode_refcount, REFCOUNT_XATTR};
     use dedup_fingerprint::Fingerprint;
     use dedup_store::{IoCtx, ObjectName};
 
     #[test]
     fn crash_before_chunk_store_recovers() {
-        let mut s = store();
+        let (mut s, backend) = wal_store_with(DedupConfig::with_chunk_size(CS));
         let name = ObjectName::new("obj");
         let data = patterned(2 * CS as usize, 43);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
-        let rep = s
-            .flush_object_with_failure(&name, t(100), Some(FailurePoint::BeforeChunkStore))
-            .expect("flush");
-        assert!(rep.value.aborted);
+        // The flush's first durable write is its first chunk's store.
+        flush_crashing_at(&s, &backend, &name, t(100), 0);
         assert_eq!(
             s.space_report().expect("r").chunk_objects,
             0,
@@ -132,14 +130,12 @@ mod tests {
 
     #[test]
     fn crash_after_chunk_store_is_idempotent() {
-        let mut s = store();
+        let (mut s, backend) = wal_store_with(DedupConfig::with_chunk_size(CS));
         let name = ObjectName::new("obj");
         let data = patterned(CS as usize, 47);
         let _ = s.write(ClientId(0), &name, 0, &data, t(0)).expect("write");
-        let rep = s
-            .flush_object_with_failure(&name, t(100), Some(FailurePoint::AfterChunkStore))
-            .expect("flush");
-        assert!(rep.value.aborted);
+        // One chunk: the second durable write is the map commit.
+        flush_crashing_at(&s, &backend, &name, t(100), 1);
         // Chunk landed but the map still says dirty.
         assert_eq!(s.space_report().expect("r").chunk_objects, 1);
         let found = s.recover_dirty_queue().expect("recover");
@@ -170,18 +166,17 @@ mod tests {
         // alive (the durable map still points at it) and strand only the
         // *new* one, which GC then reclaims. Deleting the old chunk first
         // would turn this crash into unrecoverable data loss.
-        let mut s = store();
+        let (mut s, backend) = wal_store_with(DedupConfig::with_chunk_size(CS));
         let name = ObjectName::new("obj");
         let v1 = patterned(CS as usize, 61);
         let _ = s.write(ClientId(0), &name, 0, &v1, t(0)).expect("write v1");
         let _ = s.flush_all(t(1)).expect("flush v1");
         let v2 = patterned(CS as usize, 62);
         let _ = s.write(ClientId(0), &name, 0, &v2, t(2)).expect("write v2");
-        // Flush far enough in virtual time that the object is cold again.
-        let rep = s
-            .flush_object_with_failure(&name, t(5000), Some(FailurePoint::AfterChunkStore))
-            .expect("flush");
-        assert!(rep.value.aborted, "got {:?}", rep.value);
+        // Flush far enough in virtual time that the object is cold again,
+        // and crash at the map commit: the v1 chunk's release comes after
+        // it.
+        flush_crashing_at(&s, &backend, &name, t(5000), 1);
         // The map still names the v1 chunk and that chunk still exists.
         assert!(s.verify_references().expect("verify").is_empty());
         // The v2 chunk landed but nothing references it: exactly one leak.

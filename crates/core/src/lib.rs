@@ -79,7 +79,7 @@ pub use crashpoint::{
     enumerate_crash_points, plan_for, rebuilt_store, wal_store, CrashPoint, CrashTopology,
 };
 pub use engine::{
-    shard_index, CrashRecoveryReport, DedupStore, EngineStats, FailurePoint, FlushReport, GcReport,
+    shard_index, CrashRecoveryReport, DedupStore, EngineStats, FlushReport, GcReport,
 };
 pub use error::DedupError;
 pub use hitset::{BloomFilter, HitSet};

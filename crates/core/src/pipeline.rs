@@ -255,22 +255,19 @@ impl Lane<'_> {
 /// recorded here: commit charges it to the metadata node exactly as the
 /// serial engine did.
 ///
-/// `commit` returns `Ok(false)` to end the pass early (an injected crash);
-/// an `Err` ends it too and is returned. Either way every helper is
-/// joined before this returns, and the objects after the last committed
+/// An `Err` from `commit` ends the pass there and is returned; every
+/// helper is joined before this returns, and the objects after the failed
 /// one are left as staged.
 pub(crate) fn stage2_and_commit<E>(
     objects: &mut [StagedObject],
     parallelism: usize,
     compression: &CompressionConfig,
-    mut commit: impl FnMut(&mut StagedObject) -> Result<bool, E>,
+    mut commit: impl FnMut(&mut StagedObject) -> Result<(), E>,
 ) -> Result<(), E> {
     let mut commit_in_order = |objects: &mut [StagedObject], lane: &mut Lane| {
         for i in 0..objects.len() {
             lane.finish(objects, i, compression);
-            if !commit(&mut objects[i])? {
-                break;
-            }
+            commit(&mut objects[i])?;
         }
         Ok(())
     };
@@ -386,7 +383,7 @@ mod tests {
         stage2_and_commit::<()>(objects, parallelism, compression, |o| {
             let results = o.chunks.iter().map(|c| (c.fingerprint, c.encoded.clone()));
             committed.push((o.name.as_str().to_string(), results.collect()));
-            Ok(true)
+            Ok(())
         })
         .expect("commit");
         committed
@@ -463,9 +460,9 @@ mod tests {
         }
     }
 
-    /// Commit sees the objects in batch order whatever the width, an early
-    /// stop or an error ends the pass there, and each object is complete
-    /// when committed even though later ones are still being worked on.
+    /// Commit sees the objects in batch order whatever the width, an error
+    /// ends the pass there, and each object is complete when committed
+    /// even though later ones are still being worked on.
     #[test]
     fn commit_runs_in_batch_order_and_ends_where_asked() {
         let contents: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 4096]).collect();
@@ -486,19 +483,15 @@ mod tests {
                 seen.push(o.name.as_str().to_string());
                 match o.name.as_str() {
                     "o5" => Err("commit failed"),
-                    _ => Ok(true),
+                    _ => Ok(()),
                 }
             });
             assert_eq!(result, Err("commit failed"));
-            assert_eq!(seen, ["o0", "o1", "o2", "o3", "o4", "o5"]);
-
-            let mut seen = Vec::new();
-            let result = stage2_and_commit::<()>(&mut objects(), parallelism, &off(), |o| {
-                seen.push(o.name.as_str().to_string());
-                Ok(o.name.as_str() != "o2")
-            });
-            assert_eq!(result, Ok(()));
-            assert_eq!(seen, ["o0", "o1", "o2"], "parallelism {parallelism}");
+            assert_eq!(
+                seen,
+                ["o0", "o1", "o2", "o3", "o4", "o5"],
+                "parallelism {parallelism}"
+            );
         }
     }
 }

@@ -26,7 +26,7 @@ use dedup_core::crashpoint::{
 };
 use dedup_core::{DedupConfig, DedupMode, DedupStore};
 use dedup_sim::SimTime;
-use dedup_store::{ClientId, ObjectName};
+use dedup_store::{ClientId, CrashPlan, ObjectName};
 
 const CS: u32 = 8 * 1024;
 
@@ -432,6 +432,64 @@ fn every_crash_point_recovers_compressed_tiered() {
             ..Default::default()
         });
     audit_config_with(config, "compressed-tiered", compress_workload());
+}
+
+/// Recovery itself crashes: the first crash tears an append, and the
+/// recovery after it dies cleanly at each of its own durable writes in
+/// turn; a third start must still recover. The first recovery drops the
+/// torn frame and then appends (its flush and GC run before its
+/// checkpoint), so it must cut the frame off the log first: left in
+/// place, the half frame hid every record appended behind it from the
+/// next recovery — acknowledged chunk stores, map commits and releases —
+/// and the store came back with dangling chunk references. Every
+/// `STRIDE`-th torn append of the mixed workload, to stay quick.
+#[test]
+fn a_crash_inside_recovery_after_a_torn_append_recovers() {
+    const STRIDE: usize = 14;
+    let topology = CrashTopology::default();
+    let config = DedupConfig::with_chunk_size(CS);
+    let ops = mixed_workload();
+    let (mut s, backend) = wal_store(topology, config.clone());
+    assert!(!run_workload(&mut s, &ops, "reference").crashed);
+    let torn: Vec<_> = enumerate_crash_points(&backend)
+        .into_iter()
+        .filter(|p| p.torn && p.label == "wal.append")
+        .collect();
+    assert!(torn.len() >= 2 * STRIDE, "{} torn appends", torn.len());
+
+    for point in torn.into_iter().step_by(STRIDE) {
+        for second in 0.. {
+            let label = format!("torn ticket={} then recovery write {second}", point.ticket);
+            let (mut s, backend) = wal_store(topology, config.clone());
+            backend.set_crash_plan(Some(plan_for(point)));
+            let outcome = run_workload(&mut s, &ops, &label);
+            assert!(outcome.crashed, "[{label}] first crash did not fire");
+            drop(s);
+
+            let mut s2 = rebuilt_store(topology, config.clone(), backend.clone());
+            backend.set_crash_plan(Some(CrashPlan {
+                after: backend.durable_writes() + second,
+                torn: false,
+            }));
+            let recovered = s2.recover_after_crash(t(500_000));
+            if !backend.crashed() {
+                // Past recovery's last durable write: every one was hit.
+                recovered.unwrap_or_else(|e| panic!("[{label}] recover: {e}"));
+                assert!(second > 0, "[{label}] recovery wrote nothing");
+                break;
+            }
+            assert!(recovered.is_err(), "[{label}] the crash fails recovery");
+            drop(s2);
+
+            let mut s3 = rebuilt_store(topology, config.clone(), backend);
+            let report = s3
+                .recover_after_crash(t(600_000))
+                .unwrap_or_else(|e| panic!("[{label}] second recovery: {e}"));
+            assert_eq!(report.wal.replay_errors, 0, "[{label}] {report:?}");
+            assert_recovered(&s3, &outcome, &label);
+            assert_eq!(s3.dirty_len(), 0, "[{label}] dirty queue not drained");
+        }
+    }
 }
 
 /// The no-crash baseline of every audit above: a store that never died

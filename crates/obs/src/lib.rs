@@ -38,6 +38,8 @@
 //! attached tracer is also the one switch that labels cost legs with step
 //! names.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod events;
 pub mod health;

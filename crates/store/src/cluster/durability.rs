@@ -82,8 +82,8 @@ impl WalState {
                     detail: format!("manifest names missing segment {seg_name}"),
                 });
             };
-            let (decoded, torn) = decode_records(&seg);
-            if torn {
+            let (decoded, whole) = decode_records(&seg);
+            if whole < seg.len() {
                 return Err(StoreError::Wal {
                     detail: format!("checkpoint segment {seg_name} is corrupt"),
                 });
@@ -191,7 +191,7 @@ impl Cluster {
         };
         w.backend.replace_manifest(&manifest.encode())?;
         for osd in 0..self.osds.len() {
-            w.backend.truncate_log(osd)?;
+            w.backend.truncate_log(osd, 0)?;
         }
         w.epoch.store(epoch, Ordering::Relaxed);
         self.emit(Severity::Info, "cluster.wal", "checkpoint", || {
@@ -207,8 +207,9 @@ impl Cluster {
     /// Rebuilds the data plane from stable storage: applies the
     /// MANIFEST's checkpoint segments, then merges the per-OSD log tails
     /// in sequence order and replays them through the ordinary transact
-    /// path (with logging suspended). Torn tails are dropped by CRC and
-    /// counted. The cluster must have been rebuilt with the same topology
+    /// path (with logging suspended). Torn tails are dropped by CRC,
+    /// counted, and cut off the log before anything new is appended behind
+    /// them. The cluster must have been rebuilt with the same topology
     /// and pools as the one that crashed.
     ///
     /// Replay drives the normal I/O paths, so cluster throughput counters
@@ -217,7 +218,8 @@ impl Cluster {
     /// # Errors
     ///
     /// Fails on corrupt checkpoint state (a segment named by the MANIFEST
-    /// that is missing or undecodable); no-op without an attached WAL.
+    /// that is missing or undecodable), or if cutting a torn tail fails;
+    /// no-op without an attached WAL.
     pub fn wal_recover(&mut self) -> Result<WalRecoveryReport, StoreError> {
         let Some(w) = &self.wal else {
             return Ok(WalRecoveryReport::default());
@@ -252,8 +254,12 @@ impl Cluster {
         };
         let mut tail: Vec<WalRecord> = Vec::new();
         for osd in 0..self.osds.len() {
-            let (records, torn) = decode_records(&w.backend.read_log(osd));
-            if torn {
+            let log = w.backend.read_log(osd);
+            let (records, whole) = decode_records(&log);
+            if whole < log.len() {
+                // An append behind the half frame would be lost to the
+                // next recovery, which stops parsing at it.
+                w.backend.truncate_log(osd, whole)?;
                 report.torn_tails_dropped += 1;
                 self.emit(Severity::Warn, "cluster.wal", "torn_tail_dropped", || {
                     vec![("osd", osd.to_string())]
@@ -316,12 +322,20 @@ mod tests {
     /// Build a WAL-attached cluster with a replicated and an EC pool, plus
     /// the shared backend so a test can crash/recover against it.
     fn wal_cluster() -> (Cluster, Arc<MemWalBackend>, IoCtx, IoCtx) {
+        let backend = MemWalBackend::shared();
+        let (c, rep, ec) = rebuilt_on(backend.clone());
+        (c, backend, rep, ec)
+    }
+
+    /// The same cluster shape and pools, attached to `backend`: the
+    /// restarted process, with writes re-enabled.
+    fn rebuilt_on(backend: Arc<MemWalBackend>) -> (Cluster, IoCtx, IoCtx) {
+        backend.set_crash_plan(None);
         let mut c = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
         let rep = IoCtx::new(c.create_pool(PoolConfig::replicated("rep", 2)));
         let ec = IoCtx::new(c.create_pool(PoolConfig::erasure("ec", 2, 1)));
-        let backend = MemWalBackend::shared();
-        c.attach_wal(backend.clone());
-        (c, backend, rep, ec)
+        c.attach_wal(backend);
+        (c, rep, ec)
     }
 
     #[test]
@@ -421,8 +435,9 @@ mod tests {
         let _ = c.write_full(&rep, &a, vec![2u8; 64]).expect("rewrite a");
         assert_eq!(c.metrics.wal_appends.get(), appends + 1);
         let primary = c.acting(rep.pool, &a).expect("acting")[0];
-        let (records, torn) = decode_records(&backend.read_log(primary.0 as usize));
-        assert!(!torn);
+        let log = backend.read_log(primary.0 as usize);
+        let (records, whole) = decode_records(&log);
+        assert_eq!(whole, log.len());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].ops, vec![TxOp::WriteFull(vec![2u8; 64].into())]);
     }
@@ -442,12 +457,8 @@ mod tests {
         let err = c.write_full(&rep, &b, vec![2u8; 64]).expect_err("crash");
         assert!(matches!(err, StoreError::Wal { .. }));
         assert!(backend.crashed());
-        backend.set_crash_plan(None);
 
-        let mut c2 = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
-        let rep2 = IoCtx::new(c2.create_pool(PoolConfig::replicated("rep", 2)));
-        let _ec2 = IoCtx::new(c2.create_pool(PoolConfig::erasure("ec", 2, 1)));
-        c2.attach_wal(backend);
+        let (mut c2, rep2, _ec2) = rebuilt_on(backend);
         let rec = c2.wal_recover().expect("recover");
         assert_eq!(rec.torn_tails_dropped, 1);
         assert_eq!(rec.replay_errors, 0);
@@ -460,5 +471,35 @@ mod tests {
             c2.read_full(&rep2, &b),
             Err(StoreError::NoSuchObject(..))
         ));
+    }
+
+    /// Recovery cuts a torn tail off the log, so a write acknowledged after
+    /// it survives the next recovery. Left in place, the half frame made
+    /// that recovery stop parsing the log there and drop the write.
+    #[test]
+    fn write_after_dropping_a_torn_tail_survives_the_next_recovery() {
+        let (c, backend, rep, _ec) = wal_cluster();
+        let b = ObjectName::new("b");
+        let _ = c.write_full(&rep, &b, vec![1u8; 64]).expect("write b");
+        backend.set_crash_plan(Some(crate::wal::CrashPlan {
+            after: backend.durable_writes(),
+            torn: true,
+        }));
+        let _ = c.write_full(&rep, &b, vec![2u8; 64]).expect_err("crash");
+        drop(c);
+
+        let (mut c2, rep2, _ec2) = rebuilt_on(backend.clone());
+        assert_eq!(c2.wal_recover().expect("recover").torn_tails_dropped, 1);
+        // Acknowledged, on the log that held the torn tail.
+        let _ = c2.write_full(&rep2, &b, vec![3u8; 64]).expect("rewrite b");
+        drop(c2);
+
+        let (mut c3, rep3, _ec3) = rebuilt_on(backend);
+        let rec = c3.wal_recover().expect("recover again");
+        assert_eq!((rec.torn_tails_dropped, rec.log_records_replayed), (0, 2));
+        assert_eq!(
+            c3.read_full(&rep3, &b).expect("read b").value,
+            vec![3u8; 64]
+        );
     }
 }

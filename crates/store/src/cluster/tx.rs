@@ -771,8 +771,9 @@ mod tests {
         // Every log decodes whole, through the write after each refusal.
         let mut records = 0;
         for osd in 0..16 {
-            let (recs, torn) = decode_records(&wal.read_log(osd));
-            assert!(!torn, "osd {osd}");
+            let log = wal.read_log(osd);
+            let (recs, whole) = decode_records(&log);
+            assert_eq!(whole, log.len(), "osd {osd}");
             records += recs.len();
         }
         assert_eq!(records as u64, c.metrics.wal_appends.get());

@@ -11,7 +11,8 @@
 //! tails in sequence order and replay them through the ordinary transact
 //! path. A torn record (half-written append at the crash instant) fails
 //! its CRC and drops the rest of that log's tail, exactly like a real
-//! commit log.
+//! commit log, and recovery cuts it off before anything is appended
+//! behind it.
 //!
 //! Record framing (after the strata-core audit shape, SNIPPETS.md §3):
 //!
@@ -540,35 +541,33 @@ impl WalRecord {
 
 /// Parses a log (or checkpoint segment) into records. Parsing stops at the
 /// first frame that is truncated, fails its CRC, or does not decode — the
-/// torn tail a crash mid-append leaves behind — and the second value says
-/// whether such a tail was dropped.
-pub fn decode_records(buf: &[u8]) -> (Vec<WalRecord>, bool) {
+/// torn tail a crash mid-append leaves behind. The second value is the
+/// length of the whole frames parsed: short of `buf.len()` exactly when
+/// such a tail was dropped.
+pub fn decode_records(buf: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos < buf.len() {
-        let Some(header) = buf[pos..].first_chunk::<4>() else {
-            return (records, true);
-        };
+    while let Some(header) = buf[pos..].first_chunk::<4>() {
         let len = u32::from_le_bytes(*header) as usize;
         if len < 5 {
-            return (records, true);
+            break;
         }
         let Some((body, crc_bytes)) = buf
             .get(pos + 4..pos + 4 + len)
             .and_then(<[u8]>::split_last_chunk::<4>)
         else {
-            return (records, true);
+            break;
         };
         if crc32(body) != u32::from_le_bytes(*crc_bytes) || body[0] != WAL_RECORD_VERSION {
-            return (records, true);
+            break;
         }
         match WalRecord::decode_payload(&body[1..]) {
             Ok(rec) => records.push(rec),
-            Err(_) => return (records, true),
+            Err(_) => break,
         }
         pos += 4 + len;
     }
-    (records, false)
+    (records, pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -673,12 +672,14 @@ pub trait WalBackend: std::fmt::Debug + Send + Sync {
     /// simulated crash point was reached).
     fn append(&self, osd: usize, record: &[IoSlice<'_>]) -> Result<(), StoreError>;
 
-    /// Durably truncates OSD `osd`'s log (after a checkpoint covers it).
+    /// Durably cuts OSD `osd`'s log back to its first `keep` bytes: to 0
+    /// after a checkpoint covers it, or to its last whole frame when
+    /// recovery finds a torn tail.
     ///
     /// # Errors
     ///
     /// Fails when stable storage is gone.
-    fn truncate_log(&self, osd: usize) -> Result<(), StoreError>;
+    fn truncate_log(&self, osd: usize, keep: usize) -> Result<(), StoreError>;
 
     /// Durably writes an immutable checkpoint segment file.
     ///
@@ -774,6 +775,12 @@ impl MemWalBackend {
     /// Arms (or disarms, with `None`) the crash plan and revives the
     /// backend if a previous plan already fired — recovery runs on the
     /// same stable bytes with writes re-enabled.
+    ///
+    /// After a *clean* crash the stable bytes are a whole-frame prefix, so
+    /// the same cluster may carry on. After a *torn* one, revive only to
+    /// run [`Cluster::wal_recover`](crate::Cluster::wal_recover), which
+    /// cuts the half frame off: an append behind it would be lost at the
+    /// next recovery.
     pub fn set_crash_plan(&self, plan: Option<CrashPlan>) {
         *self.plan.lock() = plan;
         self.crashed.store(false, Ordering::Relaxed);
@@ -849,11 +856,11 @@ impl WalBackend for MemWalBackend {
         result
     }
 
-    fn truncate_log(&self, osd: usize) -> Result<(), StoreError> {
+    fn truncate_log(&self, osd: usize, keep: usize) -> Result<(), StoreError> {
         match self.durable("wal.truncate_log", osd as u64) {
             DurableOutcome::Committed => {
                 if let Some(log) = self.logs.read().get(osd) {
-                    log.lock().clear();
+                    log.lock().truncate(keep);
                 }
                 Ok(())
             }
@@ -1078,8 +1085,8 @@ mod tests {
         let joined: Vec<u8> = runs.iter().flat_map(|r| r.iter().copied()).collect();
         assert_eq!(joined.len(), frame.len());
         assert_eq!(joined, rec.encode());
-        let (decoded, torn) = decode_records(&joined);
-        assert!(!torn);
+        let (decoded, whole) = decode_records(&joined);
+        assert_eq!(whole, joined.len());
         assert_eq!(decoded, vec![rec]);
     }
 
@@ -1087,8 +1094,8 @@ mod tests {
     fn record_round_trips_every_op() {
         let rec = sample_record(42);
         let framed = rec.encode();
-        let (decoded, torn) = decode_records(&framed);
-        assert!(!torn);
+        let (decoded, whole) = decode_records(&framed);
+        assert_eq!(whole, framed.len());
         assert_eq!(decoded, vec![rec]);
     }
 
@@ -1098,8 +1105,8 @@ mod tests {
         let b = sample_record(2).encode();
         let mut log = a.clone();
         log.extend_from_slice(&b[..b.len() / 2]);
-        let (decoded, torn) = decode_records(&log);
-        assert!(torn);
+        let (decoded, whole) = decode_records(&log);
+        assert_eq!(whole, a.len(), "only the whole frame counts");
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].seq, 1);
     }
@@ -1109,8 +1116,8 @@ mod tests {
         let mut log = sample_record(1).encode();
         let n = log.len();
         log[n / 2] ^= 0x40;
-        let (decoded, torn) = decode_records(&log);
-        assert!(torn);
+        let (decoded, whole) = decode_records(&log);
+        assert_eq!(whole, 0);
         assert!(decoded.is_empty());
     }
 
@@ -1164,8 +1171,8 @@ mod tests {
         assert!(be.write_segment("s", b"x").is_err());
         assert!(be.replace_manifest(b"m").is_err());
         // Only the first append landed.
-        let (decoded, torn) = decode_records(&be.read_log(0));
-        assert!(!torn);
+        let (decoded, whole) = decode_records(&be.read_log(0));
+        assert_eq!(whole, rec.len());
         assert_eq!(decoded.len(), 1);
         // Revive: writes flow again, stable bytes intact.
         be.set_crash_plan(None);
@@ -1186,8 +1193,8 @@ mod tests {
         assert!(append(&be, 0, &rec).is_err());
         let log = be.read_log(0);
         assert_eq!(log.len(), rec.len() + rec.len() / 2);
-        let (decoded, torn) = decode_records(&log);
-        assert!(torn);
+        let (decoded, whole) = decode_records(&log);
+        assert_eq!(whole, rec.len());
         assert_eq!(decoded.len(), 1);
     }
 
@@ -1207,8 +1214,8 @@ mod tests {
         assert!(be.append(2, &runs).is_err());
         let log = be.read_log(2);
         assert_eq!(log, rec.encode()[..frame.len() / 2]);
-        let (decoded, torn) = decode_records(&log);
-        assert!(torn);
+        let (decoded, whole) = decode_records(&log);
+        assert_eq!(whole, 0);
         assert!(decoded.is_empty());
     }
 
@@ -1238,8 +1245,9 @@ mod tests {
         });
         let mut seqs = Vec::new();
         for osd in 0..=THREADS as usize {
-            let (records, torn) = decode_records(&be.read_log(osd));
-            assert!(!torn, "osd {osd}");
+            let log = be.read_log(osd);
+            let (records, whole) = decode_records(&log);
+            assert_eq!(whole, log.len(), "osd {osd}");
             seqs.extend(records.iter().map(|r| r.seq));
         }
         seqs.sort_unstable();

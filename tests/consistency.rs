@@ -1,21 +1,50 @@
 //! Consistency-model integration tests (paper §4.6, Fig. 9): crash the
-//! flush protocol at every injectable point, in every order, and verify
-//! the system re-converges with no lost data, no refcount leaks, and no
-//! stuck dirty state.
+//! flush protocol at its durable writes, in every order, and verify the
+//! system re-converges with no lost data, no refcount leaks, and no stuck
+//! dirty state.
+//!
+//! A crash is a clean [`CrashPlan`] on the store's WAL: the chosen durable
+//! write and every later one fail, so the flush stops there. Inside a
+//! flush nothing durable happens before the first chunk's store; a crash
+//! at write 0 leaves the chunk pool untouched, and a crash at write 1
+//! leaves the first chunk stored and the chunk map not yet committed. A
+//! clean crash leaves whole frames only, so the same store carries on
+//! once the backend is revived — the restart under test is the engine's
+//! (`recover_dirty_queue`), not the cluster's.
 
+use std::sync::Arc;
+
+use global_dedup::core::crashpoint::{wal_store, CrashTopology};
 use global_dedup::core::refs::{decode_refcount, BackRef};
-use global_dedup::core::{CachePolicy, DedupConfig, DedupStore, FailurePoint, REFCOUNT_XATTR};
+use global_dedup::core::{CachePolicy, DedupConfig, DedupStore, REFCOUNT_XATTR};
 use global_dedup::sim::SimTime;
-use global_dedup::store::{ClientId, ClusterBuilder, IoCtx, ObjectName};
+use global_dedup::store::{ClientId, CrashPlan, IoCtx, MemWalBackend, ObjectName};
 
 const CS: u32 = 8 * 1024;
 
-fn store() -> DedupStore {
-    let cluster = ClusterBuilder::new().build();
-    DedupStore::with_default_pools(
-        cluster,
+fn store() -> (DedupStore, Arc<MemWalBackend>) {
+    wal_store(
+        CrashTopology::default(),
         DedupConfig::with_chunk_size(CS).cache_policy(CachePolicy::EvictAll),
     )
+}
+
+/// Flushes `name` with the store dying cleanly at the flush's `k`-th
+/// durable write, then revives the backend.
+fn flush_crashing_at(
+    s: &DedupStore,
+    backend: &MemWalBackend,
+    name: &ObjectName,
+    now: SimTime,
+    k: u64,
+) {
+    backend.set_crash_plan(Some(CrashPlan {
+        after: backend.durable_writes() + k,
+        torn: false,
+    }));
+    assert!(s.flush_object(name, now).is_err(), "crash at write {k}");
+    assert!(backend.crashed(), "crash point {k} fired");
+    backend.set_crash_plan(None);
 }
 
 fn patterned(len: usize, seed: u64) -> Vec<u8> {
@@ -57,20 +86,32 @@ fn assert_refcounts_consistent(store: &mut DedupStore) {
 
 #[test]
 fn every_failure_point_converges_after_retry() {
-    for failure in [
-        FailurePoint::BeforeChunkStore,
-        FailurePoint::AfterChunkStore,
-    ] {
-        let mut s = store();
-        let name = ObjectName::new("obj");
-        let data = patterned(4 * CS as usize, 11);
+    let name = ObjectName::new("obj");
+    let data = patterned(4 * CS as usize, 11);
+    let written = || {
+        let (s, backend) = store();
         let _ = s
             .write(ClientId(0), &name, 0, &data, SimTime::ZERO)
             .expect("write");
-        let rep = s
-            .flush_object_with_failure(&name, SimTime::from_secs(100), Some(failure))
-            .expect("flush");
-        assert!(rep.value.aborted, "{failure:?} must abort");
+        (s, backend)
+    };
+    // Every durable write of the flush: four chunk stores, then the map
+    // commit.
+    let (s, backend) = written();
+    let before = backend.durable_writes();
+    let _ = s
+        .flush_object(&name, SimTime::from_secs(100))
+        .expect("flush");
+    let points = backend.durable_writes() - before;
+    assert_eq!(points, 5);
+    for failure in 0..points {
+        let (mut s, backend) = written();
+        flush_crashing_at(&s, &backend, &name, SimTime::from_secs(100), failure);
+        assert_eq!(
+            s.space_report().expect("report").chunk_objects,
+            failure,
+            "chunks stored before the crash"
+        );
         // Engine restart: dirty state reconstructed from the objects.
         assert_eq!(s.recover_dirty_queue().expect("recover"), 1);
         let _ = s.flush_all(SimTime::from_secs(200)).expect("retry");
@@ -83,7 +124,7 @@ fn every_failure_point_converges_after_retry() {
                 SimTime::from_secs(300),
             )
             .expect("read");
-        assert_eq!(r.value, data, "{failure:?}");
+        assert_eq!(r.value, data, "crash at write {failure}");
         assert_refcounts_consistent(&mut s);
         assert_eq!(s.dirty_len(), 0);
     }
@@ -93,21 +134,15 @@ fn every_failure_point_converges_after_retry() {
 fn repeated_crashes_then_converge() {
     // Crash the flush at alternating points five times in a row; the
     // protocol must stay idempotent throughout.
-    let mut s = store();
+    let (mut s, backend) = store();
     let name = ObjectName::new("obj");
     let data = patterned(4 * CS as usize, 13);
     let _ = s
         .write(ClientId(0), &name, 0, &data, SimTime::ZERO)
         .expect("write");
     for i in 0..5 {
-        let failure = if i % 2 == 0 {
-            FailurePoint::AfterChunkStore
-        } else {
-            FailurePoint::BeforeChunkStore
-        };
-        let _ = s
-            .flush_object_with_failure(&name, SimTime::from_secs(100 + i), Some(failure))
-            .expect("flush");
+        let failure = if i % 2 == 0 { 1 } else { 0 };
+        flush_crashing_at(&s, &backend, &name, SimTime::from_secs(100 + i), failure);
         s.recover_dirty_queue().expect("recover");
     }
     let _ = s.flush_all(SimTime::from_secs(500)).expect("final");
@@ -126,7 +161,7 @@ fn repeated_crashes_then_converge() {
 
 #[test]
 fn crash_between_overwrites_does_not_leak_old_chunks() {
-    let mut s = store();
+    let (mut s, backend) = store();
     let name = ObjectName::new("obj");
     let v1 = patterned(CS as usize, 17);
     let v2 = patterned(CS as usize, 19);
@@ -134,17 +169,11 @@ fn crash_between_overwrites_does_not_leak_old_chunks() {
         .write(ClientId(0), &name, 0, &v1, SimTime::ZERO)
         .expect("write");
     let _ = s.flush_all(SimTime::from_secs(10)).expect("flush v1");
-    // Overwrite, crash mid-flush (after chunk store, before map update).
+    // Overwrite, crash mid-flush (after chunk store, at the map update).
     let _ = s
         .write(ClientId(0), &name, 0, &v2, SimTime::from_secs(20))
         .expect("write");
-    let _ = s
-        .flush_object_with_failure(
-            &name,
-            SimTime::from_secs(100),
-            Some(FailurePoint::AfterChunkStore),
-        )
-        .expect("flush");
+    flush_crashing_at(&s, &backend, &name, SimTime::from_secs(100), 1);
     s.recover_dirty_queue().expect("recover");
     let _ = s.flush_all(SimTime::from_secs(200)).expect("retry");
     // Old chunk fully dereferenced, new chunk holds the single reference.
@@ -167,7 +196,7 @@ fn crash_between_overwrites_does_not_leak_old_chunks() {
 fn crash_with_shared_chunks_keeps_sharers_safe() {
     // Two objects share content; a crashed flush of the second must not
     // corrupt the first's reference.
-    let mut s = store();
+    let (mut s, backend) = store();
     let data = patterned(CS as usize, 23);
     let a = ObjectName::new("a");
     let b = ObjectName::new("b");
@@ -178,13 +207,7 @@ fn crash_with_shared_chunks_keeps_sharers_safe() {
     let _ = s
         .write(ClientId(0), &b, 0, &data, SimTime::from_secs(20))
         .expect("write");
-    let _ = s
-        .flush_object_with_failure(
-            &b,
-            SimTime::from_secs(100),
-            Some(FailurePoint::AfterChunkStore),
-        )
-        .expect("flush");
+    flush_crashing_at(&s, &backend, &b, SimTime::from_secs(100), 1);
     s.recover_dirty_queue().expect("recover");
     let _ = s.flush_all(SimTime::from_secs(200)).expect("retry");
     assert_refcounts_consistent(&mut s);
@@ -207,19 +230,13 @@ fn crash_with_shared_chunks_keeps_sharers_safe() {
 #[test]
 fn foreground_writes_between_crash_and_retry_win() {
     // A crashed flush must not resurrect stale data over a newer write.
-    let mut s = store();
+    let (mut s, backend) = store();
     let name = ObjectName::new("obj");
     let v1 = patterned(CS as usize, 29);
     let _ = s
         .write(ClientId(0), &name, 0, &v1, SimTime::ZERO)
         .expect("write");
-    let _ = s
-        .flush_object_with_failure(
-            &name,
-            SimTime::from_secs(100),
-            Some(FailurePoint::AfterChunkStore),
-        )
-        .expect("flush");
+    flush_crashing_at(&s, &backend, &name, SimTime::from_secs(100), 1);
     // Newer foreground write lands before the retry.
     let v2 = patterned(CS as usize, 31);
     let _ = s
@@ -243,19 +260,13 @@ fn foreground_writes_between_crash_and_retry_win() {
 #[test]
 fn osd_failure_combined_with_flush_crash() {
     // The hardest case: a flush crashes AND a device dies before retry.
-    let mut s = store();
+    let (mut s, backend) = store();
     let name = ObjectName::new("obj");
     let data = patterned(4 * CS as usize, 37);
     let _ = s
         .write(ClientId(0), &name, 0, &data, SimTime::ZERO)
         .expect("write");
-    let _ = s
-        .flush_object_with_failure(
-            &name,
-            SimTime::from_secs(100),
-            Some(FailurePoint::AfterChunkStore),
-        )
-        .expect("flush");
+    flush_crashing_at(&s, &backend, &name, SimTime::from_secs(100), 1);
     let victim = s
         .cluster()
         .primary_of(s.metadata_pool(), &name)
