@@ -101,15 +101,6 @@ impl FixedChunker {
         offset / self.chunk_size as u64
     }
 
-    /// The span of chunk `index` (unclamped; caller truncates at object
-    /// size if needed).
-    pub fn span_of(&self, index: u64) -> ChunkSpan {
-        ChunkSpan {
-            offset: index * self.chunk_size as u64,
-            len: self.chunk_size,
-        }
-    }
-
     /// Iterates the chunk indices touched by a write of `len` bytes at
     /// `offset` — the paper's partial-write analysis (§3.1, Fig. 5a) falls
     /// out of whether the write covers whole chunks.

@@ -1,23 +1,26 @@
-//! A Bloom filter over chunk fingerprints: the negative-lookup fast path
-//! in front of the chunk-pool existence probe.
+//! The workspace's one Bloom filter. It has two users:
 //!
-//! Storing or dereferencing a chunk starts with "does this fingerprint
-//! already name a chunk object?" — a cluster metadata read whose answer is
-//! *no* for every unique chunk the system has ever seen. The filter
-//! answers definite negatives from memory, so the common miss skips the
-//! probe entirely; a "maybe" falls through to the real lookup. Safe only
-//! because every chunk-object creation flows through the chunk pool's one
-//! `store` call (`chunkpool.rs`), which inserts into the filter before the
-//! chunk becomes visible: the filter can yield false
-//! positives (harmless — the probe runs and misses) but never false
-//! negatives.
+//! - **The chunk index's existence gate.** Storing or dereferencing a
+//!   chunk starts with "does this fingerprint already name a chunk
+//!   object?" — a cluster metadata read whose answer is *no* for every
+//!   unique chunk the system has ever seen. The filter answers definite
+//!   negatives from memory, so the common miss skips the probe entirely; a
+//!   "maybe" falls through to the real lookup. Safe only because every
+//!   chunk-object creation flows through the chunk pool's one `store` call
+//!   (`chunkpool.rs`), which inserts into the filter before the chunk
+//!   becomes visible: the filter can yield false positives (harmless — the
+//!   probe runs and misses) but never false negatives.
+//! - **The HitSet's per-interval filters** ([`crate::hitset`]), keyed by
+//!   object name. The ring derives four probe positions from the name and
+//!   hands them over as the four lanes of the key.
 //!
 //! The bit array is a plain `AtomicU64` word vector touched with relaxed
-//! loads/stores: foreground shards and background flushes query it
-//! concurrently without any lock. The first four probe positions come
-//! straight from the fingerprint's four 64-bit lanes — the fingerprint is
-//! already a uniform hash, so no rehashing is needed; probes beyond four
-//! remix the lanes. Sizing is configurable via [`BloomConfig`]
+//! loads and `fetch_or`s: foreground shards and background flushes query
+//! it concurrently without any lock, and concurrent inserts set the same
+//! bits in any interleaving. The first four probe positions come straight
+//! from the key's four 64-bit lanes — a fingerprint is already a uniform
+//! hash, so no rehashing is needed; probes beyond four remix the lanes.
+//! The chunk index's sizing is configurable via [`BloomConfig`]
 //! ([`crate::DedupConfig::bloom`]); the filter also counts its set bits so
 //! the engine can export a fill-ratio gauge and warn before the
 //! false-positive rate silently blows up.
@@ -50,7 +53,7 @@ impl Default for BloomConfig {
     }
 }
 
-/// Lock-free Bloom filter keyed by [`Fingerprint`] lanes.
+/// Lock-free Bloom filter keyed by the four lanes of a [`Fingerprint`].
 #[derive(Debug)]
 pub struct BloomFilter {
     words: Vec<AtomicU64>,
@@ -72,20 +75,6 @@ impl BloomFilter {
             probes: config.probes.clamp(1, 16),
             set_bits: AtomicU64::new(0),
         }
-    }
-
-    /// Creates a filter with at least `bits` bits (rounded up to a power
-    /// of two, minimum 64) at the default 4 probes.
-    pub fn with_bits(bits: usize) -> Self {
-        Self::with_config(BloomConfig {
-            bits,
-            ..BloomConfig::default()
-        })
-    }
-
-    /// The default sizing ([`BloomConfig::default`]).
-    pub fn for_chunk_pool() -> Self {
-        Self::with_config(BloomConfig::default())
     }
 
     /// Probe `i`'s bit index. The first four probes are the raw
@@ -163,9 +152,16 @@ mod tests {
         Fingerprint::of(&seed.to_le_bytes())
     }
 
+    fn sized(bits: usize) -> BloomFilter {
+        BloomFilter::with_config(BloomConfig {
+            bits,
+            ..BloomConfig::default()
+        })
+    }
+
     #[test]
     fn empty_filter_rejects_everything() {
-        let f = BloomFilter::with_bits(1 << 12);
+        let f = sized(1 << 12);
         for s in 0..1000 {
             assert!(!f.may_contain(&fp(s)));
         }
@@ -173,7 +169,7 @@ mod tests {
 
     #[test]
     fn inserted_fingerprints_are_always_found() {
-        let f = BloomFilter::with_bits(1 << 12);
+        let f = sized(1 << 12);
         for s in 0..500 {
             f.insert(&fp(s));
         }
@@ -200,7 +196,7 @@ mod tests {
 
     #[test]
     fn false_positive_rate_is_low_at_design_load() {
-        let f = BloomFilter::with_bits(1 << 16);
+        let f = sized(1 << 16);
         // ~6.5k entries in 64k bits ≈ 10 bits/entry → well under 2% FPR.
         for s in 0..6_500 {
             f.insert(&fp(s));
@@ -230,7 +226,7 @@ mod tests {
 
     #[test]
     fn rounds_bit_count_up_to_power_of_two() {
-        let f = BloomFilter::with_bits(100);
+        let f = sized(100);
         assert_eq!(f.words.len(), 2); // 128 bits
         assert_eq!(f.mask, 127);
     }
@@ -262,8 +258,38 @@ mod tests {
         let c = BloomConfig::default();
         assert_eq!(c.bits, 1 << 21);
         assert_eq!(c.probes, 4);
-        let f = BloomFilter::for_chunk_pool();
+        let f = BloomFilter::with_config(c);
         assert_eq!(f.bits(), 1 << 21);
         assert_eq!(f.resident_bytes(), 256 * 1024);
+    }
+
+    #[test]
+    fn concurrent_inserts_lose_nothing() {
+        let f = std::sync::Arc::new(sized(1 << 14));
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let f = f.clone();
+                std::thread::spawn(move || {
+                    for i in 0..250u64 {
+                        f.insert(&fp(t * 1000 + i));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("inserter");
+        }
+        for t in 0..4u64 {
+            for i in 0..250u64 {
+                assert!(f.may_contain(&fp(t * 1000 + i)), "lost {t}/{i}");
+            }
+        }
+        // Each newly set bit was counted exactly once across threads.
+        let set: u64 = f
+            .words
+            .iter()
+            .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
+            .sum();
+        assert_eq!(f.set_bits.load(Ordering::Relaxed), set);
     }
 }

@@ -589,7 +589,7 @@ mod tests {
     fn pool_with(config: &DedupConfig) -> (Cluster, ChunkPool, IoCtx) {
         let mut cluster = ClusterBuilder::new().nodes(4).osds_per_node(4).build();
         let id = cluster.create_pool(PoolConfig::replicated("chunks", 2));
-        let metrics = EngineMetrics::new(Registry::new(), SimDuration::from_secs(1), 1);
+        let metrics = EngineMetrics::new(Registry::new(), 1);
         (cluster, ChunkPool::new(id, config, metrics), IoCtx::new(id))
     }
 
@@ -869,7 +869,7 @@ mod tests {
         assert_eq!(stored.expect("store").value, ChunkStoreOutcome::Created);
 
         // A fresh pool over the same cluster — the restart case.
-        let metrics = EngineMetrics::new(Registry::new(), SimDuration::from_secs(1), 1);
+        let metrics = EngineMetrics::new(Registry::new(), 1);
         let fresh = ChunkPool::new(pool.pool(), &config, metrics);
         assert!(!fresh.index().may_contain(&weak));
         assert_eq!(fresh.rebuild(&cluster, &cctx).expect("rebuild"), 1);
@@ -909,7 +909,7 @@ mod tests {
 
         // The restart case: the signature is re-derived over the raw
         // bytes the live pipeline signed, never over the stored stream.
-        let metrics = EngineMetrics::new(Registry::new(), SimDuration::from_secs(1), 1);
+        let metrics = EngineMetrics::new(Registry::new(), 1);
         let fresh = ChunkPool::new(pool.pool(), &config, metrics);
         assert_eq!(fresh.rebuild(&cluster, &cctx).expect("rebuild"), 1);
         let now = dedup_sim::SimTime::ZERO;

@@ -74,7 +74,8 @@ pub struct HitSetConfig {
     /// Accesses within the retained window at which an object counts as
     /// hot.
     pub hit_count: u32,
-    /// Bits per bloom filter.
+    /// Bits in each interval's Bloom filter (rounded up to a power of two,
+    /// minimum 64, as for [`crate::DedupConfig::bloom`]).
     pub bloom_bits: usize,
 }
 

@@ -34,7 +34,7 @@ use crate::chunkmap::ChunkMapEntry;
 use crate::chunkpool::ChunkPool;
 use crate::config::DedupConfig;
 use crate::error::DedupError;
-use crate::hitset::SharedHitSet;
+use crate::hitset::HitSet;
 use crate::metrics::EngineMetrics;
 use crate::queue::DirtyQueue;
 use crate::ratecontrol::RateController;
@@ -154,7 +154,7 @@ pub struct DedupStore {
     /// proves no other flush stored the content (DESIGN.md §12).
     flush_pass: Mutex<()>,
     dirty: Mutex<DirtyQueue>,
-    hitset: SharedHitSet,
+    hitset: HitSet,
     rate: Mutex<RateController>,
     metrics: EngineMetrics,
     /// Flush-progress memory for the dirty-queue stall health probe: what
@@ -178,7 +178,7 @@ impl DedupStore {
         let registry = Registry::new();
         cluster.attach_registry(registry.clone());
         let shard_count = config.foreground_shards.max(1);
-        let metrics = EngineMetrics::new(registry, SimDuration::from_secs(1), shard_count);
+        let metrics = EngineMetrics::new(registry, shard_count);
         DedupStore {
             cluster,
             metadata_pool,
@@ -187,8 +187,11 @@ impl DedupStore {
             shards: (0..shard_count).map(|_| RwLock::new(())).collect(),
             flush_pass: Mutex::new(()),
             dirty: Mutex::new(DirtyQueue::new()),
-            hitset: SharedHitSet::new(config.hitset),
-            rate: Mutex::new(RateController::new(config.watermarks)),
+            hitset: HitSet::new(config.hitset),
+            rate: Mutex::new(RateController::new(
+                config.watermarks,
+                metrics.foreground_ops.clone(),
+            )),
             config,
             metrics,
             stall: Mutex::new(crate::health::StallState::default()),
@@ -379,6 +382,16 @@ impl DedupStore {
         }
     }
 
+    /// Counts one validated foreground op on `name` at `now`: the
+    /// `rate.foreground_ops` meter (which rate control reads) and the
+    /// object's heat. Callers validate first, so a refused op leaves no
+    /// trace.
+    fn count_foreground(&self, name: &ObjectName, now: SimTime) {
+        self.metrics.foreground_ops.mark(now, 1);
+        self.advance_events(now);
+        self.hitset.access(name.as_bytes(), now);
+    }
+
     /// Tags `cost` with a step name iff the cluster has a tracer
     /// ([`Cluster::label`]).
     fn label(&self, label: &str, cost: CostExpr) -> CostExpr {
@@ -422,7 +435,7 @@ impl DedupStore {
     }
 
     fn update_rate_band(&self, now: SimTime) {
-        let iops = self.rate.lock().foreground_iops(now);
+        let iops = self.metrics.foreground_ops.rate(now);
         let band = if iops < self.config.watermarks.low_iops {
             0
         } else if iops < self.config.watermarks.high_iops {
@@ -458,7 +471,7 @@ impl DedupStore {
         let nanos = self.config.fingerprint_cost.nanos_for(bytes);
         self.cluster
             .perf()
-            .cpu_busy(node, dedup_sim::SimDuration::from_nanos(nanos))
+            .cpu_busy(node, SimDuration::from_nanos(nanos))
     }
 
     /// Runs `commit` — the transaction that makes `name`'s new chunk map

@@ -36,13 +36,6 @@ impl DedupStore {
         now: SimTime,
     ) -> Result<Timed<Bytes>, DedupError> {
         let _shard = self.lock_shard_read(name);
-        self.metrics.reads.inc();
-        self.metrics.read_bytes.add(len);
-        self.metrics.foreground_ops.mark(now, 1);
-        self.advance_events(now);
-        self.hitset.access(name.as_bytes(), now);
-        self.rate.lock().record_foreground(now);
-
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -55,6 +48,10 @@ impl DedupStore {
             }
             .into());
         }
+        self.metrics.reads.inc();
+        self.metrics.read_bytes.add(len);
+        self.count_foreground(name, now);
+
         let entries = self.load_chunk_map(name)?;
         let ctx = self.meta_ctx(client);
 

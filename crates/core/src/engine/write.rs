@@ -41,29 +41,29 @@ impl DedupStore {
     ) -> Result<Timed<()>, DedupError> {
         let data = data.into();
         let _shard = self.lock_shard_write(name);
+        let end = self.cluster.check_extent(offset, data.len() as u64)?;
         self.metrics.writes.inc();
         self.metrics.write_bytes.add(data.len() as u64);
-        self.metrics.foreground_ops.mark(now, 1);
-        self.advance_events(now);
-        self.hitset.access(name.as_bytes(), now);
-        self.rate.lock().record_foreground(now);
+        self.count_foreground(name, now);
         match self.config.mode {
-            DedupMode::PostProcess => self.write_postprocess(client, name, offset, data),
-            DedupMode::Inline => self.write_inline(client, name, offset, &data),
+            DedupMode::PostProcess => self.write_postprocess(client, name, offset, end, data),
+            DedupMode::Inline => self.write_inline(client, name, offset, end, &data),
         }
     }
 
+    /// The post-processing write of `data` at `offset`, which ends at
+    /// `end` (already checked against the size cap).
     fn write_postprocess(
         &self,
         client: ClientId,
         name: &ObjectName,
         offset: u64,
+        end: u64,
         data: Bytes,
     ) -> Result<Timed<()>, DedupError> {
         let ctx = self.meta_ctx(client);
         let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
-        let end = self.cluster.check_extent(offset, data.len() as u64)?;
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -101,16 +101,18 @@ impl DedupStore {
         Ok(Timed::new((), self.label("write.commit", t.cost)))
     }
 
+    /// The inline write of `data` at `offset`, which ends at `end`
+    /// (already checked against the size cap).
     fn write_inline(
         &self,
         client: ClientId,
         name: &ObjectName,
         offset: u64,
+        end: u64,
         data: &[u8],
     ) -> Result<Timed<()>, DedupError> {
         let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
-        let end = self.cluster.check_extent(offset, data.len() as u64)?;
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -200,7 +202,8 @@ impl DedupStore {
     ///
     /// # Errors
     ///
-    /// Fails if the object does not exist or the store does.
+    /// Fails if the object does not exist, if `new_len` passes the size
+    /// cap, or if the store fails.
     pub fn truncate(
         &self,
         client: ClientId,
@@ -213,10 +216,8 @@ impl DedupStore {
             .cluster
             .stat(self.metadata_pool, name)?
             .ok_or_else(|| StoreError::NoSuchObject(self.metadata_pool, name.clone()))?;
-        self.metrics.foreground_ops.mark(now, 1);
-        self.advance_events(now);
-        self.hitset.access(name.as_bytes(), now);
-        self.rate.lock().record_foreground(now);
+        self.cluster.check_extent(0, new_len)?;
+        self.count_foreground(name, now);
         let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
         let mut costs: Vec<CostExpr> = Vec::new();
@@ -308,6 +309,78 @@ mod tests {
     use crate::config::DedupConfig;
     use crate::engine::testutil::{patterned, store, store_with, t, CS};
     use dedup_store::{ClusterBuilder, MemWalBackend, StoreError};
+
+    /// Runs `refuse` against a store holding one two-chunk object under a
+    /// 64-chunk size cap, in both write modes, and asserts that it fails
+    /// with `expect` and leaves no trace: no engine counter, no
+    /// foreground-rate mark (which rate control reads), no heat.
+    fn assert_refused_without_trace(
+        refuse: impl Fn(&DedupStore, &ObjectName, u64) -> Result<(), DedupError>,
+        expect: fn(&StoreError) -> bool,
+    ) {
+        let cap = 64 * CS as u64;
+        for config in [
+            DedupConfig::with_chunk_size(CS),
+            DedupConfig::with_chunk_size(CS).inline(),
+        ] {
+            let cluster = ClusterBuilder::new().object_size_cap(cap).build();
+            let s = DedupStore::with_default_pools(cluster, config);
+            let name = ObjectName::new("obj");
+            let _ = s
+                .write(ClientId(0), &name, 0, patterned(2 * CS as usize, 5), t(0))
+                .expect("write");
+            let trace = |s: &DedupStore| {
+                (
+                    s.stats(),
+                    s.metrics.foreground_ops.total(),
+                    s.hitset.hit_count(name.as_bytes(), t(3)),
+                )
+            };
+            let before = trace(&s);
+            match refuse(&s, &name, cap) {
+                Err(DedupError::Store(e)) if expect(&e) => {}
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            assert_eq!(trace(&s), before, "the refused op left a trace");
+        }
+    }
+
+    #[test]
+    fn read_past_the_end_leaves_no_trace() {
+        assert_refused_without_trace(
+            |s, name, _| {
+                s.read(ClientId(0), name, CS as u64, CS as u64 + 1, t(3))
+                    .map(drop)
+            },
+            |e| matches!(e, StoreError::ReadOutOfRange { .. }),
+        );
+    }
+
+    #[test]
+    fn write_past_the_cap_leaves_no_trace() {
+        assert_refused_without_trace(
+            |s, name, cap| {
+                s.write(ClientId(0), name, cap - 1, vec![7u8; 2], t(3))
+                    .map(drop)
+            },
+            |e| matches!(e, StoreError::ObjectTooLarge { .. }),
+        );
+    }
+
+    #[test]
+    fn truncate_past_the_cap_leaves_no_trace() {
+        let too_large = |e: &StoreError| matches!(e, StoreError::ObjectTooLarge { .. });
+        assert_refused_without_trace(
+            |s, name, cap| s.truncate(ClientId(0), name, cap + 1, t(3)).map(drop),
+            too_large,
+        );
+        // Refused before the chunk map is built: one `SetOmap` per chunk
+        // up to `u64::MAX` would never finish.
+        assert_refused_without_trace(
+            |s, name, _| s.truncate(ClientId(0), name, u64::MAX, t(3)).map(drop),
+            too_large,
+        );
+    }
 
     #[test]
     fn inline_mode_dedups_without_flush() {

@@ -309,7 +309,7 @@ struct TieredInner {
 #[derive(Debug)]
 pub struct TieredIndex {
     bloom: BloomFilter,
-    heat: Mutex<HitSet>,
+    heat: HitSet,
     inner: Mutex<TieredInner>,
     config: TieredIndexConfig,
 }
@@ -319,7 +319,7 @@ impl TieredIndex {
     pub fn new(bloom: BloomConfig, config: TieredIndexConfig) -> Self {
         TieredIndex {
             bloom: BloomFilter::with_config(bloom),
-            heat: Mutex::new(HitSet::new(config.heat)),
+            heat: HitSet::new(config.heat),
             inner: Mutex::new(TieredInner::default()),
             config,
         }
@@ -344,10 +344,19 @@ impl TieredIndex {
             + 1)
             * FENCE_BYTES;
         let tombstones = total_candidates * TOMBSTONE_BYTES / 4;
-        let heat =
-            (self.config.heat.bloom_bits as u64 / 8 + 64) * (self.config.heat.intervals as u64 + 1);
-        (self.bloom.resident_bytes() + cold_records + fences + tombstones + heat + 4096)
+        (self.bloom.resident_bytes()
+            + cold_records
+            + fences
+            + tombstones
+            + self.heat_bytes()
+            + 4096)
             .saturating_add(hot)
+    }
+
+    /// Footprint of the heat ring: one Bloom array plus slack per
+    /// interval, with one interval of headroom.
+    fn heat_bytes(&self) -> u64 {
+        (self.config.heat.bloom_bits as u64 / 8 + 64) * (self.config.heat.intervals as u64 + 1)
     }
 
     /// Demotes least-recently-stamped hot entries until the hot tier is
@@ -481,11 +490,9 @@ impl ChunkIndex for TieredIndex {
     }
 
     fn candidates(&self, sig: &ChunkSig, now: SimTime) -> Vec<CandidateRef> {
-        let hot_now = {
-            let mut heat = self.heat.lock();
-            heat.access(&sig.key_bytes(), now);
-            heat.is_hot(&sig.key_bytes(), now)
-        };
+        let key = sig.key_bytes();
+        self.heat.access(&key, now);
+        let hot_now = self.heat.is_hot(&key, now);
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -563,8 +570,7 @@ impl ChunkIndex for TieredIndex {
         self.bloom.clear();
         let mut inner = self.inner.lock();
         *inner = TieredInner::default();
-        let mut heat = self.heat.lock();
-        *heat = HitSet::new(self.config.heat);
+        self.heat.clear();
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -577,9 +583,7 @@ impl ChunkIndex for TieredIndex {
             .map(|r| r.records.len() as u64 + r.fences.len() as u64 * FENCE_BYTES)
             .sum();
         let tombs = inner.tombstones.len() as u64 * TOMBSTONE_BYTES;
-        let heat =
-            (self.config.heat.bloom_bits as u64 / 8 + 64) * (self.config.heat.intervals as u64 + 1);
-        self.bloom.resident_bytes() + hot + cold + tombs + heat
+        self.bloom.resident_bytes() + hot + cold + tombs + self.heat_bytes()
     }
 
     fn bloom_fill_ratio(&self) -> f64 {

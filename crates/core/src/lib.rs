@@ -69,7 +69,7 @@ mod metrics;
 mod pipeline;
 
 pub use baseline::{global_ratio, local_ratio, RatioAnalysis};
-pub use bloom::BloomConfig;
+pub use bloom::{BloomConfig, BloomFilter};
 pub use chunkmap::{ChunkMapEntry, CHUNK_MAP_ENTRY_BYTES};
 pub use config::{
     CachePolicy, CompressionConfig, CompressionCostModel, DedupConfig, DedupMode, HitSetConfig,
@@ -82,7 +82,7 @@ pub use engine::{
     shard_index, CrashRecoveryReport, DedupStore, EngineStats, FlushReport, GcReport,
 };
 pub use error::DedupError;
-pub use hitset::{BloomFilter, HitSet};
+pub use hitset::HitSet;
 pub use index::{build_index, CandidateRef, ChunkIndex, IndexStats, TieredIndex};
 pub use queue::{DirtyQueue, DirtyTicket};
 pub use ratecontrol::RateController;

@@ -7,7 +7,6 @@
 //! rate control, and the data plane underneath.
 
 use dedup_obs::{Counter, Gauge, Histogram, Meter, Registry};
-use dedup_sim::SimDuration;
 
 /// Instrument handles for one dedup engine.
 #[derive(Debug, Clone)]
@@ -64,7 +63,8 @@ pub(crate) struct EngineMetrics {
     /// Active watermark band: 0 = unlimited, 1 = mid ratio, 2 = high
     /// ratio.
     pub rate_band: Gauge,
-    /// Foreground ops over the rate controller's observation window.
+    /// Foreground ops over the rate controller's observation window; the
+    /// controller reads this meter.
     pub foreground_ops: Meter,
     /// Foreground ops routed through each namespace shard (one labelled
     /// counter per shard, `service.shard.ops{shard=i}`).
@@ -135,7 +135,7 @@ pub(crate) struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    pub(crate) fn new(registry: Registry, rate_window: SimDuration, shards: usize) -> Self {
+    pub(crate) fn new(registry: Registry, shards: usize) -> Self {
         EngineMetrics {
             shard_ops: (0..shards)
                 .map(|i| registry.counter_with("service.shard.ops", &[("shard", &i.to_string())]))
@@ -195,7 +195,7 @@ impl EngineMetrics {
             fp_upgrades: registry.counter("engine.fp.upgrades"),
             fp_weak_stored: registry.counter("engine.fp.weak_chunks_stored"),
             index_cold_entries: registry.gauge("engine.index.cold_entries"),
-            foreground_ops: registry.meter("rate.foreground_ops", rate_window),
+            foreground_ops: registry.meter("rate.foreground_ops", crate::ratecontrol::WINDOW),
             registry,
         }
     }

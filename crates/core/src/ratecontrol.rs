@@ -7,47 +7,49 @@
 //!   foreground I/Os;
 //! * between the watermarks — 1 per `mid_ratio` (100);
 //! * below the low watermark — unlimited.
+//!
+//! The controller keeps no window of its own. Each foreground op is marked
+//! once, on the engine's `rate.foreground_ops` [`Meter`] (a 1 s window).
+//! The controller reads that meter's rate to pick the band and its
+//! lifetime total to fund admissions.
 
-use dedup_sim::{SimDuration, SimTime, SlidingWindowCounter};
+use dedup_obs::Meter;
+use dedup_sim::{SimDuration, SimTime};
 
 use crate::config::Watermarks;
 
+/// Width of the window foreground IOPS are observed over.
+pub(crate) const WINDOW: SimDuration = SimDuration::from_secs(1);
+
 /// Admission decision state for background deduplication I/O.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RateController {
     watermarks: Watermarks,
-    window: SlidingWindowCounter,
-    foreground_since_dedup: u64,
-    foreground_total: u64,
+    foreground: Meter,
+    /// Foreground ops already spent on admissions: the budget is the
+    /// meter's total minus this.
+    spent: u64,
     dedup_admitted: u64,
     dedup_denied: u64,
 }
 
 impl RateController {
-    /// Creates a controller observing foreground I/O over a 1-second
-    /// window.
-    pub fn new(watermarks: Watermarks) -> Self {
+    /// Creates a controller that reads foreground I/O from `foreground`,
+    /// a meter marked once per completed foreground op.
+    pub fn new(watermarks: Watermarks, foreground: Meter) -> Self {
         RateController {
             watermarks,
-            window: SlidingWindowCounter::new(SimDuration::from_secs(1)),
-            foreground_since_dedup: 0,
-            foreground_total: 0,
+            foreground,
+            spent: 0,
             dedup_admitted: 0,
             dedup_denied: 0,
         }
     }
 
-    /// Records one completed foreground I/O at `now`.
-    pub fn record_foreground(&mut self, now: SimTime) {
-        self.window.record(now);
-        self.foreground_since_dedup += 1;
-        self.foreground_total += 1;
-    }
-
     /// The foreground I/Os currently required between dedup I/Os, or `None`
     /// for unlimited (below the low watermark).
-    pub fn required_ratio(&mut self, now: SimTime) -> Option<u64> {
-        let iops = self.window.rate_per_sec(now);
+    pub fn required_ratio(&self, now: SimTime) -> Option<u64> {
+        let iops = self.foreground.rate(now);
         if iops < self.watermarks.low_iops {
             None
         } else if iops < self.watermarks.high_iops {
@@ -71,8 +73,8 @@ impl RateController {
                 true
             }
             Some(ratio) => {
-                if self.foreground_since_dedup >= ratio {
-                    self.foreground_since_dedup -= ratio;
+                if self.foreground.total() - self.spent >= ratio {
+                    self.spent += ratio;
                     self.dedup_admitted += 1;
                     true
                 } else {
@@ -81,16 +83,6 @@ impl RateController {
                 }
             }
         }
-    }
-
-    /// Observed foreground IOPS at `now`.
-    pub fn foreground_iops(&mut self, now: SimTime) -> f64 {
-        self.window.rate_per_sec(now)
-    }
-
-    /// Total foreground I/Os recorded.
-    pub fn foreground_total(&self) -> u64 {
-        self.foreground_total
     }
 
     /// (admitted, denied) dedup admission counts.
@@ -102,6 +94,7 @@ impl RateController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dedup_obs::Registry;
 
     fn marks() -> Watermarks {
         Watermarks {
@@ -112,10 +105,16 @@ mod tests {
         }
     }
 
-    fn load(rc: &mut RateController, ops: u64, start: SimTime, spacing: SimDuration) -> SimTime {
+    /// A controller and the meter it reads.
+    fn controller() -> (RateController, Meter) {
+        let fg = Registry::new().meter("rate.foreground_ops", WINDOW);
+        (RateController::new(marks(), fg.clone()), fg)
+    }
+
+    fn load(fg: &Meter, ops: u64, start: SimTime, spacing: SimDuration) -> SimTime {
         let mut t = start;
         for _ in 0..ops {
-            rc.record_foreground(t);
+            fg.mark(t, 1);
             t += spacing;
         }
         t
@@ -123,7 +122,7 @@ mod tests {
 
     #[test]
     fn idle_system_is_unlimited() {
-        let mut rc = RateController::new(marks());
+        let (mut rc, _) = controller();
         let now = SimTime::from_secs(5);
         assert_eq!(rc.required_ratio(now), None);
         assert!(rc.admit_dedup(now));
@@ -132,24 +131,24 @@ mod tests {
 
     #[test]
     fn mid_load_uses_mid_ratio() {
-        let mut rc = RateController::new(marks());
+        let (rc, fg) = controller();
         // ~500 IOPS: between watermarks.
-        let now = load(&mut rc, 500, SimTime::ZERO, SimDuration::from_millis(2));
+        let now = load(&fg, 500, SimTime::ZERO, SimDuration::from_millis(2));
         assert_eq!(rc.required_ratio(now), Some(10));
     }
 
     #[test]
     fn high_load_uses_high_ratio() {
-        let mut rc = RateController::new(marks());
+        let (rc, fg) = controller();
         // ~5000 IOPS: above high watermark.
-        let now = load(&mut rc, 5_000, SimTime::ZERO, SimDuration::from_micros(200));
+        let now = load(&fg, 5_000, SimTime::ZERO, SimDuration::from_micros(200));
         assert_eq!(rc.required_ratio(now), Some(50));
     }
 
     #[test]
     fn admission_consumes_budget() {
-        let mut rc = RateController::new(marks());
-        let now = load(&mut rc, 500, SimTime::ZERO, SimDuration::from_millis(2));
+        let (mut rc, fg) = controller();
+        let now = load(&fg, 500, SimTime::ZERO, SimDuration::from_millis(2));
         // 500 foreground ops accumulated at ratio 10: each admission
         // subtracts 10, so exactly ⌊500/10⌋ = 50 admissions fit before the
         // budget runs dry.
@@ -158,63 +157,58 @@ mod tests {
         }
         assert!(!rc.admit_dedup(now));
         // 10 more foreground ops refill exactly one admission.
-        let now = load(&mut rc, 10, now, SimDuration::from_millis(2));
+        let now = load(&fg, 10, now, SimDuration::from_millis(2));
         assert!(rc.admit_dedup(now));
         assert!(!rc.admit_dedup(now));
     }
 
     #[test]
     fn iops_exactly_at_low_watermark_is_throttled() {
-        let mut rc = RateController::new(marks());
+        let (rc, fg) = controller();
         // Exactly 100 events inside the 1-second window ending at t=1s:
         // rate_per_sec == low_iops == 100.0 precisely (no float error —
         // both are small integers). The strict `<` comparison puts this
         // on the throttled side.
         load(
-            &mut rc,
+            &fg,
             100,
             SimTime::from_nanos(1),
             SimDuration::from_millis(1),
         );
         let at = SimTime::from_secs(1);
-        assert_eq!(rc.foreground_iops(at), marks().low_iops);
+        assert_eq!(fg.rate(at), marks().low_iops);
         assert_eq!(rc.required_ratio(at), Some(marks().mid_ratio));
     }
 
     #[test]
     fn iops_exactly_at_high_watermark_uses_high_ratio() {
-        let mut rc = RateController::new(marks());
+        let (rc, fg) = controller();
         // Exactly 1000 events in the window: rate == high_iops == 1000.0.
         load(
-            &mut rc,
+            &fg,
             1_000,
             SimTime::from_nanos(1),
             SimDuration::from_micros(100),
         );
         let at = SimTime::from_secs(1);
-        assert_eq!(rc.foreground_iops(at), marks().high_iops);
+        assert_eq!(fg.rate(at), marks().high_iops);
         assert_eq!(rc.required_ratio(at), Some(marks().high_ratio));
     }
 
     #[test]
     fn just_below_low_watermark_is_unlimited() {
-        let mut rc = RateController::new(marks());
+        let (rc, fg) = controller();
         // 99 events in-window: strictly below the low watermark.
-        load(
-            &mut rc,
-            99,
-            SimTime::from_nanos(1),
-            SimDuration::from_millis(1),
-        );
+        load(&fg, 99, SimTime::from_nanos(1), SimDuration::from_millis(1));
         let at = SimTime::from_secs(1);
-        assert!(rc.foreground_iops(at) < marks().low_iops);
+        assert!(fg.rate(at) < marks().low_iops);
         assert_eq!(rc.required_ratio(at), None);
     }
 
     #[test]
     fn load_decay_restores_unlimited() {
-        let mut rc = RateController::new(marks());
-        let now = load(&mut rc, 5_000, SimTime::ZERO, SimDuration::from_micros(200));
+        let (rc, fg) = controller();
+        let now = load(&fg, 5_000, SimTime::ZERO, SimDuration::from_micros(200));
         assert!(rc.required_ratio(now).is_some());
         // Two idle seconds later the window is empty.
         let later = now + SimDuration::from_secs(2);
@@ -223,8 +217,8 @@ mod tests {
 
     #[test]
     fn counters_track_decisions() {
-        let mut rc = RateController::new(marks());
-        let now = load(&mut rc, 500, SimTime::ZERO, SimDuration::from_millis(2));
+        let (mut rc, fg) = controller();
+        let now = load(&fg, 500, SimTime::ZERO, SimDuration::from_millis(2));
         // Budget 500 at ratio 10 funds 50 admissions; two more attempts
         // are denied.
         for _ in 0..52 {
@@ -233,6 +227,5 @@ mod tests {
         let (ok, denied) = rc.admission_counts();
         assert_eq!(ok, 50);
         assert_eq!(denied, 2);
-        assert_eq!(rc.foreground_total(), 500);
     }
 }

@@ -98,11 +98,6 @@ impl ReedSolomon {
         self.k
     }
 
-    /// Parity shard count.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
     /// Total shard count `k + m`.
     pub fn total_shards(&self) -> usize {
         self.k + self.m

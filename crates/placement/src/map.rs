@@ -141,11 +141,6 @@ impl ClusterMap {
         self.node_racks[node.0 as usize]
     }
 
-    /// Number of registered racks.
-    pub fn rack_count(&self) -> usize {
-        self.racks as usize
-    }
-
     /// Adds an OSD with `weight` under `node` and returns its id.
     ///
     /// # Panics

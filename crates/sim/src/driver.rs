@@ -1,13 +1,11 @@
-//! Workload drivers: a generic event queue and a closed-loop driver.
-//!
-//! The closed-loop driver models FIO-style load generation: `streams`
-//! independent in-flight contexts (threads × iodepth), each issuing its next
-//! operation as soon as the previous one completes.
+//! A generic event queue: virtual-time events popped in time order, FIFO
+//! among equal times. [`crate::FlowEngine`] schedules its legs on it; the
+//! figures' closed loops live in the bench crate's drivers, on top of
+//! `FlowEngine`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::stats::LatencyStats;
 use crate::time::SimTime;
 
 /// An event scheduled for a virtual time, carrying an opaque payload.
@@ -92,75 +90,9 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-/// Outcome of a closed-loop run.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopReport {
-    /// Per-operation completion latencies.
-    pub latency: LatencyStats,
-    /// Number of operations completed.
-    pub ops: u64,
-    /// Virtual time at which the last operation completed.
-    pub finished_at: SimTime,
-}
-
-/// Drives `streams` concurrent closed loops until `total_ops` operations
-/// complete. See the module docs for the model.
-#[derive(Debug, Clone, Copy)]
-pub struct ClosedLoopDriver {
-    /// Number of concurrent in-flight contexts.
-    pub streams: usize,
-    /// Total operations to issue across all streams.
-    pub total_ops: u64,
-}
-
-impl ClosedLoopDriver {
-    /// Creates a driver with `streams` in-flight contexts issuing
-    /// `total_ops` operations overall.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is zero.
-    pub fn new(streams: usize, total_ops: u64) -> Self {
-        assert!(streams > 0, "need at least one stream");
-        ClosedLoopDriver { streams, total_ops }
-    }
-
-    /// Runs the loop. `issue(stream, op_index, now)` performs the operation
-    /// against the caller's cluster state and returns its virtual completion
-    /// time (usually from [`crate::ResourcePool::execute`]).
-    pub fn run(&self, mut issue: impl FnMut(usize, u64, SimTime) -> SimTime) -> ClosedLoopReport {
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        for s in 0..self.streams {
-            queue.push(SimTime::ZERO, s);
-        }
-        let mut latency = LatencyStats::new();
-        let mut issued = 0u64;
-        let mut completed = 0u64;
-        let mut finished_at = SimTime::ZERO;
-        while let Some(ev) = queue.pop() {
-            if issued >= self.total_ops {
-                continue;
-            }
-            let op_index = issued;
-            issued += 1;
-            let done = issue(ev.payload, op_index, ev.at);
-            latency.record(done.saturating_since(ev.at));
-            finished_at = finished_at.max(done);
-            completed += 1;
-            queue.push(done, ev.payload);
-        }
-        ClosedLoopReport {
-            latency,
-            ops: completed,
-            finished_at,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn queue_orders_by_time_then_fifo() {
@@ -181,41 +113,5 @@ mod tests {
         q.push(SimTime::from_secs(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn closed_loop_serializes_per_stream() {
-        // One stream, each op takes 1ms: ops complete back-to-back.
-        let report =
-            ClosedLoopDriver::new(1, 10).run(|_s, _i, now| now + SimDuration::from_millis(1));
-        assert_eq!(report.ops, 10);
-        assert_eq!(report.finished_at, SimTime::from_nanos(10_000_000));
-        assert_eq!(report.latency.mean(), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn closed_loop_streams_overlap() {
-        // Four streams with a fixed 1ms cost and no shared resource finish
-        // 12 ops in 3ms of virtual time.
-        let report =
-            ClosedLoopDriver::new(4, 12).run(|_s, _i, now| now + SimDuration::from_millis(1));
-        assert_eq!(report.finished_at, SimTime::from_nanos(3_000_000));
-    }
-
-    #[test]
-    fn closed_loop_respects_total_ops() {
-        let mut calls = 0;
-        let report = ClosedLoopDriver::new(3, 7).run(|_, _, now| {
-            calls += 1;
-            now + SimDuration::from_micros(10)
-        });
-        assert_eq!(calls, 7);
-        assert_eq!(report.ops, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stream")]
-    fn zero_streams_rejected() {
-        let _ = ClosedLoopDriver::new(0, 1);
     }
 }

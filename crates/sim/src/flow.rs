@@ -107,16 +107,6 @@ impl FlowEngine {
         self.sink = Some(sink);
     }
 
-    /// Detaches the trace sink, returning reporting to the free path.
-    pub fn clear_trace_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// Whether a trace sink is attached.
-    pub fn is_traced(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Time of the next pending leg, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.events.peek_time()

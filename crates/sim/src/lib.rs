@@ -9,7 +9,12 @@
 //! Executing a cost expression against a [`ResourcePool`] yields a virtual
 //! completion time; concurrent operations contend for the same resources, so
 //! queueing effects (e.g. background deduplication interfering with
-//! foreground I/O) fall out naturally.
+//! foreground I/O) fall out naturally. [`FlowEngine`] runs many cost
+//! expressions concurrently, interleaving their legs through one
+//! [`EventQueue`]; the bench crate's drivers build every figure's closed
+//! loop on it.
+//! [`LatencyStats`] keeps exact latency samples for the figures'
+//! percentiles.
 //!
 //! # Example
 //!
@@ -37,11 +42,11 @@ mod time;
 mod trace;
 
 pub use cost::CostExpr;
-pub use driver::{ClosedLoopDriver, EventQueue, ScheduledEvent};
+pub use driver::{EventQueue, ScheduledEvent};
 pub use flow::{FlowCompletion, FlowEngine};
 pub use fsync::{FsyncRecord, FsyncSequencer, FSYNC_JOURNAL_CAP};
 pub use resource::{Resource, ResourceId, ResourcePool, ResourceSpec};
 pub use series::{TimeBin, TimeSeries};
-pub use stats::{LatencyStats, SlidingWindowCounter};
+pub use stats::LatencyStats;
 pub use time::{SimDuration, SimTime};
 pub use trace::{LegKind, LegRecord, TraceSink};

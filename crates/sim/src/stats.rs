@@ -1,8 +1,9 @@
-//! Latency statistics and sliding-window rate observation.
+//! Exact latency statistics: every sample kept, percentiles by nearest
+//! rank (the figures print these; obs `Histogram` keeps log buckets).
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Accumulates request latencies and reports mean/percentiles.
 ///
@@ -77,53 +78,6 @@ impl LatencyStats {
     }
 }
 
-/// Counts events in a trailing virtual-time window; used by deduplication
-/// rate control to observe foreground IOPS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlidingWindowCounter {
-    window: SimDuration,
-    events: std::collections::VecDeque<u64>,
-}
-
-impl SlidingWindowCounter {
-    /// Creates a counter with the given trailing window.
-    pub fn new(window: SimDuration) -> Self {
-        SlidingWindowCounter {
-            window,
-            events: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// Records an event at `at`.
-    pub fn record(&mut self, at: SimTime) {
-        self.events.push_back(at.as_nanos());
-        self.evict(at);
-    }
-
-    /// Events inside the window ending at `now`.
-    pub fn count(&mut self, now: SimTime) -> u64 {
-        self.evict(now);
-        self.events.len() as u64
-    }
-
-    /// Event rate per second over the window ending at `now`.
-    pub fn rate_per_sec(&mut self, now: SimTime) -> f64 {
-        let n = self.count(now);
-        n as f64 / self.window.as_secs_f64()
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        let cutoff = now.as_nanos().saturating_sub(self.window.as_nanos());
-        while let Some(&front) = self.events.front() {
-            if front < cutoff {
-                self.events.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,31 +128,5 @@ mod tests {
         b.record(SimDuration::from_millis(3));
         a.merge(&b);
         assert_eq!(a.mean(), SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn window_counter_evicts_old_events() {
-        let mut c = SlidingWindowCounter::new(SimDuration::from_secs(1));
-        c.record(SimTime::from_nanos(0));
-        c.record(SimTime::from_millis_helper(700));
-        assert_eq!(c.count(SimTime::from_millis_helper(900)), 2);
-        assert_eq!(c.count(SimTime::from_millis_helper(1600)), 1);
-        assert_eq!(c.count(SimTime::from_secs(10)), 0);
-    }
-
-    #[test]
-    fn window_rate() {
-        let mut c = SlidingWindowCounter::new(SimDuration::from_secs(1));
-        for i in 0..100 {
-            c.record(SimTime::from_nanos(i * 10_000_000));
-        }
-        let r = c.rate_per_sec(SimTime::from_secs(1));
-        assert!(r > 90.0 && r <= 100.0, "rate {r}");
-    }
-
-    impl SimTime {
-        fn from_millis_helper(ms: u64) -> SimTime {
-            SimTime::from_nanos(ms * 1_000_000)
-        }
     }
 }

@@ -94,16 +94,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// The duration in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

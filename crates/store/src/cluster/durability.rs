@@ -114,11 +114,6 @@ impl Cluster {
         });
     }
 
-    /// Whether a WAL backend is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Appends one transaction record to the primary's log. Called at the
     /// commit point of `transact`, after every check that could still fail
     /// the transaction — so a logged record always replays cleanly. A
