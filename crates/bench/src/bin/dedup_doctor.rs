@@ -62,11 +62,6 @@ fn main() {
             }
         }
     }
-    assert!(
-        opts.read_percent + opts.dup_percent <= 100,
-        "--read + --dup must not exceed 100"
-    );
-
     let (report, _system) = run_doctor(&opts);
     print!("{}", report.human());
     if smoke {

@@ -359,7 +359,17 @@ fn doctor_op(i: u64, opts: &DoctorOptions) -> OpSpec {
 /// Runs the doctor workload and produces the report. The system is
 /// returned too so tests can cross-check the report against live engine
 /// state.
+///
+/// # Panics
+///
+/// Panics on options no workload can honour: zero objects, or a read
+/// and duplicate share above 100%.
 pub fn run_doctor(opts: &DoctorOptions) -> (DoctorReport, DedupSystem) {
+    assert!(opts.objects > 0, "--objects must be positive");
+    assert!(
+        opts.read_percent + opts.dup_percent <= 100,
+        "--read + --dup must not exceed 100"
+    );
     let mut config =
         DedupConfig::with_chunk_size(opts.chunk_size).cache_policy(CachePolicy::EvictAll);
     if opts.inject == DoctorInjection::BloomOverfill {

@@ -7,19 +7,7 @@ use dedup_sim::{CostExpr, SimTime};
 use dedup_store::{ClientId, Cluster, ClusterBuilder, IoCtx, ObjectName, PoolConfig};
 use dedup_workloads::Dataset;
 
-/// Whether `DEDUP_TRACE_DIR` asks for per-op tracing. When set, system
-/// constructors attach a [`Tracer`] to the stack and figure binaries drop
-/// a Chrome-trace sidecar next to their metrics.
-pub fn tracing_requested() -> bool {
-    std::env::var_os("DEDUP_TRACE_DIR").is_some()
-}
-
-/// Whether `DEDUP_EVENTS_DIR` asks for structured event logging. When
-/// set, system constructors attach an [`EventLog`] to the stack and
-/// figure binaries drop a `<figure>.events.jsonl` sidecar.
-pub fn events_requested() -> bool {
-    std::env::var_os("DEDUP_EVENTS_DIR").is_some()
-}
+use crate::report::{events_dir, trace_dir};
 
 /// A storage system a driver can load. Implementations panic on store
 /// errors: the harness runs fixed, known-good scenarios, and an error is a
@@ -102,15 +90,17 @@ impl OriginalSystem {
         Self::with_cluster(label, ClusterBuilder::new().build(), pool)
     }
 
-    /// Builds on a caller-provided cluster.
+    /// Builds on a caller-provided cluster, with a tracer and/or event
+    /// log attached when `DEDUP_TRACE_DIR` / `DEDUP_EVENTS_DIR` ask for
+    /// them.
     pub fn with_cluster(label: impl Into<String>, mut cluster: Cluster, pool: PoolConfig) -> Self {
         let pool = cluster.create_pool(pool);
-        if tracing_requested() {
+        if trace_dir().is_some() {
             let tracer = Tracer::new();
             tracer.attach_registry(cluster.registry());
             cluster.attach_tracer(tracer);
         }
-        if events_requested() {
+        if events_dir().is_some() {
             cluster.attach_events(EventLog::new());
         }
         OriginalSystem {
@@ -192,10 +182,10 @@ pub struct DedupSystem {
 /// Attaches a tracer and/or event log to a freshly built store when
 /// `DEDUP_TRACE_DIR` / `DEDUP_EVENTS_DIR` ask for them.
 fn maybe_trace(mut store: DedupStore) -> DedupStore {
-    if tracing_requested() {
+    if trace_dir().is_some() {
         store.attach_tracer(Tracer::new());
     }
-    if events_requested() {
+    if events_dir().is_some() {
         store.attach_events(EventLog::new());
     }
     store

@@ -133,3 +133,13 @@ fn doctor_json_carries_report_numbers() {
         "curve/event timestamps missing from JSON"
     );
 }
+
+/// `--objects 0` names no object to spread the workload over; the doctor
+/// refuses it up front instead of dividing by zero mid-run.
+#[test]
+#[should_panic(expected = "--objects must be positive")]
+fn zero_objects_are_refused() {
+    let mut opts = smoke_opts(DoctorInjection::None);
+    opts.objects = 0;
+    let _ = run_doctor(&opts);
+}

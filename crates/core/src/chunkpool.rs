@@ -32,6 +32,7 @@ use parking_lot::Mutex;
 use crate::config::{CompressionConfig, DedupConfig};
 use crate::engine::{primary_node, GcReport};
 use crate::error::DedupError;
+use crate::health::BLOOM_DEGRADED_FILL;
 use crate::index::{build_index, ChunkIndex};
 use crate::metrics::EngineMetrics;
 use crate::refs::{
@@ -127,10 +128,11 @@ impl ChunkPool {
         Fingerprint::mint_weak(sig, self.weak_seq.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Whether `fill` is the first Bloom fill ratio past one half seen
-    /// since the last rebuild — the point false positives start climbing.
+    /// Whether `fill` is the first Bloom fill ratio past
+    /// [`BLOOM_DEGRADED_FILL`] seen since the last rebuild — the point
+    /// false positives start climbing.
     pub(crate) fn bloom_newly_overfull(&self, fill: f64) -> bool {
-        fill > 0.5 && !self.bloom_warned.swap(true, Ordering::Relaxed)
+        fill > BLOOM_DEGRADED_FILL && !self.bloom_warned.swap(true, Ordering::Relaxed)
     }
 
     /// Every chunk object in the pool with the fingerprint its name

@@ -64,7 +64,23 @@ impl Default for Watermarks {
     }
 }
 
-/// Hotness-tracking parameters (the HitSet of paper §5).
+impl Watermarks {
+    /// The throttle band `iops` falls in: 0 below the low watermark
+    /// (unlimited), 1 between the watermarks (`mid_ratio`), 2 at or above
+    /// the high watermark (`high_ratio`).
+    pub(crate) fn band(&self, iops: f64) -> u8 {
+        if iops < self.low_iops {
+            0
+        } else if iops < self.high_iops {
+            1
+        } else {
+            2
+        }
+    }
+}
+
+/// Hotness-tracking parameters of the cache manager's HitSet (paper §5),
+/// [`DedupConfig::hitset`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HitSetConfig {
     /// Width of one hitset interval in virtual seconds.
@@ -94,44 +110,25 @@ impl Default for HitSetConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TieredIndexConfig {
     /// Maximum candidate entries resident in the hot in-memory tier;
-    /// overflow is demoted into cold sorted runs. `usize::MAX`
+    /// overflow is demoted into the sorted cold tier. `usize::MAX`
     /// ([`TieredIndexConfig::unbounded`]) never demotes: the index is
     /// then one flat in-memory map with no declared memory bound.
     pub hot_capacity: usize,
-    /// Cold sorted runs tolerated before a merge compaction.
-    pub max_runs: usize,
-    /// Records per fence block in a cold run (one fence pointer every
-    /// this many records).
-    pub fence_every: usize,
-    /// Hotness signal driving cold→hot promotion: a signature probed
-    /// `hit_count` times within the retained window is promoted.
-    pub heat: HitSetConfig,
 }
 
 impl Default for TieredIndexConfig {
     /// The memory-bounded sizing: a 4096-candidate hot tier.
     fn default() -> Self {
-        TieredIndexConfig {
-            hot_capacity: 4096,
-            max_runs: 4,
-            fence_every: 64,
-            heat: HitSetConfig {
-                interval_secs: 1,
-                intervals: 8,
-                hit_count: 2,
-                bloom_bits: 1 << 14,
-            },
-        }
+        TieredIndexConfig { hot_capacity: 4096 }
     }
 }
 
 impl TieredIndexConfig {
     /// An unbounded hot tier — every candidate stays in the in-memory
-    /// map and no cold run is ever cut. [`DedupConfig`]'s default.
+    /// map and nothing is ever demoted. [`DedupConfig`]'s default.
     pub fn unbounded() -> Self {
         TieredIndexConfig {
             hot_capacity: usize::MAX,
-            ..Default::default()
         }
     }
 }
@@ -456,10 +453,7 @@ mod tests {
         let c = DedupConfig::default()
             .bloom(1 << 16, 6)
             .tiered_fingerprint()
-            .tiered_index(TieredIndexConfig {
-                hot_capacity: 128,
-                ..TieredIndexConfig::default()
-            });
+            .tiered_index(TieredIndexConfig { hot_capacity: 128 });
         assert_eq!(c.bloom.bits, 1 << 16);
         assert_eq!(c.bloom.probes, 6);
         assert!(c.tiered_fingerprint);

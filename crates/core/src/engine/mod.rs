@@ -436,13 +436,7 @@ impl DedupStore {
 
     fn update_rate_band(&self, now: SimTime) {
         let iops = self.metrics.foreground_ops.rate(now);
-        let band = if iops < self.config.watermarks.low_iops {
-            0
-        } else if iops < self.config.watermarks.high_iops {
-            1
-        } else {
-            2
-        };
+        let band = i64::from(self.config.watermarks.band(iops));
         let prev = self.metrics.rate_band.get();
         self.metrics.rate_band.set(band);
         if let Some(ev) = self.events() {

@@ -30,8 +30,9 @@ use dedup_store::{osd_health, wal_health};
 use crate::engine::DedupStore;
 
 /// Bloom fill ratio above which dedup lookups degrade (false-positive
-/// rate climbs, forcing wasted full-index probes).
-const BLOOM_DEGRADED_FILL: f64 = 0.5;
+/// rate climbs, forcing wasted full-index probes); the one-shot
+/// `engine.bloom/overfill` event fires at the same point.
+pub(crate) const BLOOM_DEGRADED_FILL: f64 = 0.5;
 /// Bloom fill ratio at which the filter is effectively saturated.
 const BLOOM_CRITICAL_FILL: f64 = 0.9;
 /// Fraction of the declared index memory bound at which we warn.

@@ -193,17 +193,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "hitset intervals must be positive")]
-    fn empty_heat_ring_is_refused_when_the_index_is_built() {
-        use crate::config::{DedupConfig, TieredIndexConfig};
+    fn empty_ring_is_refused_when_the_store_is_built() {
+        use crate::config::DedupConfig;
         use crate::engine::DedupStore;
-        let index = TieredIndexConfig {
-            heat: HitSetConfig {
+        let config = DedupConfig {
+            hitset: HitSetConfig {
                 intervals: 0,
-                ..TieredIndexConfig::default().heat
+                ..HitSetConfig::default()
             },
-            ..TieredIndexConfig::default()
+            ..DedupConfig::default()
         };
-        let config = DedupConfig::default().tiered_index(index);
         let _ = DedupStore::with_default_pools(dedup_store::ClusterBuilder::new().build(), config);
     }
 

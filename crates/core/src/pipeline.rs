@@ -98,8 +98,8 @@ pub(crate) struct StagedObject {
     pub(crate) ticket: DirtyTicket,
     pub(crate) meta_node: usize,
     pub(crate) keep_cached: bool,
-    /// Virtual time the snapshot was staged; feeds the chunk index's
-    /// hotness signal at commit.
+    /// Virtual time the snapshot was staged; passed as the chunk index
+    /// probe's `now`, which the index does not read.
     pub(crate) staged_at: SimTime,
     pub(crate) chunks: Vec<StagedChunk>,
 }

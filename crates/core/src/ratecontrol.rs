@@ -49,13 +49,10 @@ impl RateController {
     /// The foreground I/Os currently required between dedup I/Os, or `None`
     /// for unlimited (below the low watermark).
     pub fn required_ratio(&self, now: SimTime) -> Option<u64> {
-        let iops = self.foreground.rate(now);
-        if iops < self.watermarks.low_iops {
-            None
-        } else if iops < self.watermarks.high_iops {
-            Some(self.watermarks.mid_ratio)
-        } else {
-            Some(self.watermarks.high_ratio)
+        match self.watermarks.band(self.foreground.rate(now)) {
+            0 => None,
+            1 => Some(self.watermarks.mid_ratio),
+            _ => Some(self.watermarks.high_ratio),
         }
     }
 

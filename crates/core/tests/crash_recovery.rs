@@ -372,7 +372,6 @@ fn every_crash_point_recovers_tiered() {
         .tiered_fingerprint()
         .tiered_index(dedup_core::TieredIndexConfig {
             hot_capacity: 4, // tiny: recovery re-seeding spills to cold
-            ..Default::default()
         });
     audit_config(config, "tiered");
 }
@@ -427,10 +426,7 @@ fn every_crash_point_recovers_compressed_tiered() {
     let config = DedupConfig::with_chunk_size(CS)
         .compress()
         .tiered_fingerprint()
-        .tiered_index(dedup_core::TieredIndexConfig {
-            hot_capacity: 4,
-            ..Default::default()
-        });
+        .tiered_index(dedup_core::TieredIndexConfig { hot_capacity: 4 });
     audit_config_with(config, "compressed-tiered", compress_workload());
 }
 

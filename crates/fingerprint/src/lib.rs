@@ -197,14 +197,6 @@ impl ChunkSig {
         };
         ChunkSig { sample, len }
     }
-
-    /// A stable byte key for hotness tracking and sorted-run ordering.
-    pub fn key_bytes(&self) -> [u8; 12] {
-        let mut out = [0u8; 12];
-        out[..8].copy_from_slice(&self.sample.to_le_bytes());
-        out[8..].copy_from_slice(&self.len.to_le_bytes());
-        out
-    }
 }
 
 /// CPU cost model for fingerprinting, used by the timing plane to charge a
