@@ -124,11 +124,13 @@ pub fn shard_index(name: &ObjectName, shards: usize) -> usize {
 /// the background flush ([`dedup_tick`](DedupStore::dedup_tick),
 /// [`flush_all`](DedupStore::flush_all) and the rest of that family) take
 /// `&self`. Per-object state is only touched under the shard lock owning
-/// the object ([`shard_index`]) in reader-writer mode: mutations and a
-/// flush commit take the shard *write* lock, reads and a flush stage take
-/// the shard *read* lock. Ops on distinct objects run in parallel,
-/// concurrent reads of the same shard (one hot object included) run in
-/// parallel, and a mutation excludes everything else on its shard. One
+/// the object ([`shard_index`]) in reader-writer mode: mutations, a
+/// flush commit and a hot read's promotion take the shard *write* lock,
+/// reads and a flush stage take the shard *read* lock. Ops on distinct
+/// objects run in parallel, concurrent reads of the same shard (one hot
+/// object included) run in parallel, and a mutation excludes everything
+/// else on its shard. A hot read drops its read guard before its
+/// promotion takes the write side, never upgrading a guard it holds. One
 /// flush mutex serialises whole flush passes. Cross-object state sits
 /// behind its own fine-grained locks (dirty queue, atomic-bit hitset, rate
 /// controller, registry counters), and the chunk-pool refcount

@@ -35,7 +35,7 @@ impl DedupStore {
         len: u64,
         now: SimTime,
     ) -> Result<Timed<Bytes>, DedupError> {
-        let _shard = self.lock_shard_read(name);
+        let shard = self.lock_shard_read(name);
         let object_len = self
             .cluster
             .stat(self.metadata_pool, name)?
@@ -154,7 +154,8 @@ impl DedupStore {
         if self.config.cache_policy == CachePolicy::HotnessAware
             && self.hitset.is_hot(name.as_bytes(), now)
         {
-            let t = self.promote_chunks(name, &entries, offset, len)?;
+            drop(shard);
+            let t = self.promote_chunks(name, offset, len)?;
             costs.push(self.label("read.promote", t.cost));
         }
         Ok(Timed::new(
@@ -262,20 +263,28 @@ impl DedupStore {
 
     /// Pulls the non-cached chunks overlapping `[offset, offset + len)`
     /// back into the metadata object's data part (tiering promotion).
+    ///
+    /// The promotion transacts on the object, and concurrent reads share
+    /// its shard's read lock, which does not serialise transactions on one
+    /// object. So it holds the shard write lock, taken raw like a flush
+    /// commit's (the `service.shard.*` series count the read once), and
+    /// re-loads the chunk map under it: a write or a commit may have
+    /// landed since the read's own load.
     fn promote_chunks(
         &self,
         name: &ObjectName,
-        entries: &[ChunkMapEntry],
         offset: u64,
         len: u64,
     ) -> Result<Timed<u64>, DedupError> {
+        let _shard = self.shards[self.shard_of(name)].write();
+        let entries = self.load_chunk_map(name)?;
         let cs = self.chunker.chunk_size() as u64;
         let mut costs: Vec<CostExpr> = Vec::new();
         let mut ops: Vec<TxOp> = Vec::new();
         let mut promoted = 0u64;
         for idx in self.chunker.touched_chunks(offset, len) {
             let c_off = idx * cs;
-            let Some(e) = Self::entry_for(entries, c_off) else {
+            let Some(e) = Self::entry_for(&entries, c_off) else {
                 continue;
             };
             if e.cached {
@@ -571,6 +580,53 @@ mod promotion_tests {
             .expect("usage")
             .stored_bytes;
         assert!(resident >= data.len() as u64, "cache repopulated");
+    }
+
+    /// Two hot reads of one object share its shard's read lock, so a
+    /// promotion (a transaction on the object) must wait for the write
+    /// side: while a reader of the shard holds on, nothing is promoted.
+    #[test]
+    fn promotion_waits_for_the_shard_write_lock() {
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let s = Arc::new(adaptive_store());
+        let name = ObjectName::new("obj");
+        let data = patterned(4 * CS as usize, 59);
+        let _ = s
+            .write(ClientId(0), &name, 0, &data, SimTime::ZERO)
+            .expect("w");
+        let _ = s.flush_all(SimTime::from_secs(1_000)).expect("flush");
+        // One access: the next read is hot and promotes.
+        let _ = s
+            .read(
+                ClientId(0),
+                &name,
+                0,
+                data.len() as u64,
+                SimTime::from_secs(2_000),
+            )
+            .expect("read");
+        assert_eq!(s.stats().promotions, 0);
+
+        let shared = s.shards[s.shard_of(&name)].read();
+        let reader = {
+            let (s, name, len) = (Arc::clone(&s), name.clone(), data.len() as u64);
+            std::thread::spawn(move || {
+                s.read(ClientId(1), &name, 0, len, SimTime::from_secs(2_001))
+                    .expect("hot read")
+                    .value
+            })
+        };
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(
+            s.stats().promotions,
+            0,
+            "promoted while another reader held the shard"
+        );
+        drop(shared);
+        assert_eq!(reader.join().expect("reader"), data);
+        assert_eq!(s.stats().promotions, 4, "all four chunks promoted");
     }
 
     #[test]

@@ -70,10 +70,6 @@ pub struct IndexStats {
     pub cold_records: u64,
     /// Lifetime hot→cold demotions (candidates moved).
     pub demotions: u64,
-    /// Probes answered from the hot tier.
-    pub hot_hits: u64,
-    /// Probes answered from the cold tier.
-    pub cold_hits: u64,
 }
 
 /// The engine's chunk-lookup state. All methods take `&self`: the Bloom
@@ -308,18 +304,12 @@ impl ChunkIndex for TieredIndex {
         let stamp = inner.clock;
         if let Some(e) = inner.hot.get_mut(sig) {
             e.stamp = stamp;
-            let out = e.cands.clone();
-            inner.stats.hot_hits += 1;
-            return out;
+            return e.cands.clone();
         }
-        let out: Vec<CandidateRef> = inner.cold[inner.cold_range(sig)]
+        inner.cold[inner.cold_range(sig)]
             .iter()
             .map(Record::candidate)
-            .collect();
-        if !out.is_empty() {
-            inner.stats.cold_hits += 1;
-        }
-        out
+            .collect()
     }
 
     fn memoize_full(&self, sig: &ChunkSig, stored: Fingerprint, full: Fingerprint) {
